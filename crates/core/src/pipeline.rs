@@ -615,12 +615,13 @@ impl<T: DeviceReal> GpuMog<T> {
             &self.cfg,
             &TelemetryConfig::default(),
         );
-        let fusion = self
-            .dataflow
-            .as_ref()
-            .map(|r| r.finish().fusion_candidates())
-            .unwrap_or_default();
         self.last_profile = self.profile.is_on().then(|| {
+            // Stitch the graph only for a profile that reports it.
+            let fusion = self
+                .dataflow
+                .as_ref()
+                .map(|r| r.finish().fusion_candidates())
+                .unwrap_or_default();
             ProfileReport::assemble(
                 self.level.name(),
                 self.level.overlap(),
@@ -1232,12 +1233,13 @@ impl<T: DeviceReal> AdaptiveGpuMog<T> {
             &self.cfg,
             &TelemetryConfig::default(),
         );
-        let fusion = self
-            .dataflow
-            .as_ref()
-            .map(|r| r.finish().fusion_candidates())
-            .unwrap_or_default();
         self.last_profile = self.profile.is_on().then(|| {
+            // Stitch the graph only for a profile that reports it.
+            let fusion = self
+                .dataflow
+                .as_ref()
+                .map(|r| r.finish().fusion_candidates())
+                .unwrap_or_default();
             ProfileReport::assemble(
                 "adaptive".to_string(),
                 mogpu_sim::dma::OverlapMode::DoubleBuffered,

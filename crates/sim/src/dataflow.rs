@@ -152,11 +152,12 @@ fn normalize(runs: &mut Vec<(u64, u64)>) {
     runs.truncate(w + 1);
 }
 
-/// Hot-path accumulator for byte runs: appends extend the last run when
-/// contiguous (the common case for lane-ordered accesses) and the vector
-/// is re-normalized whenever it grows past a bound, so memory stays
-/// proportional to the *distinct* intervals touched, not the access
-/// count.
+/// Hot-path accumulator for byte runs: appends extend one of the most
+/// recent runs when contiguous with it (lane-ordered accesses extend the
+/// last run; coalesced layouts that interleave several arrays lane by
+/// lane extend one run per array) and the vector is re-normalized
+/// whenever it grows past a bound, so memory stays proportional to the
+/// *distinct* intervals touched, not the access count.
 #[derive(Debug, Default)]
 pub(crate) struct IntervalCollector {
     runs: Vec<(u64, u64)>,
@@ -165,6 +166,9 @@ pub(crate) struct IntervalCollector {
 /// Re-normalize the collector when the raw run vector grows past this.
 const COLLECTOR_NORMALIZE_AT: usize = 8192;
 
+/// How many of the most recent runs a new run may extend.
+const COLLECTOR_LOOKBACK: usize = 16;
+
 impl IntervalCollector {
     /// Records the half-open byte run `[start, end)`.
     #[inline]
@@ -172,11 +176,12 @@ impl IntervalCollector {
         if start >= end {
             return;
         }
-        if let Some(last) = self.runs.last_mut() {
-            // Extend (or absorb into) the last run when the new one
+        let recent = self.runs.len().saturating_sub(COLLECTOR_LOOKBACK);
+        for run in self.runs[recent..].iter_mut().rev() {
+            // Extend (or absorb into) a recent run when the new one
             // starts inside or immediately after it.
-            if start >= last.0 && start <= last.1 {
-                last.1 = last.1.max(end);
+            if start >= run.0 && start <= run.1 {
+                run.1 = run.1.max(end);
                 return;
             }
         }
@@ -277,22 +282,69 @@ pub struct NodeStats {
     pub occupancy: Occupancy,
 }
 
-/// One recorded event in program order.
-#[derive(Debug, Clone)]
-struct RecordedNode {
-    kind: NodeKind,
-    name: String,
-    frame: Option<usize>,
-    reads: IntervalSet,
-    writes: IntervalSet,
-    stats: Option<NodeStats>,
+/// One run of the last-writer map: the bytes `[start, end)` (`start` is
+/// the map key) were last stored by node `owner`, and `consumed` says
+/// whether a later node has read them since.
+#[derive(Debug, Clone, Copy)]
+struct OwnedRun {
+    end: u64,
+    owner: usize,
+    consumed: bool,
+}
+
+/// Splits the run straddling `at`, so a run boundary falls there.
+fn split_at(runs: &mut BTreeMap<u64, OwnedRun>, at: u64) {
+    if let Some((_, run)) = runs.range_mut(..at).next_back() {
+        if run.end > at {
+            let tail = *run;
+            run.end = at;
+            runs.insert(at, tail);
+        }
+    }
+}
+
+/// Joins the runs meeting at `at` when they agree on owner and
+/// consumption.
+fn join_at(runs: &mut BTreeMap<u64, OwnedRun>, at: u64) {
+    let Some(&right) = runs.get(&at) else {
+        return;
+    };
+    if let Some((_, left)) = runs.range_mut(..at).next_back() {
+        if left.end == at && (left.owner, left.consumed) == (right.owner, right.consumed) {
+            left.end = right.end;
+            runs.remove(&at);
+        }
+    }
 }
 
 /// Records uploads, launches, and downloads in program order and builds
 /// the [`DataflowGraph`].
+///
+/// Stitching is incremental: every `record_*` call replays its event
+/// against a last-writer interval map and updates the per-node byte
+/// totals and the edge map on the spot, at a cost proportional to the
+/// event's own runs. Ownership semantics: the most recent writer of a
+/// byte owns it; a read attributes its bytes to the current owners (one
+/// edge per producer), a write transfers ownership and classifies the
+/// evicted bytes as dead when no consumer had read them. A kernel reads
+/// the pre-launch snapshot, so within one node reads are processed
+/// before writes.
 #[derive(Debug, Default)]
 pub struct DataflowRecorder {
-    nodes: Vec<RecordedNode>,
+    /// Program-ordered nodes; `consumed_bytes` is filled in by
+    /// [`DataflowRecorder::finish`] from the other totals.
+    nodes: Vec<DataflowNode>,
+    /// The last-writer map: the current owner of every stored byte, as
+    /// disjoint runs keyed by start address. Runs are split only where
+    /// an access boundary falls inside them and re-joined when
+    /// neighbours agree again, so its size follows the address layout,
+    /// not the recorded history.
+    owners: BTreeMap<u64, OwnedRun>,
+    edges: BTreeMap<(usize, usize), u64>,
+    /// Every byte any download has read.
+    downloaded: IntervalSet,
+    /// Run starts touched by the current read, re-joined afterwards.
+    joins: Vec<u64>,
 }
 
 impl DataflowRecorder {
@@ -315,26 +367,26 @@ impl DataflowRecorder {
     /// (e.g. `host-upload`, or `host-init` for construction-time model
     /// state).
     pub fn record_upload(&mut self, name: &str, frame: Option<usize>, writes: IntervalSet) {
-        self.nodes.push(RecordedNode {
-            kind: NodeKind::HostUpload,
-            name: name.to_string(),
+        self.record(
+            NodeKind::HostUpload,
+            name,
             frame,
-            reads: IntervalSet::new(),
-            writes,
-            stats: None,
-        });
+            &IntervalSet::new(),
+            &writes,
+            None,
+        );
     }
 
     /// Records a device-to-host read of `reads` under `name`.
     pub fn record_download(&mut self, name: &str, frame: Option<usize>, reads: IntervalSet) {
-        self.nodes.push(RecordedNode {
-            kind: NodeKind::HostDownload,
-            name: name.to_string(),
+        self.record(
+            NodeKind::HostDownload,
+            name,
             frame,
-            reads,
-            writes: IntervalSet::new(),
-            stats: None,
-        });
+            &reads,
+            &IntervalSet::new(),
+            None,
+        );
     }
 
     /// Records a kernel launch with its access summary and counters.
@@ -346,114 +398,141 @@ impl DataflowRecorder {
         stats: KernelStats,
         occupancy: Occupancy,
     ) {
-        self.nodes.push(RecordedNode {
-            kind: NodeKind::Kernel,
+        self.record(
+            NodeKind::Kernel,
+            name,
+            frame,
+            &access.reads,
+            &access.writes,
+            Some(NodeStats { stats, occupancy }),
+        );
+    }
+
+    /// Appends node `j` and stitches it: reads attribute to the current
+    /// owners, then writes evict them and take ownership.
+    fn record(
+        &mut self,
+        kind: NodeKind,
+        name: &str,
+        frame: Option<usize>,
+        reads: &IntervalSet,
+        writes: &IntervalSet,
+        stats: Option<NodeStats>,
+    ) {
+        let j = self.nodes.len();
+        let mut attributed = 0;
+        for &(s, e) in reads.runs() {
+            attributed += self.read(j, s, e);
+        }
+        if kind == NodeKind::HostDownload {
+            self.downloaded.union_in_place(reads);
+        }
+        let reread = if kind == NodeKind::HostUpload {
+            writes.intersect(&self.downloaded).total_bytes()
+        } else {
+            0
+        };
+        for &(s, e) in writes.runs() {
+            self.write(j, s, e);
+        }
+        let stored = writes.total_bytes();
+        let read_bytes = reads.total_bytes();
+        self.nodes.push(DataflowNode {
+            kind,
             name: name.to_string(),
             frame,
-            reads: access.reads,
-            writes: access.writes,
-            stats: Some(NodeStats { stats, occupancy }),
+            read_bytes,
+            stored_bytes: stored,
+            consumed_bytes: 0,
+            dead_store_bytes: 0,
+            live_at_exit_bytes: stored,
+            unattributed_read_bytes: read_bytes - attributed,
+            reread_from_host_bytes: reread,
+            stats,
         });
     }
 
-    /// Stitches the recorded events into the dataflow graph.
-    ///
-    /// Ownership semantics: the most recent writer of a byte owns it; a
-    /// read attributes its bytes to the current owners (one edge per
-    /// producer), a write transfers ownership and classifies the evicted
-    /// bytes as dead when no consumer had read them. A kernel reads the
-    /// pre-launch snapshot, so within one node reads are processed
-    /// before writes.
-    pub fn finish(&self) -> DataflowGraph {
-        let n = self.nodes.len();
-        let mut owned: Vec<IntervalSet> = vec![IntervalSet::new(); n];
-        let mut consumed: Vec<IntervalSet> = vec![IntervalSet::new(); n];
-        let mut dead: Vec<IntervalSet> = vec![IntervalSet::new(); n];
-        let mut unattributed: Vec<u64> = vec![0; n];
-        let mut reread: Vec<u64> = vec![0; n];
-        let mut downloaded = IntervalSet::new();
-        let mut edges: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-
-        for j in 0..n {
-            let node = &self.nodes[j];
-            // Reads first: attribute each byte to its current owner.
-            if !node.reads.is_empty() {
-                let mut attributed = IntervalSet::new();
-                for o in 0..j {
-                    if owned[o].is_empty() {
-                        continue;
-                    }
-                    let hit = owned[o].intersect(&node.reads);
-                    if hit.is_empty() {
-                        continue;
-                    }
-                    *edges.entry((o, j)).or_insert(0) += hit.total_bytes();
-                    consumed[o].union_in_place(&hit);
-                    attributed.union_in_place(&hit);
-                }
-                unattributed[j] = node.reads.subtract(&attributed).total_bytes();
-                if node.kind == NodeKind::HostDownload {
-                    downloaded.union_in_place(&node.reads);
-                }
+    /// Node `j` reads `[s, e)`: every owned byte in it adds to its
+    /// owner's edge into `j` and becomes consumed. Returns the bytes
+    /// that had an owner.
+    fn read(&mut self, j: usize, s: u64, e: u64) -> u64 {
+        if s >= e {
+            return 0;
+        }
+        split_at(&mut self.owners, s);
+        split_at(&mut self.owners, e);
+        let mut attributed = 0;
+        self.joins.clear();
+        for (&start, run) in self.owners.range_mut(s..e) {
+            let len = run.end - start;
+            *self.edges.entry((run.owner, j)).or_insert(0) += len;
+            attributed += len;
+            if !run.consumed {
+                run.consumed = true;
+                self.nodes[run.owner].live_at_exit_bytes -= len;
             }
-            // Writes second: evict previous owners, classify dead bytes.
-            if !node.writes.is_empty() {
-                if node.kind == NodeKind::HostUpload {
-                    reread[j] = node.writes.intersect(&downloaded).total_bytes();
-                }
-                for o in 0..j {
-                    if owned[o].is_empty() {
-                        continue;
-                    }
-                    let evicted = owned[o].intersect(&node.writes);
-                    if evicted.is_empty() {
-                        continue;
-                    }
-                    let died = evicted.subtract(&consumed[o]);
-                    dead[o].union_in_place(&died);
-                    owned[o] = owned[o].subtract(&evicted);
-                }
-                owned[j] = node.writes.clone();
+            self.joins.push(start);
+        }
+        self.joins.push(e);
+        for &at in &self.joins {
+            join_at(&mut self.owners, at);
+        }
+        attributed
+    }
+
+    /// Node `j` stores `[s, e)`: the runs it covers are evicted (their
+    /// unconsumed bytes die) and `j` owns the span.
+    fn write(&mut self, j: usize, s: u64, e: u64) {
+        if s >= e {
+            return;
+        }
+        split_at(&mut self.owners, s);
+        split_at(&mut self.owners, e);
+        while let Some((&start, &run)) = self.owners.range(s..e).next() {
+            self.owners.remove(&start);
+            if !run.consumed {
+                let len = run.end - start;
+                let node = &mut self.nodes[run.owner];
+                node.live_at_exit_bytes -= len;
+                node.dead_store_bytes += len;
             }
         }
+        self.owners.insert(
+            s,
+            OwnedRun {
+                end: e,
+                owner: j,
+                consumed: false,
+            },
+        );
+    }
 
-        let nodes = self
+    /// Materializes the graph recorded so far, in O(nodes + edges).
+    /// Recording may continue afterwards.
+    pub fn finish(&self) -> DataflowGraph {
+        let nodes: Vec<DataflowNode> = self
             .nodes
             .iter()
-            .enumerate()
-            .map(|(i, node)| {
-                let stored = node.writes.total_bytes();
-                let dead_bytes = dead[i].total_bytes();
+            .map(|n| DataflowNode {
                 // Bytes consumed and still owned stay classified as
                 // consumed; live-at-exit is what remains untouched.
-                let live = owned[i].subtract(&consumed[i]).total_bytes();
-                DataflowNode {
-                    kind: node.kind,
-                    name: node.name.clone(),
-                    frame: node.frame,
-                    read_bytes: node.reads.total_bytes(),
-                    stored_bytes: stored,
-                    consumed_bytes: stored - dead_bytes - live,
-                    dead_store_bytes: dead_bytes,
-                    live_at_exit_bytes: live,
-                    unattributed_read_bytes: unattributed[i],
-                    reread_from_host_bytes: reread[i],
-                    stats: node.stats.clone(),
-                }
+                consumed_bytes: n.stored_bytes - n.dead_store_bytes - n.live_at_exit_bytes,
+                ..n.clone()
             })
             .collect();
-        let edges = edges
-            .into_iter()
-            .map(|((producer, consumer), bytes)| DataflowEdge {
+        let edges = self
+            .edges
+            .iter()
+            .map(|(&(producer, consumer), &bytes)| DataflowEdge {
                 producer,
                 consumer,
                 bytes,
             })
             .collect();
         DataflowGraph {
+            reread_from_host_bytes: nodes.iter().map(|n| n.reread_from_host_bytes).sum(),
             nodes,
             edges,
-            reread_from_host_bytes: reread.iter().sum(),
         }
     }
 }
@@ -461,7 +540,7 @@ impl DataflowRecorder {
 /// One node of the dataflow graph, with its byte-conservation
 /// partition: `stored_bytes == consumed_bytes + dead_store_bytes +
 /// live_at_exit_bytes`, integer-exactly.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataflowNode {
     /// Event kind.
     pub kind: NodeKind,
@@ -502,7 +581,7 @@ pub struct DataflowEdge {
 }
 
 /// The stitched producer→consumer memory-flow graph of a recorded run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataflowGraph {
     /// Program-ordered nodes.
     pub nodes: Vec<DataflowNode>,

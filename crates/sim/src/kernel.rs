@@ -301,23 +301,32 @@ impl WriteOverlay {
         u64::from_le_bytes(out)
     }
 
+    /// Which bytes of the 8-byte cell at `base` this block has stored
+    /// (bit `i` = byte `base + i`).
+    #[inline]
+    fn written_mask(&self, base: u64) -> u8 {
+        self.find(base).map_or(0, |ix| self.cells[ix].1.mask)
+    }
+
     /// Whether this block has stored the byte at `addr` (initcheck
     /// treats block-local stores as defining).
     pub(crate) fn is_written(&self, addr: u64) -> bool {
         let base = addr & !7;
-        self.find(base)
-            .is_some_and(|ix| self.cells[ix].1.mask & (1 << (addr - base)) != 0)
+        self.written_mask(base) & (1 << (addr - base)) != 0
     }
 
     /// Takes the block's cells for publication (in first-store order,
     /// which is deterministic; cells are disjoint so application order
     /// within a block cannot matter anyway) and resets the table so the
     /// overlay is ready for the next block. The replacement vector comes
-    /// from the publish-side recycling pool, so in the common
-    /// one-worker case the cell storage never re-grows from zero.
+    /// from the publish-side recycling pool, so on the launching thread
+    /// the cell storage never re-grows from zero; elsewhere it is sized
+    /// like this block's cells, since a grid's blocks store alike.
     fn take_cells(&mut self) -> Vec<(u64, OverlayCell)> {
         self.keys.fill(EMPTY_KEY);
-        let fresh = CELL_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
+        let fresh = CELL_POOL
+            .with(|p| p.borrow_mut().pop())
+            .unwrap_or_else(|| Vec::with_capacity(self.cells.len()));
         std::mem::replace(&mut self.cells, fresh)
     }
 }
@@ -568,18 +577,31 @@ impl ThreadCtx<'_> {
         let Some(reads) = self.reads.as_deref_mut() else {
             return;
         };
+        let end = addr + width as u64;
         let mut start = None;
-        for a in addr..addr + width as u64 {
-            if self.writes.is_written(a) {
-                if let Some(s) = start.take() {
-                    reads.record_run(s, a);
+        let mut a = addr;
+        // One overlay probe per 8-byte cell, not per byte.
+        while a < end {
+            let base = a & !7;
+            let cell_end = (base + 8).min(end);
+            let mask = self.writes.written_mask(base);
+            if mask == 0 {
+                start.get_or_insert(a);
+            } else {
+                for b in a..cell_end {
+                    if mask & (1 << (b - base)) != 0 {
+                        if let Some(s) = start.take() {
+                            reads.record_run(s, b);
+                        }
+                    } else {
+                        start.get_or_insert(b);
+                    }
                 }
-            } else if start.is_none() {
-                start = Some(a);
             }
+            a = cell_end;
         }
         if let Some(s) = start {
-            reads.record_run(s, addr + width as u64);
+            reads.record_run(s, end);
         }
     }
 
@@ -1762,6 +1784,94 @@ mod tests {
             access.writes.runs(),
             &[(output2.addr(), output2.addr() + bytes)]
         );
+    }
+
+    /// External-read capture at byte granularity inside one overlay
+    /// cell: a block that stored part of a cell and then loads `u8`,
+    /// `f32` and `f64` over that cell and its neighbours reports exactly
+    /// the bytes it did not store — no more, no fewer.
+    #[test]
+    fn dataflow_capture_is_exact_within_a_partly_stored_cell() {
+        /// One thread stores byte 9 and bytes 12..16 of a 32-byte
+        /// buffer (cell 1 is partly written), then issues `loads`.
+        struct PartialCell {
+            buf: Buffer,
+            loads: Vec<(usize, usize)>,
+        }
+        impl Kernel for PartialCell {
+            fn resources(&self) -> KernelResources {
+                KernelResources {
+                    regs_per_thread: 8,
+                    shared_bytes_per_block: 0,
+                    local_f64_slots: 0,
+                }
+            }
+            fn run(&self, ctx: &mut ThreadCtx<'_>) {
+                ctx.st_u8(self.buf, 9, 1);
+                ctx.st_f32(self.buf, 3, 2.0);
+                for &(width, idx) in &self.loads {
+                    match width {
+                        1 => {
+                            ctx.ld_u8(self.buf, idx);
+                        }
+                        4 => {
+                            ctx.ld_f32(self.buf, idx);
+                        }
+                        _ => {
+                            ctx.ld_f64(self.buf, idx);
+                        }
+                    }
+                }
+            }
+        }
+        // (width, element index) loads → expected external runs as byte
+        // offsets into the buffer.
+        type Loads = &'static [(usize, usize)];
+        type Runs = &'static [(u64, u64)];
+        let cases: [(Loads, Runs); 9] = [
+            (&[(1, 8)], &[(8, 9)]),
+            (&[(1, 9)], &[]),
+            (&[(1, 10)], &[(10, 11)]),
+            (&[(4, 2)], &[(8, 9), (10, 12)]),
+            (&[(4, 3)], &[]),
+            (&[(8, 1)], &[(8, 9), (10, 12)]),
+            (&[(8, 0)], &[(0, 8)]),
+            (&[(4, 4), (8, 2)], &[(16, 24)]),
+            (
+                &[(1, 7), (8, 1), (1, 16), (4, 1)],
+                &[(4, 9), (10, 12), (16, 17)],
+            ),
+        ];
+        let cfg = GpuConfig::default();
+        for (loads, want) in cases {
+            let mut mem = DeviceMemory::new(1 << 16);
+            let buf = mem.alloc_array::<f64>(4).unwrap();
+            let k = PartialCell {
+                buf,
+                loads: loads.to_vec(),
+            };
+            let lc = LaunchConfig {
+                blocks: 1,
+                threads_per_block: 1,
+            };
+            let opts = LaunchOptions {
+                dataflow: true,
+                ..Default::default()
+            };
+            let access = launch_with(&mut mem, &cfg, lc, &k, opts)
+                .unwrap()
+                .access
+                .expect("dataflow was requested");
+            let base = buf.addr();
+            let rel = |set: &IntervalSet| -> Vec<(u64, u64)> {
+                set.runs()
+                    .iter()
+                    .map(|&(s, e)| (s - base, e - base))
+                    .collect()
+            };
+            assert_eq!(rel(&access.reads), want, "loads {loads:?}");
+            assert_eq!(rel(&access.writes), [(9, 10), (12, 16)]);
+        }
     }
 
     #[test]

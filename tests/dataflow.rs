@@ -1,9 +1,20 @@
 //! End-to-end tests of the cross-kernel dataflow tracer: byte
 //! conservation on a real pipeline, the exported forms (DOT, canonical
-//! JSON, Prometheus counters), and the fusion advisory the graph feeds.
+//! JSON, Prometheus counters), the fusion advisory the graph feeds, and
+//! the incremental stitcher pinned two ways: against the frozen
+//! whole-history reference stitcher on random event streams, and
+//! against exports captured from that stitcher on real pipelines
+//! (`tests/data/dataflow_golden.json`, never regenerated).
 
+#[path = "support/dataflow_reference.rs"]
+mod dataflow_reference;
+
+use dataflow_reference::ReferenceRecorder;
 use mogpu::prelude::*;
-use mogpu::sim::NodeKind;
+use mogpu::sim::occupancy::{Limiter, Occupancy};
+use mogpu::sim::stats::KernelStats;
+use mogpu::sim::{DataflowRecorder, IntervalSet, LaunchAccess, NodeKind};
+use proptest::prelude::*;
 
 fn scene(n: usize) -> Vec<Frame<u8>> {
     SceneBuilder::new(Resolution::QQVGA)
@@ -180,4 +191,125 @@ fn tracing_is_transparent_to_the_frozen_pipeline() {
     let traced = run(true);
     assert_eq!(plain.masks, traced.masks);
     assert_eq!(plain.stats, traced.stats);
+}
+
+/// Frames per golden run; must match the golden file's `frames`.
+const GOLDEN_FRAMES: usize = 32;
+
+const GOLDEN: &str = include_str!("data/dataflow_golden.json");
+
+/// The canonical JSON graph and the Prometheus text of levels A and F
+/// (32 frames, morphology on) are byte-identical to what the
+/// whole-history stitcher produced. This is the `mogpu dataflow --json`
+/// and `--metrics-out` output for the same run.
+#[test]
+fn exports_match_the_golden_captured_from_the_whole_history_stitcher() {
+    let golden: serde_json::Value = serde_json::from_str(GOLDEN).expect("golden file parses");
+    assert_eq!(
+        golden.get("frames").and_then(|v| v.as_u64()),
+        Some(GOLDEN_FRAMES as u64)
+    );
+    let frames = scene(GOLDEN_FRAMES);
+    for level in [OptLevel::A, OptLevel::F] {
+        let entry = golden
+            .get("levels")
+            .and_then(|l| l.get(&level.name()))
+            .unwrap_or_else(|| panic!("golden file is missing level {level}"));
+        let graph = traced_graph(level, &frames);
+        let want = mogpu::json::to_string_canonical_pretty(entry.get("graph").unwrap()).unwrap();
+        let got = mogpu::json::to_string_canonical_pretty(&graph.to_json()).unwrap();
+        assert!(
+            got == want,
+            "level {level}: dataflow JSON drifted from the golden"
+        );
+        assert_eq!(
+            Some(graph.prometheus().as_str()),
+            entry.get("prometheus").and_then(|v| v.as_str()),
+            "level {level}: dataflow Prometheus text drifted from the golden"
+        );
+    }
+}
+
+/// One random program-order event: kind (0 upload, 1 kernel,
+/// 2 download), name index, read runs and write runs as `(start, len)`
+/// (zero lengths included), and whether to call `finish` after it.
+type ArbEvent = (u8, usize, Vec<(u64, u64)>, Vec<(u64, u64)>, bool);
+
+fn arb_event() -> impl Strategy<Value = ArbEvent> {
+    // A small address space so runs overlap, abut, and split each other.
+    let runs = || proptest::collection::vec((0u64..160, 0u64..40), 0..5);
+    (0u8..3, 0usize..3, runs(), runs(), any::<bool>())
+}
+
+fn interval_set(runs: &[(u64, u64)]) -> IntervalSet {
+    IntervalSet::from_runs(runs.iter().map(|&(s, len)| (s, s + len)).collect())
+}
+
+/// Replays `events` into the production recorder and the reference,
+/// calling the production `finish` mid-stream where an event asks for
+/// it and checking each such graph against the reference's prefix.
+fn replay(
+    events: &[ArbEvent],
+    interleave: bool,
+) -> Result<(DataflowRecorder, ReferenceRecorder), TestCaseError> {
+    let names = ["host-upload", "mog-update", "morphology"];
+    let mut rec = DataflowRecorder::new();
+    let mut reference = ReferenceRecorder::new();
+    for (i, (kind, name, reads, writes, finish)) in events.iter().enumerate() {
+        let name = names[*name];
+        let frame = (i % 4 != 0).then_some(i / 4);
+        let (reads, writes) = (interval_set(reads), interval_set(writes));
+        match kind {
+            0 => {
+                rec.record_upload(name, frame, writes.clone());
+                reference.record_upload(name, frame, writes);
+            }
+            1 => {
+                let stats = KernelStats {
+                    warps: i as u64,
+                    ..KernelStats::default()
+                };
+                let occupancy = Occupancy {
+                    resident_blocks: 8,
+                    resident_warps: 48,
+                    resident_threads: 48 * 32,
+                    occupancy: 1.0,
+                    limiter: Limiter::Warps,
+                };
+                let access = LaunchAccess { reads, writes };
+                rec.record_kernel(name, frame, access.clone(), stats.clone(), occupancy);
+                reference.record_kernel(name, frame, access, stats, occupancy);
+            }
+            _ => {
+                rec.record_download(name, frame, reads.clone());
+                reference.record_download(name, frame, reads);
+            }
+        }
+        if interleave && *finish {
+            prop_assert_eq!(rec.finish(), reference.finish(), "graph after event {}", i);
+        }
+    }
+    Ok((rec, reference))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// For any mix of uploads, launches and downloads over overlapping,
+    /// adjacent, partial and empty interval sets, the incremental
+    /// recorder builds exactly the reference stitcher's nodes and edges,
+    /// and calling `finish` between records changes nothing.
+    #[test]
+    fn incremental_stitching_matches_the_reference_stitcher(
+        events in proptest::collection::vec(arb_event(), 0..40),
+    ) {
+        let (interleaved, reference) = replay(&events, true)?;
+        let (straight, _) = replay(&events, false)?;
+        let want = reference.finish();
+        let got = interleaved.finish();
+        prop_assert_eq!(&got.nodes, &want.nodes);
+        prop_assert_eq!(&got.edges, &want.edges);
+        prop_assert_eq!(got.reread_from_host_bytes, want.reread_from_host_bytes);
+        prop_assert_eq!(straight.finish(), want);
+    }
 }
