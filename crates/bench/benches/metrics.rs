@@ -1,5 +1,7 @@
-//! Criterion benches of the quality metrics (SSIM / MS-SSIM dominate
-//! Table IV's experiment wall time).
+//! Criterion benches of the quality metrics. MS-SSIM runs twice per
+//! scored frame in Table IV's study (foreground and background), so its
+//! per-call time is what `exp_table4` and the `quality` workload of
+//! `perfbench/` pay for beyond the simulated GPU.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mogpu_frame::{Frame, Resolution, SceneBuilder};

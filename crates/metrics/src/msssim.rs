@@ -23,19 +23,18 @@ pub const MS_SSIM_WEIGHTS: [f64; 5] = [0.0448, 0.2856, 0.3001, 0.2363, 0.1333];
 
 /// 2x2 box downsampling (dimensions floor-halved).
 fn downsample(f: &Frame<f64>) -> Frame<f64> {
-    let w = f.width() / 2;
-    let h = f.height() / 2;
-    let mut out = Frame::<f64>::new(Resolution::new(w, h));
-    for y in 0..h {
-        for x in 0..w {
-            let s = f.get(2 * x, 2 * y)
-                + f.get(2 * x + 1, 2 * y)
-                + f.get(2 * x, 2 * y + 1)
-                + f.get(2 * x + 1, 2 * y + 1);
-            *out.get_mut(x, y) = s / 4.0;
-        }
-    }
-    out
+    let fw = f.width();
+    let data = f
+        .as_slice()
+        .chunks_exact(2 * fw)
+        .flat_map(|rows| {
+            let (top, bottom) = rows.split_at(fw);
+            top.chunks_exact(2)
+                .zip(bottom.chunks_exact(2))
+                .map(|(t, b)| (t[0] + t[1] + b[0] + b[1]) / 4.0)
+        })
+        .collect();
+    Frame::from_vec(Resolution::new(fw / 2, f.height() / 2), data).expect("floor-halved frame")
 }
 
 /// Number of scales usable for a given resolution (window must fit at the
@@ -63,6 +62,12 @@ pub fn ms_ssim(a: &Frame<u8>, b: &Frame<u8>) -> Option<f64> {
 }
 
 /// MS-SSIM with an explicit SSIM configuration.
+///
+/// Returns `None` if the configuration is not
+/// [valid](SsimConfig::is_valid) or even one scale does not fit the image.
+///
+/// # Panics
+/// Panics if the resolutions differ.
 pub fn ms_ssim_with(a: &Frame<u8>, b: &Frame<u8>, cfg: &SsimConfig) -> Option<f64> {
     assert_eq!(a.resolution(), b.resolution(), "resolution mismatch");
     let scales = ms_ssim_scales(a.resolution(), cfg);

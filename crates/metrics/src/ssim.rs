@@ -4,6 +4,10 @@
 //! window (sigma = 1.5), stabilizers `C1 = (0.01 L)^2`, `C2 = (0.03 L)^2`
 //! with dynamic range `L = 255`, and 'valid'-mode windowing (borders where
 //! the window does not fit are skipped, as in the authors' MATLAB code).
+//!
+//! The Gaussian window is separable, so the windowed moments are computed
+//! as a vertical 1-D pass followed by a horizontal one, streamed one output
+//! row at a time.
 
 use mogpu_frame::{Frame, Resolution};
 
@@ -35,6 +39,20 @@ impl Default for SsimConfig {
 }
 
 impl SsimConfig {
+    /// Whether the configuration describes a usable window: `window` odd
+    /// (hence at least 1), and `sigma`, `dynamic_range`, `k1` and `k2`
+    /// finite and positive. An even window has no centre tap, a zero sigma
+    /// gives a NaN window, and a zero stabilizer makes flat black windows
+    /// score 0/0.
+    pub fn is_valid(&self) -> bool {
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        self.window % 2 == 1
+            && positive(self.sigma)
+            && positive(self.dynamic_range)
+            && positive(self.k1)
+            && positive(self.k2)
+    }
+
     fn c1(&self) -> f64 {
         (self.k1 * self.dynamic_range).powi(2)
     }
@@ -43,22 +61,31 @@ impl SsimConfig {
         (self.k2 * self.dynamic_range).powi(2)
     }
 
-    /// The normalized 2-D Gaussian window as a flat `window*window` array.
-    pub fn kernel(&self) -> Vec<f64> {
-        let n = self.window;
-        let half = (n / 2) as isize;
-        let mut k = Vec::with_capacity(n * n);
+    /// The normalized 1-D Gaussian of `window` taps.
+    fn taps(&self) -> Vec<f64> {
+        let half = (self.window / 2) as f64;
         let two_s2 = 2.0 * self.sigma * self.sigma;
-        for y in -half..=half {
-            for x in -half..=half {
-                k.push((-((x * x + y * y) as f64) / two_s2).exp());
-            }
-        }
-        let sum: f64 = k.iter().sum();
-        for v in &mut k {
+        let mut g: Vec<f64> = (0..self.window)
+            .map(|i| {
+                let x = i as f64 - half;
+                (-(x * x) / two_s2).exp()
+            })
+            .collect();
+        let sum: f64 = g.iter().sum();
+        for v in &mut g {
             *v /= sum;
         }
-        k
+        g
+    }
+
+    /// The normalized 2-D Gaussian window as a flat `window*window` array:
+    /// the outer product of the 1-D taps the SSIM kernel applies
+    /// separably.
+    pub fn kernel(&self) -> Vec<f64> {
+        let g = self.taps();
+        g.iter()
+            .flat_map(|&gy| g.iter().map(move |&gx| gy * gx))
+            .collect()
     }
 }
 
@@ -66,7 +93,11 @@ impl SsimConfig {
 /// decomposition needed by MS-SSIM.
 ///
 /// Returns `(mean_ssim, mean_luminance_term, mean_cs_term)` over all valid
-/// windows, or `None` if the image is smaller than the window.
+/// windows, or `None` if the configuration is not
+/// [valid](SsimConfig::is_valid) or the image is smaller than the window.
+///
+/// # Panics
+/// Panics if the resolutions differ.
 pub fn ssim_components(a: &Frame<u8>, b: &Frame<u8>, cfg: &SsimConfig) -> Option<(f64, f64, f64)> {
     ssim_components_f64(&a.to_f64(), &b.to_f64(), cfg)
 }
@@ -77,56 +108,82 @@ pub(crate) fn ssim_components_f64(
     cfg: &SsimConfig,
 ) -> Option<(f64, f64, f64)> {
     assert_eq!(a.resolution(), b.resolution(), "resolution mismatch");
-    let w = a.width();
-    let h = a.height();
-    let n = cfg.window;
-    if w < n || h < n {
+    if !cfg.is_valid() || a.width() < cfg.window || a.height() < cfg.window {
         return None;
     }
-    let kernel = cfg.kernel();
-    let (c1, c2) = (cfg.c1(), cfg.c2());
-    let pa = a.as_slice();
-    let pb = b.as_slice();
-
     let mut sum_ssim = 0.0;
     let mut sum_l = 0.0;
     let mut sum_cs = 0.0;
     let mut count = 0usize;
-    for wy in 0..=(h - n) {
-        for wx in 0..=(w - n) {
-            let mut mu_a = 0.0;
-            let mut mu_b = 0.0;
-            let mut aa = 0.0;
-            let mut bb = 0.0;
-            let mut ab = 0.0;
-            let mut ki = 0;
-            for dy in 0..n {
-                let row = (wy + dy) * w + wx;
-                for dx in 0..n {
-                    let kv = kernel[ki];
-                    ki += 1;
-                    let x = pa[row + dx];
-                    let y = pb[row + dx];
-                    mu_a += kv * x;
-                    mu_b += kv * y;
-                    aa += kv * x * x;
-                    bb += kv * y * y;
-                    ab += kv * x * y;
-                }
-            }
-            let var_a = (aa - mu_a * mu_a).max(0.0);
-            let var_b = (bb - mu_b * mu_b).max(0.0);
-            let cov = ab - mu_a * mu_b;
-            let l = (2.0 * mu_a * mu_b + c1) / (mu_a * mu_a + mu_b * mu_b + c1);
-            let cs = (2.0 * cov + c2) / (var_a + var_b + c2);
-            sum_ssim += l * cs;
-            sum_l += l;
-            sum_cs += cs;
-            count += 1;
-        }
-    }
+    for_each_window(a, b, cfg, |l, cs| {
+        sum_ssim += l * cs;
+        sum_l += l;
+        sum_cs += cs;
+        count += 1;
+    });
     let c = count as f64;
     Some((sum_ssim / c, sum_l / c, sum_cs / c))
+}
+
+/// Calls `f(l, cs)` with the luminance and contrast-structure terms of
+/// every valid window of the pair, in row-major window order.
+///
+/// Each output row is a vertical `window`-tap pass over the five moment
+/// rows (a, b, a², b², ab) into column sums, then a horizontal pass over
+/// those; both inner loops run along x over contiguous slices, and the
+/// working set is ten rows rather than full-frame planes. The contrast
+/// term uses the unclamped second moments on both sides (as Wang's
+/// reference code does), so a frame scored against itself gives
+/// `l == cs == 1.0` exactly in every window.
+///
+/// The caller guarantees a valid `cfg`, equal resolutions and a frame at
+/// least one window in each dimension.
+fn for_each_window(a: &Frame<f64>, b: &Frame<f64>, cfg: &SsimConfig, mut f: impl FnMut(f64, f64)) {
+    let (w, h, n) = (a.width(), a.height(), cfg.window);
+    let out_w = w - n + 1;
+    let g = cfg.taps();
+    let (c1, c2) = (cfg.c1(), cfg.c2());
+    let (pa, pb) = (a.as_slice(), b.as_slice());
+    // Column sums of mu_a, mu_b, E[a²], E[b²], E[ab] over the window's rows,
+    // then the same five moments over the full window.
+    let mut cols: [Vec<f64>; 5] = std::array::from_fn(|_| vec![0.0; w]);
+    let mut win: [Vec<f64>; 5] = std::array::from_fn(|_| vec![0.0; out_w]);
+    for wy in 0..=(h - n) {
+        cols.iter_mut().for_each(|c| c.fill(0.0));
+        for (dy, &k) in g.iter().enumerate() {
+            let ra = &pa[(wy + dy) * w..][..w];
+            let rb = &pb[(wy + dy) * w..][..w];
+            let [ma, mb, aa, bb, ab] = &mut cols;
+            axpy(ma, k, ra.iter().copied());
+            axpy(mb, k, rb.iter().copied());
+            axpy(aa, k, ra.iter().map(|x| x * x));
+            axpy(bb, k, rb.iter().map(|y| y * y));
+            axpy(ab, k, ra.iter().zip(rb).map(|(x, y)| x * y));
+        }
+        win.iter_mut().for_each(|m| m.fill(0.0));
+        for (dx, &k) in g.iter().enumerate() {
+            for (m, c) in win.iter_mut().zip(&cols) {
+                axpy(m, k, c[dx..].iter().copied());
+            }
+        }
+        let [ma, mb, aa, bb, ab] = &win;
+        for x in 0..out_w {
+            let (mu_a, mu_b) = (ma[x], mb[x]);
+            let var_a = aa[x] - mu_a * mu_a;
+            let var_b = bb[x] - mu_b * mu_b;
+            let cov = ab[x] - mu_a * mu_b;
+            let l = (2.0 * mu_a * mu_b + c1) / (mu_a * mu_a + mu_b * mu_b + c1);
+            let cs = (2.0 * cov + c2) / (var_a + var_b + c2);
+            f(l, cs);
+        }
+    }
+}
+
+/// `acc[i] += k * src[i]` over the shorter of the two.
+fn axpy(acc: &mut [f64], k: f64, src: impl Iterator<Item = f64>) {
+    for (o, v) in acc.iter_mut().zip(src) {
+        *o += k * v;
+    }
 }
 
 /// Mean SSIM of two frames under the default configuration.
@@ -143,52 +200,21 @@ pub fn ssim(a: &Frame<u8>, b: &Frame<u8>) -> f64 {
 /// Per-window SSIM map (valid-mode: `(w-window+1) x (h-window+1)`).
 ///
 /// # Panics
-/// Panics if the resolutions differ or the frames are smaller than the
-/// window.
+/// Panics with "invalid SsimConfig" if `cfg` is not
+/// [valid](SsimConfig::is_valid), and panics if the resolutions differ or
+/// the frames are smaller than the window.
 pub fn ssim_map(a: &Frame<u8>, b: &Frame<u8>, cfg: &SsimConfig) -> Frame<f64> {
+    assert!(cfg.is_valid(), "invalid SsimConfig: {cfg:?}");
     assert_eq!(a.resolution(), b.resolution(), "resolution mismatch");
-    let w = a.width();
-    let h = a.height();
     let n = cfg.window;
-    assert!(w >= n && h >= n, "image smaller than SSIM window");
-    let kernel = cfg.kernel();
-    let (c1, c2) = (cfg.c1(), cfg.c2());
-    let fa = a.to_f64();
-    let fb = b.to_f64();
-    let pa = fa.as_slice();
-    let pb = fb.as_slice();
-    let out_res = Resolution::new(w - n + 1, h - n + 1);
-    let mut out = Frame::<f64>::new(out_res);
-    for wy in 0..out_res.height {
-        for wx in 0..out_res.width {
-            let mut mu_a = 0.0;
-            let mut mu_b = 0.0;
-            let mut aa = 0.0;
-            let mut bb = 0.0;
-            let mut ab = 0.0;
-            let mut ki = 0;
-            for dy in 0..n {
-                let row = (wy + dy) * w + wx;
-                for dx in 0..n {
-                    let kv = kernel[ki];
-                    ki += 1;
-                    let x = pa[row + dx];
-                    let y = pb[row + dx];
-                    mu_a += kv * x;
-                    mu_b += kv * y;
-                    aa += kv * x * x;
-                    bb += kv * y * y;
-                    ab += kv * x * y;
-                }
-            }
-            let var_a = (aa - mu_a * mu_a).max(0.0);
-            let var_b = (bb - mu_b * mu_b).max(0.0);
-            let cov = ab - mu_a * mu_b;
-            *out.get_mut(wx, wy) = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2))
-                / ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2));
-        }
-    }
-    out
+    assert!(
+        a.width() >= n && a.height() >= n,
+        "image smaller than SSIM window"
+    );
+    let out_res = Resolution::new(a.width() - n + 1, a.height() - n + 1);
+    let mut out = Vec::with_capacity(out_res.pixels());
+    for_each_window(&a.to_f64(), &b.to_f64(), cfg, |l, cs| out.push(l * cs));
+    Frame::from_vec(out_res, out).expect("one value per valid window")
 }
 
 #[cfg(test)]
