@@ -36,15 +36,20 @@ pub struct MorphKernel {
     pub op: MorphOp,
 }
 
+impl MorphKernel {
+    /// Declared footprint of every morphology launch: a handful of
+    /// address registers and the accumulator, measured from comparable
+    /// CUDA stencils.
+    pub(crate) const RESOURCES: KernelResources = KernelResources {
+        regs_per_thread: 14,
+        shared_bytes_per_block: 0,
+        local_f64_slots: 0,
+    };
+}
+
 impl Kernel for MorphKernel {
     fn resources(&self) -> KernelResources {
-        // A handful of address registers and the accumulator; measured
-        // from comparable CUDA stencils.
-        KernelResources {
-            regs_per_thread: 14,
-            shared_bytes_per_block: 0,
-            local_f64_slots: 0,
-        }
+        Self::RESOURCES
     }
 
     fn run(&self, ctx: &mut ThreadCtx<'_>) {

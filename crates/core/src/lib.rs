@@ -22,7 +22,12 @@
 //! study reports), while the simulator derives the architectural metrics
 //! the paper plots.
 //!
-//! Entry point: [`pipeline::GpuMog`].
+//! Entry points: [`GpuMog`] for the optimization ladder and
+//! [`AdaptiveGpuMog`] for the adaptive-K comparator. Both are the one
+//! host frame loop, [`pipeline::Pipeline`], instantiated with a
+//! different [`pipeline::KernelPlan`]: [`OptLevel`] or
+//! [`pipeline::AdaptivePlan`]. The optional 3x3 opening
+//! ([`GpuMog::enable_morphology`]) runs as two more steps of that loop.
 
 pub mod device;
 pub mod fleet;

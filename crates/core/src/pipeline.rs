@@ -1,5 +1,5 @@
-//! The host-side frame pipeline and the library's main entry point,
-//! [`GpuMog`].
+//! The host-side frame pipeline and the library's main entry points,
+//! [`GpuMog`] and [`AdaptiveGpuMog`].
 //!
 //! Mirrors the paper's host loop: Gaussian parameters are initialized once
 //! and live in GPU global memory for the whole run (they never cross
@@ -8,20 +8,30 @@
 //! level the transfers are scheduled sequentially (A, B) or double-
 //! buffered against kernel execution (C onward, Fig. 5), and frames are
 //! processed singly or in windowed groups (level W).
+//!
+//! There is one such loop, [`Pipeline`]. A [`KernelPlan`] supplies what
+//! differs between the optimization ladder ([`OptLevel`]) and the
+//! adaptive-K comparator ([`AdaptivePlan`]): the kernel launched per
+//! group, its resources, the group size, the overlap mode and the report
+//! names. The optional 3x3 opening runs as two more steps (erode, dilate)
+//! of the same per-group body.
 
 use crate::device::DeviceReal;
-use crate::kernels::{FramePass, MorphKernel, MorphOp, ScanKernel, SortedKernel, TiledKernel};
-use crate::layout::DeviceModel;
+use crate::kernels::{
+    AdaptiveKernel, FramePass, MorphKernel, MorphOp, ScanKernel, SortedKernel, TiledKernel,
+};
+use crate::layout::{DeviceModel, Layout};
 use crate::levels::OptLevel;
 use crate::profile::{LaunchProfile, ProfileMode, ProfileReport};
 use mogpu_frame::{Frame, Mask, Resolution};
+use mogpu_mog::adaptive::AdaptiveModel;
 use mogpu_mog::{HostModel, MogParams, ResolvedParams};
-use mogpu_sim::dma::{pipeline_schedule, timing_of, transfer_time, PipelineTiming};
+use mogpu_sim::dma::{pipeline_schedule, timing_of, transfer_time, OverlapMode, PipelineTiming};
 use mogpu_sim::telemetry::{sample_schedule, PipelineTelemetry, TelemetryConfig};
 use mogpu_sim::{
     BatchLauncher, Buffer, DataflowGraph, DataflowRecorder, DerivedMetrics, DeviceMemory,
-    GpuConfig, IntervalSet, KernelStats, LaunchConfig, LaunchError, LaunchOptions, LaunchReport,
-    MemoryError, Occupancy, SanReport, SiteProfile,
+    GpuConfig, IntervalSet, Kernel, KernelResources, KernelStats, LaunchConfig, LaunchError,
+    LaunchOptions, LaunchReport, MemoryError, Occupancy, SanReport, SiteProfile,
 };
 
 /// Threads per block, as the paper selects.
@@ -118,6 +128,172 @@ impl RunReport {
     }
 }
 
+/// The per-plan parts of the host frame loop: what [`Pipeline`] launches
+/// for each group of frames, and how its runs are named and scheduled.
+/// Everything else — device memory, the seeded model, slot buffers,
+/// validation, launch caching, instrumentation and report assembly —
+/// is shared.
+pub trait KernelPlan: std::fmt::Debug {
+    /// Report name ("A".."F", "W(g)", "adaptive").
+    fn name(&self) -> String;
+    /// Dataflow node name of the plan's launch.
+    fn node(&self) -> &'static str;
+    /// Host transfer scheduling of the run.
+    fn overlap(&self) -> OverlapMode;
+    /// Frames processed per launch.
+    fn group(&self) -> usize;
+    /// Declared resource footprint of the plan's kernel.
+    fn resources(&self, threads_per_block: u32, k: usize, real_bytes: usize) -> KernelResources;
+    /// Device buffers the host seeds besides the model, recorded in the
+    /// dataflow graph's `host-init` node.
+    fn seeded(&self) -> &[Buffer] {
+        &[]
+    }
+    /// The kernel processing one group: `pass` carries slot 0's buffers;
+    /// `frames` / `fgs` are every slot of the group.
+    fn kernel<T: DeviceReal>(
+        &self,
+        pass: FramePass<T>,
+        frames: &[Buffer],
+        fgs: &[Buffer],
+    ) -> Box<dyn Kernel>;
+}
+
+/// The optimization ladder: one kernel per level (paper Tables II–III).
+impl KernelPlan for OptLevel {
+    fn name(&self) -> String {
+        OptLevel::name(self)
+    }
+
+    fn node(&self) -> &'static str {
+        "mog-update"
+    }
+
+    fn overlap(&self) -> OverlapMode {
+        OptLevel::overlap(self)
+    }
+
+    fn group(&self) -> usize {
+        OptLevel::group(self)
+    }
+
+    fn resources(&self, threads_per_block: u32, k: usize, real_bytes: usize) -> KernelResources {
+        OptLevel::resources(self, threads_per_block, k, real_bytes)
+    }
+
+    fn kernel<T: DeviceReal>(
+        &self,
+        pass: FramePass<T>,
+        frames: &[Buffer],
+        fgs: &[Buffer],
+    ) -> Box<dyn Kernel> {
+        let scan = |predicated, recompute_diff| -> Box<dyn Kernel> {
+            Box::new(ScanKernel {
+                pass,
+                predicated,
+                recompute_diff,
+            })
+        };
+        match self {
+            OptLevel::A | OptLevel::B | OptLevel::C => Box::new(SortedKernel { pass }),
+            OptLevel::D => scan(false, false),
+            OptLevel::E => scan(true, false),
+            OptLevel::F => scan(true, true),
+            OptLevel::Windowed { .. } => Box::new(TiledKernel {
+                pass,
+                frames: frames.to_vec(),
+                fgs: fgs.to_vec(),
+                record_stride: None,
+            }),
+        }
+    }
+}
+
+/// The adaptive component-count comparator of the paper's Section II
+/// (related work \[18\]): SoA, double-buffered, one frame per launch,
+/// with a per-pixel active-component count resident beside the model.
+#[derive(Debug, Clone, Copy)]
+pub struct AdaptivePlan {
+    /// Per-pixel active component counts (u8, one per pixel).
+    active: Buffer,
+}
+
+impl KernelPlan for AdaptivePlan {
+    fn name(&self) -> String {
+        "adaptive".to_string()
+    }
+
+    fn node(&self) -> &'static str {
+        "adaptive-update"
+    }
+
+    fn overlap(&self) -> OverlapMode {
+        OverlapMode::DoubleBuffered
+    }
+
+    fn group(&self) -> usize {
+        1
+    }
+
+    fn resources(&self, _: u32, _: usize, _: usize) -> KernelResources {
+        KernelResources {
+            regs_per_thread: 33,
+            shared_bytes_per_block: 0,
+            local_f64_slots: 0,
+        }
+    }
+
+    fn seeded(&self) -> &[Buffer] {
+        std::slice::from_ref(&self.active)
+    }
+
+    fn kernel<T: DeviceReal>(
+        &self,
+        pass: FramePass<T>,
+        _: &[Buffer],
+        _: &[Buffer],
+    ) -> Box<dyn Kernel> {
+        Box::new(AdaptiveKernel {
+            pass,
+            active: self.active,
+        })
+    }
+}
+
+/// The host frame loop, generic over the [`KernelPlan`] it launches.
+/// Use it through [`GpuMog`] or [`AdaptiveGpuMog`].
+#[derive(Debug)]
+pub struct Pipeline<T: DeviceReal, P: KernelPlan> {
+    cfg: GpuConfig,
+    plan: P,
+    params: MogParams,
+    prm: ResolvedParams<T>,
+    resolution: Resolution,
+    mem: DeviceMemory,
+    model: DeviceModel<T>,
+    frame_bufs: Vec<Buffer>,
+    fg_bufs: Vec<Buffer>,
+    threads_per_block: u32,
+    /// Launch plans cached across frames: the grid and kernel resources
+    /// are fixed by (resolution, plan, k, block size), so grid validation
+    /// and occupancy derivation happen once per run instead of once per
+    /// frame. Cleared when the block size or the step list changes.
+    launchers: Option<Launchers>,
+    profile: ProfileMode,
+    last_profile: Option<ProfileReport>,
+    sanitize: bool,
+    last_san: Option<SanReport>,
+    /// Cross-launch dataflow recorder (None = recording off, the
+    /// default; launches then skip access capture entirely).
+    dataflow: Option<DataflowRecorder>,
+    /// Opening-step buffers, one `(eroded, opened)` pair per group slot;
+    /// empty until [`GpuMog::enable_morphology`].
+    morph_bufs: Vec<(Buffer, Buffer)>,
+    /// Global frame counter across `process_all` calls, attributing
+    /// dataflow nodes to absolute frame indices.
+    frames_seen: usize,
+}
+
 /// A GPU background subtractor at a chosen optimization level.
 ///
 /// ```
@@ -140,50 +316,33 @@ impl RunReport {
 /// assert_eq!(report.masks.len(), 5);
 /// assert!(report.gpu_time_per_frame() > 0.0);
 /// ```
-#[derive(Debug)]
-pub struct GpuMog<T: DeviceReal> {
-    cfg: GpuConfig,
-    level: OptLevel,
-    params: MogParams,
-    prm: ResolvedParams<T>,
-    resolution: Resolution,
-    mem: DeviceMemory,
-    model: DeviceModel<T>,
-    frame_bufs: Vec<Buffer>,
-    fg_bufs: Vec<Buffer>,
-    threads_per_block: u32,
-    /// Launch plan cached across frames: the grid and kernel resources
-    /// are fixed by (resolution, level, k, block size), so grid
-    /// validation and occupancy derivation happen once per run instead
-    /// of once per frame. Cleared when the block size changes.
-    launcher: Option<BatchLauncher>,
-    profile: ProfileMode,
-    last_profile: Option<ProfileReport>,
-    sanitize: bool,
-    last_san: Option<SanReport>,
-    /// Cross-launch dataflow recorder (None = recording off, the
-    /// default; launches then skip access capture entirely).
-    dataflow: Option<DataflowRecorder>,
-    /// Morphological-opening post-pass buffers, one `(tmp, out)` pair
-    /// per group slot; empty until [`GpuMog::enable_morphology`].
-    morph_bufs: Vec<(Buffer, Buffer)>,
-    /// Global frame counter across `process_all` calls, attributing
-    /// dataflow nodes to absolute frame indices.
-    frames_seen: usize,
+pub type GpuMog<T> = Pipeline<T, OptLevel>;
+
+/// Host pipeline for the adaptive component-count comparator
+/// ([`AdaptivePlan`]); `params.k` acts as `k_max`.
+pub type AdaptiveGpuMog<T> = Pipeline<T, AdaptivePlan>;
+
+/// The cached launch plans of one run's steps; `opening` (shared by the
+/// erode and dilate steps) is `None` while the opening is off.
+#[derive(Debug, Clone, Copy)]
+struct Launchers {
+    res: KernelResources,
+    plan: BatchLauncher,
+    opening: Option<BatchLauncher>,
 }
 
-impl<T: DeviceReal> GpuMog<T> {
-    /// Allocates device state and uploads the initial model (seeded from
-    /// `first_frame`, exactly like the CPU reference).
-    ///
-    /// # Errors
-    /// Configuration and device-memory errors.
-    pub fn new(
+impl<T: DeviceReal, P: KernelPlan> Pipeline<T, P> {
+    /// Validates the configuration and allocates device state: the model
+    /// in `layout`, then whatever `alloc_plan` needs, then one
+    /// frame/mask buffer pair per group slot. The model is left for the
+    /// caller to seed.
+    fn alloc(
         resolution: Resolution,
         params: MogParams,
-        level: OptLevel,
+        layout: Layout,
         first_frame: &[u8],
         cfg: GpuConfig,
+        alloc_plan: impl FnOnce(&mut DeviceMemory, usize) -> Result<P, MemoryError>,
     ) -> Result<Self, PipelineError> {
         params.validate().map_err(PipelineError::Config)?;
         let pixels = resolution.pixels();
@@ -198,23 +357,20 @@ impl<T: DeviceReal> GpuMog<T> {
                 pixels
             )));
         }
-        let group = level.group();
         let mut mem = DeviceMemory::with_config(&cfg);
-        let model = DeviceModel::<T>::alloc(&mut mem, level.layout(), pixels, params.k)?;
-        let mut frame_bufs = Vec::with_capacity(group);
-        let mut fg_bufs = Vec::with_capacity(group);
+        let model = DeviceModel::<T>::alloc(&mut mem, layout, pixels, params.k)?;
+        let plan = alloc_plan(&mut mem, pixels)?;
         // Double buffering for overlapped levels is a scheduling concern
         // of the timing model; functionally one buffer set per group slot
         // suffices.
-        for _ in 0..group {
+        let (mut frame_bufs, mut fg_bufs) = (Vec::new(), Vec::new());
+        for _ in 0..plan.group() {
             frame_bufs.push(mem.alloc(pixels)?);
             fg_bufs.push(mem.alloc(pixels)?);
         }
-        let host = HostModel::<T>::init(pixels, params.k, &params, first_frame);
-        model.upload(&mut mem, &host);
-        Ok(GpuMog {
+        Ok(Pipeline {
             cfg,
-            level,
+            plan,
             params,
             prm: params.resolve(),
             resolution,
@@ -223,7 +379,7 @@ impl<T: DeviceReal> GpuMog<T> {
             frame_bufs,
             fg_bufs,
             threads_per_block: THREADS_PER_BLOCK,
-            launcher: None,
+            launchers: None,
             profile: ProfileMode::Off,
             last_profile: None,
             sanitize: false,
@@ -232,11 +388,6 @@ impl<T: DeviceReal> GpuMog<T> {
             morph_bufs: Vec::new(),
             frames_seen: 0,
         })
-    }
-
-    /// The configured optimization level.
-    pub fn level(&self) -> OptLevel {
-        self.level
     }
 
     /// The pipeline's frame resolution.
@@ -255,16 +406,9 @@ impl<T: DeviceReal> GpuMog<T> {
         &self.cfg
     }
 
-    /// Overrides the launch block size (default
-    /// [`THREADS_PER_BLOCK`]). Oversized blocks can make the kernel
-    /// unlaunchable — `process_all` then fails with
-    /// `LaunchError::ResourcesExceeded` wrapped in
-    /// [`PipelineError::Launch`], which `mogpu advise` surfaces as a
-    /// structured diagnostic.
-    pub fn set_threads_per_block(&mut self, tpb: u32) {
-        self.threads_per_block = tpb.max(1);
-        // The cached plan was validated for the old grid.
-        self.launcher = None;
+    /// The algorithm parameters.
+    pub fn params(&self) -> &MogParams {
+        &self.params
     }
 
     /// Enables or disables profiling for subsequent `process_all` calls.
@@ -299,145 +443,92 @@ impl<T: DeviceReal> GpuMog<T> {
     /// `process_all` calls: every host upload, kernel launch, and host
     /// download is summarized into byte-interval read/write sets and
     /// stitched into the producer→consumer graph returned by
-    /// [`GpuMog::dataflow_graph`]. Capture is observational — counters,
+    /// [`Pipeline::dataflow_graph`]. Capture is observational — counters,
     /// masks, and timing are bit-identical to an unrecorded run. The
-    /// host-side model initialization that `new` already performed is
-    /// recorded as the graph's first node, so first-frame model reads
-    /// attribute to it rather than appearing unattributed.
+    /// host-side initialization that `new` already performed (the model,
+    /// plus the plan's [`KernelPlan::seeded`] buffers) is recorded as the
+    /// graph's first node, so first-frame reads attribute to it rather
+    /// than appearing unattributed.
     pub fn enable_dataflow(&mut self) {
         if self.dataflow.is_some() {
             return;
         }
+        let mut init = self.model.span_set();
+        for b in self.plan.seeded() {
+            init.insert(b.addr(), b.addr() + b.len() as u64);
+        }
         let mut rec = DataflowRecorder::new();
-        rec.record_upload("host-init", None, self.model.span_set());
+        rec.record_upload("host-init", None, init);
         self.dataflow = Some(rec);
     }
 
     /// The dataflow graph recorded so far, or `None` when
-    /// [`GpuMog::enable_dataflow`] was never called.
+    /// [`Pipeline::enable_dataflow`] was never called.
     pub fn dataflow_graph(&self) -> Option<DataflowGraph> {
         self.dataflow.as_ref().map(DataflowRecorder::finish)
     }
 
-    /// Enables the 3x3 morphological-opening post-pass (erode then
-    /// dilate, the paper's foreground-validation step) on every frame's
-    /// mask, launched inside this pipeline's device memory so the
-    /// MoG→morphology round trip is visible to the dataflow recorder.
-    /// Downloaded masks become the opened masks. Morphology counters are
-    /// recorded per launch in the dataflow graph but kept out of the
-    /// run's MoG kernel stats, so per-level profile metrics keep their
-    /// meaning.
-    ///
-    /// # Errors
-    /// Device out-of-memory for the per-slot scratch masks.
-    pub fn enable_morphology(&mut self) -> Result<(), PipelineError> {
-        if !self.morph_bufs.is_empty() {
-            return Ok(());
-        }
-        let pixels = self.resolution.pixels();
-        for _ in 0..self.fg_bufs.len() {
-            let tmp = self.mem.alloc(pixels)?;
-            let out = self.mem.alloc(pixels)?;
-            self.morph_bufs.push((tmp, out));
-        }
-        Ok(())
-    }
-
-    /// The algorithm parameters.
-    pub fn params(&self) -> &MogParams {
-        &self.params
-    }
-
-    /// Downloads the current device model (verification hook).
-    pub fn download_model(&self, seed_frame: &[u8]) -> HostModel<T> {
-        let template = HostModel::<T>::init(
-            self.resolution.pixels(),
-            self.params.k,
-            &self.params,
-            seed_frame,
-        );
-        self.model.download(&self.mem, &template)
-    }
-
-    fn frame_pass(&self, slot: usize) -> FramePass<T> {
-        FramePass {
-            model: self.model,
-            frame: self.frame_bufs[slot],
-            fg: self.fg_bufs[slot],
-            pixels: self.resolution.pixels(),
-            prm: self.prm,
-            resources: self
-                .level
-                .resources(self.threads_per_block, self.params.k, T::BYTES),
-        }
-    }
-
-    /// Returns the cached launch plan, building (and validating) it on
-    /// first use after construction or a block-size change.
-    fn launcher(&mut self) -> Result<BatchLauncher, PipelineError> {
-        if let Some(l) = self.launcher {
+    /// Returns the cached launch plans, building (and validating) them on
+    /// first use after construction or a configuration change.
+    fn launchers(&mut self) -> Result<Launchers, PipelineError> {
+        if let Some(l) = self.launchers {
             return Ok(l);
         }
         let lc = LaunchConfig::cover(self.resolution.pixels(), self.threads_per_block);
         let res = self
-            .level
+            .plan
             .resources(self.threads_per_block, self.params.k, T::BYTES);
-        let l = BatchLauncher::new(&self.cfg, lc, res)?;
-        self.launcher = Some(l);
+        let plan = BatchLauncher::new(&self.cfg, lc, res)?;
+        let opening = if self.morph_bufs.is_empty() {
+            None
+        } else {
+            Some(BatchLauncher::new(&self.cfg, lc, MorphKernel::RESOURCES)?)
+        };
+        let l = Launchers { res, plan, opening };
+        self.launchers = Some(l);
         Ok(l)
     }
 
-    /// Runs the erode+dilate opening on one slot's foreground mask,
-    /// inside the pipeline's device memory (so the recorder sees the
-    /// MoG→morphology bytes), recording each launch as a `morphology`
-    /// node. The stats stay out of the MoG run aggregate.
-    fn run_morph(
+    /// Launches `kernel` as one step of the per-group body, recording it
+    /// as a dataflow `node` of absolute frame `frame`.
+    fn step(
         &mut self,
-        slot: usize,
+        launcher: BatchLauncher,
+        kernel: &dyn Kernel,
+        node: &str,
         frame: usize,
         opts: LaunchOptions,
-    ) -> Result<(), PipelineError> {
-        let (tmp, out) = self.morph_bufs[slot];
-        let lc = LaunchConfig::cover(self.resolution.pixels(), self.threads_per_block);
-        for (input, output, op) in [
-            (self.fg_bufs[slot], tmp, MorphOp::Erode),
-            (tmp, out, MorphOp::Dilate),
-        ] {
-            let k = MorphKernel {
-                input,
-                output,
-                width: self.resolution.width,
-                height: self.resolution.height,
-                op,
-            };
-            let mut report = mogpu_sim::launch_with(&mut self.mem, &self.cfg, lc, &k, opts)?;
-            if let Some(rec) = self.dataflow.as_mut() {
-                if let Some(access) = report.access.take() {
-                    rec.record_kernel(
-                        "morphology",
-                        Some(frame),
-                        access,
-                        report.stats.clone(),
-                        report.occupancy,
-                    );
-                }
-            }
+    ) -> LaunchReport {
+        let mut report = launcher.launch(&mut self.mem, &self.cfg, kernel, opts);
+        if let (Some(rec), Some(access)) = (self.dataflow.as_mut(), report.access.take()) {
+            rec.record_kernel(
+                node,
+                Some(frame),
+                access,
+                report.stats.clone(),
+                report.occupancy,
+            );
         }
-        Ok(())
+        report
     }
 
-    /// Processes a group of up to `level.group()` frames with one launch
-    /// (`base` = absolute index of the group's first frame), returning
-    /// the masks and the launch's report.
+    /// Processes a group of up to `plan.group()` frames (`base` =
+    /// absolute index of the group's first frame): upload, the plan's
+    /// launch, the optional erode and dilate steps per slot, download.
+    /// Returns the masks and the plan launch's report; the opening's
+    /// reports stay out of it.
     fn process_group(
         &mut self,
-        frames: &[&Frame<u8>],
+        frames: &[Frame<u8>],
         base: usize,
-    ) -> Result<(Vec<Mask>, LaunchReport), PipelineError> {
+        launchers: Launchers,
+        opts: LaunchOptions,
+    ) -> (Vec<Mask>, LaunchReport) {
+        let n = frames.len();
         for (slot, frame) in frames.iter().enumerate() {
-            self.mem.upload(self.frame_bufs[slot], frame.as_slice());
+            let b = self.frame_bufs[slot];
+            self.mem.upload(b, frame.as_slice());
             if let Some(rec) = self.dataflow.as_mut() {
-                let b = self.frame_bufs[slot];
                 rec.record_upload(
                     "host-upload",
                     Some(base + slot),
@@ -445,80 +536,43 @@ impl<T: DeviceReal> GpuMog<T> {
                 );
             }
         }
-        let launcher = self.launcher()?;
-        let opts = LaunchOptions {
-            profile_sites: self.profile.is_on(),
-            sanitize: self.sanitize,
-            dataflow: self.dataflow.is_some(),
+        let pass = FramePass {
+            model: self.model,
+            frame: self.frame_bufs[0],
+            fg: self.fg_bufs[0],
+            pixels: self.resolution.pixels(),
+            prm: self.prm,
+            resources: launchers.res,
         };
-        let mut report = match self.level {
-            OptLevel::A | OptLevel::B | OptLevel::C => {
-                let k = SortedKernel {
-                    pass: self.frame_pass(0),
-                };
-                launcher.launch(&mut self.mem, &self.cfg, &k, opts)
-            }
-            OptLevel::D => {
-                let k = ScanKernel {
-                    pass: self.frame_pass(0),
-                    predicated: false,
-                    recompute_diff: false,
-                };
-                launcher.launch(&mut self.mem, &self.cfg, &k, opts)
-            }
-            OptLevel::E => {
-                let k = ScanKernel {
-                    pass: self.frame_pass(0),
-                    predicated: true,
-                    recompute_diff: false,
-                };
-                launcher.launch(&mut self.mem, &self.cfg, &k, opts)
-            }
-            OptLevel::F => {
-                let k = ScanKernel {
-                    pass: self.frame_pass(0),
-                    predicated: true,
-                    recompute_diff: true,
-                };
-                launcher.launch(&mut self.mem, &self.cfg, &k, opts)
-            }
-            OptLevel::Windowed { .. } => {
-                let k = TiledKernel {
-                    pass: self.frame_pass(0),
-                    frames: self.frame_bufs[..frames.len()].to_vec(),
-                    fgs: self.fg_bufs[..frames.len()].to_vec(),
-                    record_stride: None,
-                };
-                launcher.launch(&mut self.mem, &self.cfg, &k, opts)
-            }
-        };
-        if let Some(rec) = self.dataflow.as_mut() {
-            if let Some(access) = report.access.take() {
-                // A grouped (level-W) launch covers the whole chunk;
-                // attribute it to the group's first frame.
-                rec.record_kernel(
-                    "mog-update",
-                    Some(base),
-                    access,
-                    report.stats.clone(),
-                    report.occupancy,
-                );
-            }
-        }
-        let opened = !self.morph_bufs.is_empty();
-        if opened {
-            for slot in 0..frames.len() {
-                self.run_morph(slot, base + slot, opts)?;
+        let (frames, fgs) = (&self.frame_bufs[..n], &self.fg_bufs[..n]);
+        let kernel = self.plan.kernel(pass, frames, fgs);
+        // A grouped (level-W) launch covers the whole chunk; attribute it
+        // to the group's first frame.
+        let report = self.step(launchers.plan, &*kernel, self.plan.node(), base, opts);
+
+        let mut outs = self.fg_bufs[..n].to_vec();
+        if let Some(opening) = launchers.opening {
+            for (slot, out) in outs.iter_mut().enumerate() {
+                let (eroded, opened) = self.morph_bufs[slot];
+                for (input, output, op) in [
+                    (*out, eroded, MorphOp::Erode),
+                    (eroded, opened, MorphOp::Dilate),
+                ] {
+                    let k = MorphKernel {
+                        input,
+                        output,
+                        width: self.resolution.width,
+                        height: self.resolution.height,
+                        op,
+                    };
+                    self.step(opening, &k, "morphology", base + slot, opts);
+                }
+                *out = opened;
             }
         }
 
-        let mut masks = Vec::with_capacity(frames.len());
-        for slot in 0..frames.len() {
-            let src = if opened {
-                self.morph_bufs[slot].1
-            } else {
-                self.fg_bufs[slot]
-            };
+        let mut masks = Vec::with_capacity(n);
+        for (slot, src) in outs.into_iter().enumerate() {
             let bytes = self.mem.download(src);
             if let Some(rec) = self.dataflow.as_mut() {
                 rec.record_download(
@@ -529,38 +583,47 @@ impl<T: DeviceReal> GpuMog<T> {
             }
             masks.push(Frame::from_vec(self.resolution, bytes).expect("mask size"));
         }
-        Ok((masks, report))
+        (masks, report)
     }
 
     /// Processes a frame sequence, returning masks plus the full
-    /// performance report.
+    /// performance report. Every frame is validated before the first one
+    /// runs, so a rejected call leaves the model and the dataflow graph
+    /// untouched.
     ///
     /// # Errors
-    /// Resolution mismatches, launch failures.
+    /// An empty sequence, resolution mismatches, launch failures.
     pub fn process_all(&mut self, frames: &[Frame<u8>]) -> Result<RunReport, PipelineError> {
-        for f in frames {
-            if f.resolution() != self.resolution {
-                return Err(PipelineError::Config(format!(
-                    "frame resolution {} differs from pipeline resolution {}",
-                    f.resolution(),
-                    self.resolution
-                )));
-            }
+        if let Some(f) = frames.iter().find(|f| f.resolution() != self.resolution) {
+            return Err(PipelineError::Config(format!(
+                "frame resolution {} differs from pipeline resolution {}",
+                f.resolution(),
+                self.resolution
+            )));
         }
-        let group = self.level.group();
+        if frames.is_empty() {
+            return Err(PipelineError::Config(
+                "no frames processed; cannot report occupancy".into(),
+            ));
+        }
+        let launchers = self.launchers()?;
+        let occupancy = launchers.plan.occupancy();
+        let opts = LaunchOptions {
+            profile_sites: self.profile.is_on(),
+            sanitize: self.sanitize,
+            dataflow: self.dataflow.is_some(),
+        };
         let mut stats = KernelStats::default();
         let mut kernel_time = 0.0f64;
         let mut per_frame_kernel_times = Vec::with_capacity(frames.len());
-        let mut occupancy = None;
         let mut masks = Vec::with_capacity(frames.len());
         let mut launches: Vec<LaunchProfile> = Vec::new();
         let mut sites = SiteProfile::new();
         let mut san = self.sanitize.then(SanReport::new);
-        let frame_refs: Vec<&Frame<u8>> = frames.iter().collect();
-        for chunk in frame_refs.chunks(group) {
+        for chunk in frames.chunks(self.plan.group()) {
             let base = self.frames_seen;
             self.frames_seen += chunk.len();
-            let (group_masks, mut report) = self.process_group(chunk, base)?;
+            let (group_masks, mut report) = self.process_group(chunk, base, launchers, opts);
             if let (Some(acc), Some(r)) = (san.as_mut(), report.sanitizer.take()) {
                 acc.merge(&r);
             }
@@ -570,7 +633,6 @@ impl<T: DeviceReal> GpuMog<T> {
                 report.timing.total / chunk.len() as f64,
                 chunk.len(),
             ));
-            occupancy = Some(report.occupancy);
             if self.profile.is_on() {
                 if let Some(s) = report.sites.take() {
                     sites.merge(&s);
@@ -586,24 +648,14 @@ impl<T: DeviceReal> GpuMog<T> {
             }
             masks.extend(group_masks);
         }
-        let occupancy = occupancy.ok_or_else(|| {
-            PipelineError::Config("no frames processed; cannot report occupancy".into())
-        })?;
 
-        let pixels = self.resolution.pixels();
-        let t_h2d = transfer_time(pixels, &self.cfg);
-        let t_d2h = transfer_time(pixels, &self.cfg);
-        let per_frame_kernel = if frames.is_empty() {
-            0.0
-        } else {
-            kernel_time / frames.len() as f64
-        };
+        let t_dir = transfer_time(self.resolution.pixels(), &self.cfg);
         let schedule = pipeline_schedule(
             frames.len(),
-            t_h2d,
-            per_frame_kernel,
-            t_d2h,
-            self.level.overlap(),
+            t_dir,
+            kernel_time / frames.len() as f64,
+            t_dir,
+            self.plan.overlap(),
             &self.cfg,
         );
         let pipeline = timing_of(&schedule);
@@ -623,15 +675,15 @@ impl<T: DeviceReal> GpuMog<T> {
                 .map(|r| r.finish().fusion_candidates())
                 .unwrap_or_default();
             ProfileReport::assemble(
-                self.level.name(),
-                self.level.overlap(),
+                self.plan.name(),
+                self.plan.overlap(),
                 stats.clone(),
                 occupancy,
-                t_h2d,
-                t_d2h,
+                t_dir,
+                t_dir,
                 schedule,
                 launches,
-                std::mem::take(&mut sites),
+                sites,
                 &fusion,
                 &self.cfg,
             )
@@ -644,12 +696,143 @@ impl<T: DeviceReal> GpuMog<T> {
             occupancy,
             kernel_time_total: kernel_time,
             per_frame_kernel_times,
-            h2d_per_frame: t_h2d,
-            d2h_per_frame: t_d2h,
+            h2d_per_frame: t_dir,
+            d2h_per_frame: t_dir,
             pipeline,
             metrics,
             telemetry,
         })
+    }
+}
+
+impl<T: DeviceReal> GpuMog<T> {
+    /// Allocates device state and uploads the initial model (seeded from
+    /// `first_frame`, exactly like the CPU reference).
+    ///
+    /// # Errors
+    /// Configuration and device-memory errors.
+    pub fn new(
+        resolution: Resolution,
+        params: MogParams,
+        level: OptLevel,
+        first_frame: &[u8],
+        cfg: GpuConfig,
+    ) -> Result<Self, PipelineError> {
+        let mut gpu = Self::alloc(
+            resolution,
+            params,
+            level.layout(),
+            first_frame,
+            cfg,
+            |_, _| Ok(level),
+        )?;
+        let host = HostModel::<T>::init(resolution.pixels(), params.k, &params, first_frame);
+        gpu.model.upload(&mut gpu.mem, &host);
+        Ok(gpu)
+    }
+
+    /// The configured optimization level.
+    pub fn level(&self) -> OptLevel {
+        self.plan
+    }
+
+    /// Overrides the launch block size (default
+    /// [`THREADS_PER_BLOCK`]). Oversized blocks can make the kernel
+    /// unlaunchable — `process_all` then fails with
+    /// `LaunchError::ResourcesExceeded` wrapped in
+    /// [`PipelineError::Launch`], which `mogpu advise` surfaces as a
+    /// structured diagnostic.
+    pub fn set_threads_per_block(&mut self, tpb: u32) {
+        self.threads_per_block = tpb.max(1);
+        // The cached plans were validated for the old grid.
+        self.launchers = None;
+    }
+
+    /// Enables the 3x3 morphological opening (erode then dilate, the
+    /// paper's foreground-validation step) on every frame's mask, as two
+    /// more steps of the per-group body inside this pipeline's device
+    /// memory, so the MoG→morphology round trip is visible to the
+    /// dataflow recorder. Downloaded masks become the opened masks.
+    /// Morphology counters are recorded per launch in the dataflow graph
+    /// but kept out of the run's MoG kernel stats, so per-level profile
+    /// metrics keep their meaning.
+    ///
+    /// # Errors
+    /// Device out-of-memory for the per-slot scratch masks.
+    pub fn enable_morphology(&mut self) -> Result<(), PipelineError> {
+        if !self.morph_bufs.is_empty() {
+            return Ok(());
+        }
+        let pixels = self.resolution.pixels();
+        for _ in 0..self.fg_bufs.len() {
+            let eroded = self.mem.alloc(pixels)?;
+            let opened = self.mem.alloc(pixels)?;
+            self.morph_bufs.push((eroded, opened));
+        }
+        // The cached plans have no opening step yet.
+        self.launchers = None;
+        Ok(())
+    }
+
+    /// Downloads the current device model (verification hook).
+    pub fn download_model(&self, seed_frame: &[u8]) -> HostModel<T> {
+        let template = HostModel::<T>::init(
+            self.resolution.pixels(),
+            self.params.k,
+            &self.params,
+            seed_frame,
+        );
+        self.model.download(&self.mem, &template)
+    }
+}
+
+impl<T: DeviceReal> AdaptiveGpuMog<T> {
+    /// Allocates device state; every pixel starts with one component
+    /// seeded from `first_frame`.
+    ///
+    /// # Errors
+    /// Configuration and device-memory errors.
+    pub fn new(
+        resolution: Resolution,
+        params: MogParams,
+        first_frame: &[u8],
+        cfg: GpuConfig,
+    ) -> Result<Self, PipelineError> {
+        let mut gpu = Self::alloc(
+            resolution,
+            params,
+            Layout::Soa,
+            first_frame,
+            cfg,
+            |mem, pixels| {
+                Ok(AdaptivePlan {
+                    active: mem.alloc(pixels)?,
+                })
+            },
+        )?;
+        // Seed: one active component per pixel, parameters through the
+        // SoA layout.
+        let pixels = resolution.pixels();
+        let k = params.k;
+        let host = AdaptiveModel::<T>::init(pixels, k, &params, first_frame);
+        for p in 0..pixels {
+            gpu.mem.write_u8(gpu.plan.active, p, 1);
+            for ki in 0..k {
+                let i = p * k + ki;
+                let (w, m, sd) = (host.w[i], host.m[i], host.sd[i]);
+                gpu.model.host_write_params(&mut gpu.mem, p, ki, w, m, sd);
+            }
+        }
+        Ok(gpu)
+    }
+
+    /// Mean active component count currently on the device.
+    pub fn mean_active(&self) -> f64 {
+        let pixels = self.resolution.pixels();
+        let sum: u64 = (0..pixels)
+            .map(|p| u64::from(self.mem.read_u8(self.plan.active, p)))
+            .sum();
+        sum as f64 / pixels as f64
     }
 }
 
@@ -910,8 +1093,8 @@ mod tests {
         .unwrap();
         gpu.enable_morphology().unwrap();
         let opened = gpu.process_all(&frames[1..]).unwrap();
-        // Morph launches run off to the side; the MoG counters and
-        // timing inputs are untouched.
+        // The opening steps stay out of the run aggregate; the MoG
+        // counters and timing inputs are untouched.
         assert_eq!(plain.stats, opened.stats);
         assert_eq!(plain.masks.len(), opened.masks.len());
         // An open (erode then dilate) never grows the foreground.
@@ -975,298 +1158,5 @@ mod tests {
         )
         .unwrap();
         assert!(gpu.process_all(&[]).is_err());
-    }
-}
-
-/// Host pipeline for the adaptive component-count comparator of the
-/// paper's Section II (related work \[18\]). Always SoA + double-buffered;
-/// `params.k` acts as `k_max`.
-#[derive(Debug)]
-pub struct AdaptiveGpuMog<T: DeviceReal> {
-    cfg: GpuConfig,
-    prm: ResolvedParams<T>,
-    resolution: Resolution,
-    mem: DeviceMemory,
-    model: DeviceModel<T>,
-    active: Buffer,
-    frame_buf: Buffer,
-    fg_buf: Buffer,
-    profile: ProfileMode,
-    last_profile: Option<ProfileReport>,
-    sanitize: bool,
-    last_san: Option<SanReport>,
-    dataflow: Option<DataflowRecorder>,
-    frames_seen: usize,
-}
-
-impl<T: DeviceReal> AdaptiveGpuMog<T> {
-    /// Allocates device state; every pixel starts with one component
-    /// seeded from `first_frame`.
-    ///
-    /// # Errors
-    /// Configuration and device-memory errors.
-    pub fn new(
-        resolution: Resolution,
-        params: MogParams,
-        first_frame: &[u8],
-        cfg: GpuConfig,
-    ) -> Result<Self, PipelineError> {
-        params.validate().map_err(PipelineError::Config)?;
-        let pixels = resolution.pixels();
-        if first_frame.len() != pixels {
-            return Err(PipelineError::Config("seed frame size mismatch".into()));
-        }
-        let mut mem = DeviceMemory::with_config(&cfg);
-        let model =
-            DeviceModel::<T>::alloc(&mut mem, crate::layout::Layout::Soa, pixels, params.k)?;
-        let active = mem.alloc(pixels)?;
-        let frame_buf = mem.alloc(pixels)?;
-        let fg_buf = mem.alloc(pixels)?;
-        // Seed: one active component per pixel, parameters through the
-        // SoA layout.
-        let host =
-            mogpu_mog::adaptive::AdaptiveModel::<T>::init(pixels, params.k, &params, first_frame);
-        let k = params.k;
-        for p in 0..pixels {
-            mem.write_u8(active, p, 1);
-            for ki in 0..k {
-                let idx = p * k + ki;
-                model.host_write_params(&mut mem, p, ki, host.w[idx], host.m[idx], host.sd[idx]);
-            }
-        }
-        Ok(AdaptiveGpuMog {
-            cfg,
-            prm: params.resolve(),
-            resolution,
-            mem,
-            model,
-            active,
-            frame_buf,
-            fg_buf,
-            profile: ProfileMode::Off,
-            last_profile: None,
-            sanitize: false,
-            last_san: None,
-            dataflow: None,
-            frames_seen: 0,
-        })
-    }
-
-    /// Enables or disables profiling for subsequent `process_all` calls.
-    pub fn set_profile_mode(&mut self, mode: ProfileMode) {
-        self.profile = mode;
-    }
-
-    /// Enables cross-launch dataflow recording, mirroring
-    /// [`GpuMog::enable_dataflow`]: the seeded model (and per-pixel
-    /// active counts) become the graph's host-init node.
-    pub fn enable_dataflow(&mut self) {
-        if self.dataflow.is_some() {
-            return;
-        }
-        let mut init = self.model.span_set();
-        init.insert(
-            self.active.addr(),
-            self.active.addr() + self.active.len() as u64,
-        );
-        let mut rec = DataflowRecorder::new();
-        rec.record_upload("host-init", None, init);
-        self.dataflow = Some(rec);
-    }
-
-    /// The dataflow graph recorded so far, or `None` when recording is
-    /// off.
-    pub fn dataflow_graph(&self) -> Option<DataflowGraph> {
-        self.dataflow.as_ref().map(DataflowRecorder::finish)
-    }
-
-    /// Takes the report of the most recent profiled `process_all`.
-    pub fn take_profile_report(&mut self) -> Option<ProfileReport> {
-        self.last_profile.take()
-    }
-
-    /// Enables or disables the sanitizer for subsequent `process_all`
-    /// calls.
-    pub fn set_sanitize(&mut self, on: bool) {
-        self.sanitize = on;
-    }
-
-    /// Takes the sanitizer report of the most recent sanitized
-    /// `process_all`.
-    pub fn take_san_report(&mut self) -> Option<SanReport> {
-        self.last_san.take()
-    }
-
-    /// Mean active component count currently on the device.
-    pub fn mean_active(&self) -> f64 {
-        let pixels = self.resolution.pixels();
-        let mut sum = 0u64;
-        for p in 0..pixels {
-            sum += self.mem.read_u8(self.active, p) as u64;
-        }
-        sum as f64 / pixels as f64
-    }
-
-    /// Processes a frame sequence (one launch per frame), returning the
-    /// run report.
-    ///
-    /// # Errors
-    /// Resolution mismatches and launch failures.
-    pub fn process_all(&mut self, frames: &[Frame<u8>]) -> Result<RunReport, PipelineError> {
-        let pixels = self.resolution.pixels();
-        let mut stats = KernelStats::default();
-        let mut kernel_time = 0.0;
-        let mut per_frame_kernel_times = Vec::with_capacity(frames.len());
-        let mut occupancy = None;
-        let mut masks = Vec::with_capacity(frames.len());
-        let mut launches: Vec<LaunchProfile> = Vec::new();
-        let mut sites = SiteProfile::new();
-        let mut san = self.sanitize.then(SanReport::new);
-        let opts = LaunchOptions {
-            profile_sites: self.profile.is_on(),
-            sanitize: self.sanitize,
-            dataflow: self.dataflow.is_some(),
-        };
-        let resources = mogpu_sim::KernelResources {
-            regs_per_thread: 33,
-            shared_bytes_per_block: 0,
-            local_f64_slots: 0,
-        };
-        // One grid for the whole sequence: validate and derive occupancy
-        // once, then launch per frame.
-        let launcher = BatchLauncher::new(
-            &self.cfg,
-            LaunchConfig::cover(pixels, THREADS_PER_BLOCK),
-            resources,
-        )?;
-        for frame in frames {
-            if frame.resolution() != self.resolution {
-                return Err(PipelineError::Config("frame resolution mismatch".into()));
-            }
-            let fi = self.frames_seen;
-            self.frames_seen += 1;
-            self.mem.upload(self.frame_buf, frame.as_slice());
-            if let Some(rec) = self.dataflow.as_mut() {
-                rec.record_upload(
-                    "host-upload",
-                    Some(fi),
-                    IntervalSet::from_span(self.frame_buf.addr(), self.frame_buf.len() as u64),
-                );
-            }
-            let kernel = crate::kernels::AdaptiveKernel {
-                pass: FramePass {
-                    model: self.model,
-                    frame: self.frame_buf,
-                    fg: self.fg_buf,
-                    pixels,
-                    prm: self.prm,
-                    resources,
-                },
-                active: self.active,
-            };
-            let mut report = launcher.launch(&mut self.mem, &self.cfg, &kernel, opts);
-            if let (Some(acc), Some(r)) = (san.as_mut(), report.sanitizer.take()) {
-                acc.merge(&r);
-            }
-            if let Some(rec) = self.dataflow.as_mut() {
-                if let Some(access) = report.access.take() {
-                    rec.record_kernel(
-                        "adaptive-update",
-                        Some(fi),
-                        access,
-                        report.stats.clone(),
-                        report.occupancy,
-                    );
-                }
-            }
-            stats.merge(&report.stats);
-            kernel_time += report.timing.total;
-            per_frame_kernel_times.push(report.timing.total);
-            occupancy = Some(report.occupancy);
-            if self.profile.is_on() {
-                if let Some(s) = report.sites.take() {
-                    sites.merge(&s);
-                }
-                launches.push(LaunchProfile {
-                    index: launches.len(),
-                    frames: 1,
-                    stats: report.stats.clone(),
-                    metrics: DerivedMetrics::from_stats(&report.stats, &self.cfg),
-                    occupancy: report.occupancy,
-                    timing: report.timing,
-                });
-            }
-            if let Some(rec) = self.dataflow.as_mut() {
-                rec.record_download(
-                    "host-download",
-                    Some(fi),
-                    IntervalSet::from_span(self.fg_buf.addr(), self.fg_buf.len() as u64),
-                );
-            }
-            masks.push(
-                Frame::from_vec(self.resolution, self.mem.download(self.fg_buf))
-                    .expect("mask size"),
-            );
-        }
-        let occupancy =
-            occupancy.ok_or_else(|| PipelineError::Config("no frames processed".into()))?;
-        let t_dir = transfer_time(pixels, &self.cfg);
-        let per_frame_kernel = if frames.is_empty() {
-            0.0
-        } else {
-            kernel_time / frames.len() as f64
-        };
-        let schedule = pipeline_schedule(
-            frames.len(),
-            t_dir,
-            per_frame_kernel,
-            t_dir,
-            mogpu_sim::dma::OverlapMode::DoubleBuffered,
-            &self.cfg,
-        );
-        let pipeline = timing_of(&schedule);
-        let metrics = DerivedMetrics::from_stats(&stats, &self.cfg);
-        let telemetry = sample_schedule(
-            &schedule,
-            &stats,
-            &occupancy,
-            &self.cfg,
-            &TelemetryConfig::default(),
-        );
-        self.last_profile = self.profile.is_on().then(|| {
-            // Stitch the graph only for a profile that reports it.
-            let fusion = self
-                .dataflow
-                .as_ref()
-                .map(|r| r.finish().fusion_candidates())
-                .unwrap_or_default();
-            ProfileReport::assemble(
-                "adaptive".to_string(),
-                mogpu_sim::dma::OverlapMode::DoubleBuffered,
-                stats.clone(),
-                occupancy,
-                t_dir,
-                t_dir,
-                schedule,
-                launches,
-                std::mem::take(&mut sites),
-                &fusion,
-                &self.cfg,
-            )
-        });
-        self.last_san = san;
-        Ok(RunReport {
-            masks,
-            frames: frames.len(),
-            stats,
-            occupancy,
-            kernel_time_total: kernel_time,
-            per_frame_kernel_times,
-            h2d_per_frame: t_dir,
-            d2h_per_frame: t_dir,
-            pipeline,
-            metrics,
-            telemetry,
-        })
     }
 }

@@ -1,6 +1,6 @@
 //! Binary-mask post-processing: morphology and connected components.
 //!
-//! The paper's MoG reference ([20], Cheung & Kamath) follows background
+//! The paper's MoG reference (\[20\], Cheung & Kamath) follows background
 //! subtraction with *foreground validation* — cleaning the raw mask and
 //! reasoning about connected blobs. This module provides the standard
 //! tool set: 3x3 erosion/dilation (and the opening/closing compositions)

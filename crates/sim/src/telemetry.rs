@@ -2,7 +2,7 @@
 //! clock, and Prometheus text-exposition export.
 //!
 //! The simulator is *functional + analytic*: counters
-//! ([`KernelStats`](crate::stats::KernelStats)) are launch-lifetime
+//! ([`KernelStats`]) are launch-lifetime
 //! aggregates and kernel time is the closed-form three-bound roofline of
 //! [`timing`](crate::timing). There is no cycle-level execution to sample,
 //! so time-resolved series are **synthesized** from the analytic model:

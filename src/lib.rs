@@ -18,7 +18,7 @@
 //!   levels A–F and the windowed/tiled variant, plus the host pipeline,
 //! * [`metrics`] — SSIM / MS-SSIM / mask-accuracy metrics for the quality
 //!   study,
-//! * [`bench`] — the experiment harness and the performance-regression
+//! * [`bench`](mod@bench) — the experiment harness and the performance-regression
 //!   baseline gate (`mogpu bench record` / `bench check`).
 //!
 //! ## Quickstart

@@ -11,8 +11,9 @@
 //! appended to every response so one scrape carries both the serving
 //! families and the `mogpu_*` gauges of [`mogpu_sim::telemetry`].
 //!
-//! The implementation is deliberately minimal — blocking accept loop with
-//! a short socket timeout, one request per connection, HTTP/1.0-style
+//! The implementation is deliberately minimal — a polled accept loop, one
+//! request per connection read under a fixed per-connection deadline
+//! (split and slow requests are reassembled), HTTP/1.0-style
 //! `Connection: close` — because the only client it needs to satisfy is a
 //! Prometheus scraper or `curl` in CI, and the workspace vendors no async
 //! runtime.
@@ -25,6 +26,44 @@ use std::time::{Duration, Instant};
 
 /// Default wall-clock seconds each snapshot window is served for.
 pub const DEFAULT_REPLAY_INTERVAL_S: f64 = 0.5;
+
+/// Wall-clock budget for one connection to deliver its request head
+/// (and, separately, to accept the response). A slow or stalled client
+/// holds the single-threaded accept loop for at most this long.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(3);
+
+/// Reads from `stream` into `buf` until the blank line that ends the
+/// request headers arrives or `buf` is full, returning the bytes read.
+/// A request split across several writes is reassembled; a client that
+/// hangs up before finishing its headers, or misses `deadline`, is an
+/// error (the caller drops the connection without a response).
+fn read_request_head(
+    stream: &mut TcpStream,
+    buf: &mut [u8],
+    deadline: Instant,
+) -> std::io::Result<usize> {
+    let mut len = 0;
+    while len < buf.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
+        let n = stream.read(&mut buf[len..])?;
+        if n == 0 {
+            return Err(std::io::ErrorKind::UnexpectedEof.into());
+        }
+        // Only the newly read bytes (plus three before them) can
+        // complete the terminator.
+        let from = len.saturating_sub(3);
+        len += n;
+        let head = &buf[from..len];
+        if head.windows(4).any(|w| w == b"\r\n\r\n") || head.windows(2).any(|w| w == b"\n\n") {
+            break;
+        }
+    }
+    Ok(len)
+}
 
 /// What the endpoint replays: one device's serving report, or a whole
 /// fleet report (per-device families under one exposition).
@@ -184,12 +223,12 @@ impl MetricsServer {
     }
 
     fn handle(&self, mut stream: TcpStream) -> std::io::Result<()> {
-        stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-        stream.set_write_timeout(Some(Duration::from_millis(500)))?;
-        // Read the request line; drain headers best-effort (the request
-        // fits one read for every real scraper).
+        // The listener is non-blocking; on some platforms accepted
+        // sockets inherit that, which would void the read timeouts.
+        stream.set_nonblocking(false)?;
+        stream.set_write_timeout(Some(REQUEST_DEADLINE))?;
         let mut buf = [0u8; 4096];
-        let n = stream.read(&mut buf)?;
+        let n = read_request_head(&mut stream, &mut buf, Instant::now() + REQUEST_DEADLINE)?;
         let request = String::from_utf8_lossy(&buf[..n]);
         let line = request.lines().next().unwrap_or("");
         let mut parts = line.split_whitespace();
@@ -280,6 +319,56 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         assert!(body.contains("/metrics"));
         t.join().unwrap();
+    }
+
+    /// Sends `chunks` as separate writes, sleeping before each one, and
+    /// returns the raw response.
+    fn send_in_chunks(addr: SocketAddr, chunks: &[(u64, &str)]) -> String {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        for (delay_ms, chunk) in chunks {
+            std::thread::sleep(Duration::from_millis(*delay_ms));
+            s.write_all(chunk.as_bytes()).unwrap();
+            s.flush().unwrap();
+        }
+        let mut out = String::new();
+        s.read_to_string(&mut out).expect("read response");
+        out
+    }
+
+    #[test]
+    fn split_and_slow_requests_are_served() {
+        let server = MetricsServer::bind("127.0.0.1:0", report(), 10.0).unwrap();
+        let addr = server.local_addr();
+        let t = std::thread::spawn(move || server.serve_for(4.0).unwrap());
+        let split = send_in_chunks(
+            addr,
+            &[(0, "GE"), (100, "T /metrics HTTP/1.1\r\nHost: x\r\n\r\n")],
+        );
+        assert!(
+            split.starts_with("HTTP/1.1 200"),
+            "split request: {split:?}"
+        );
+        let slow = send_in_chunks(addr, &[(700, "GET / HTTP/1.1\r\nHost: x\r\n\r\n")]);
+        assert!(
+            slow.starts_with("HTTP/1.1 200"),
+            "delayed request: {slow:?}"
+        );
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn client_hanging_up_mid_request_does_not_stop_the_server() {
+        let server = MetricsServer::bind("127.0.0.1:0", report(), 10.0).unwrap();
+        let addr = server.local_addr();
+        let t = std::thread::spawn(move || server.serve_for(3.0).unwrap());
+        {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            s.write_all(b"GET /met").unwrap();
+        }
+        let (head, body) = get(addr, "/metrics");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert!(body.contains("device=\"test-device\""));
+        assert_eq!(t.join().unwrap(), 1, "only the complete request counts");
     }
 
     #[test]
