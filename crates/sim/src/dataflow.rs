@@ -21,6 +21,7 @@
 //! `stored == consumed + dead + live` holds integer-exactly, and every
 //! edge's bytes are bounded by its producer's stored bytes.
 
+use crate::exposition::{Exposition, Kind};
 use crate::occupancy::Occupancy;
 use crate::stats::KernelStats;
 use serde::Serialize;
@@ -757,48 +758,42 @@ impl DataflowGraph {
     /// producer/consumer kernel name, dead-store and re-read-from-host
     /// bytes by node name.
     pub fn prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut edge_by_name: BTreeMap<(String, String), u64> = BTreeMap::new();
+        let mut edge_by_name: BTreeMap<(&str, &str), u64> = BTreeMap::new();
         for e in &self.edges {
             let key = (
-                self.nodes[e.producer].name.clone(),
-                self.nodes[e.consumer].name.clone(),
+                self.nodes[e.producer].name.as_str(),
+                self.nodes[e.consumer].name.as_str(),
             );
             *edge_by_name.entry(key).or_insert(0) += e.bytes;
         }
-        out.push_str(
-            "# HELP mogpu_dataflow_edge_bytes Bytes stored by the producer and \
-             reloaded by the consumer.\n# TYPE mogpu_dataflow_edge_bytes counter\n",
-        );
-        for ((p, c), bytes) in &edge_by_name {
-            out.push_str(&format!(
-                "mogpu_dataflow_edge_bytes{{producer=\"{p}\",consumer=\"{c}\"}} {bytes}\n"
-            ));
-        }
-        let mut dead_by_name: BTreeMap<String, u64> = BTreeMap::new();
+        let mut dead_by_name: BTreeMap<&str, u64> = BTreeMap::new();
         for n in &self.nodes {
-            *dead_by_name.entry(n.name.clone()).or_insert(0) += n.dead_store_bytes;
+            *dead_by_name.entry(&n.name).or_insert(0) += n.dead_store_bytes;
         }
-        out.push_str(
-            "# HELP mogpu_dataflow_dead_store_bytes Bytes stored but overwritten \
-             before any consumer read them.\n\
-             # TYPE mogpu_dataflow_dead_store_bytes counter\n",
+        let mut e = Exposition::new();
+        e.family(
+            "mogpu_dataflow_edge_bytes",
+            Kind::Counter,
+            "Bytes stored by the producer and reloaded by the consumer.",
         );
-        for (name, bytes) in &dead_by_name {
-            out.push_str(&format!(
-                "mogpu_dataflow_dead_store_bytes{{node=\"{name}\"}} {bytes}\n"
-            ));
+        for ((p, c), bytes) in edge_by_name {
+            e.sample(&[("producer", p), ("consumer", c)], bytes);
         }
-        out.push_str(
-            "# HELP mogpu_dataflow_reread_from_host_bytes Uploaded bytes that had \
-             previously been downloaded (host round trip).\n\
-             # TYPE mogpu_dataflow_reread_from_host_bytes counter\n",
+        e.family(
+            "mogpu_dataflow_dead_store_bytes",
+            Kind::Counter,
+            "Bytes stored but overwritten before any consumer read them.",
         );
-        out.push_str(&format!(
-            "mogpu_dataflow_reread_from_host_bytes {}\n",
-            self.reread_from_host_bytes
-        ));
-        out
+        for (name, bytes) in dead_by_name {
+            e.sample(&[("node", name)], bytes);
+        }
+        e.family(
+            "mogpu_dataflow_reread_from_host_bytes",
+            Kind::Counter,
+            "Uploaded bytes that had previously been downloaded (host round trip).",
+        )
+        .sample(&[], self.reread_from_host_bytes);
+        e.finish()
     }
 }
 

@@ -41,6 +41,7 @@
 //! [`DiffReport`] with `to_string_canonical_pretty` is byte-stable.
 
 use crate::config::GpuConfig;
+use crate::exposition::{Exposition, Kind};
 use crate::fleet::FleetReport;
 use crate::occupancy::Occupancy;
 use crate::profile::{HotspotRow, SiteStats};
@@ -1549,78 +1550,51 @@ impl DiffReport {
     /// kernel/stall/counter/site movement, histogram quantile shifts,
     /// and bench metric deltas.
     pub fn prometheus(&self, top_sites: usize) -> String {
-        let mut out = String::new();
-        fn header(out: &mut String, name: &str, help: &str) {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n"));
-        }
-        fn sample(out: &mut String, name: &str, labels: &[(&str, &str)], v: f64) {
-            let body: Vec<String> = labels
-                .iter()
-                .map(|(k, val)| format!("{k}=\"{}\"", val.replace('"', "'")))
-                .collect();
-            out.push_str(&format!("{name}{{{}}} {v}\n", body.join(",")));
-        }
+        let mut e = Exposition::new();
         if !self.kernels.is_empty() {
-            header(
-                &mut out,
+            e.family(
                 "mogpu_diff_kernel_time_delta_seconds",
+                Kind::Gauge,
                 "Modelled kernel-time delta (B - A).",
             );
             for k in &self.kernels {
-                sample(
-                    &mut out,
-                    "mogpu_diff_kernel_time_delta_seconds",
-                    &[("pair", &k.label)],
-                    k.time_delta_s,
-                );
+                e.sample(&[("pair", &k.label)], k.time_delta_s);
             }
-            header(
-                &mut out,
+            e.family(
                 "mogpu_diff_stall_delta_seconds",
+                Kind::Gauge,
                 "Per-stall-reason kernel-time delta; sums to the kernel delta.",
             );
             for k in &self.kernels {
                 for r in &k.stalls {
-                    sample(
-                        &mut out,
-                        "mogpu_diff_stall_delta_seconds",
-                        &[("pair", &k.label), ("reason", &r.reason)],
-                        r.delta_s,
-                    );
+                    e.sample(&[("pair", &k.label), ("reason", &r.reason)], r.delta_s);
                 }
             }
-            header(
-                &mut out,
+            e.family(
                 "mogpu_diff_counter_contribution_seconds",
+                Kind::Gauge,
                 "Counterfactually priced kernel-time movement of one counter set.",
             );
             for k in &self.kernels {
                 for c in &k.counters {
-                    sample(
-                        &mut out,
-                        "mogpu_diff_counter_contribution_seconds",
+                    e.sample(
                         &[("pair", &k.label), ("counter", &c.counter)],
                         c.contribution_s,
                     );
                 }
             }
-            header(
-                &mut out,
+            e.family(
                 "mogpu_diff_site_delta_seconds",
+                Kind::Gauge,
                 "Per-source-site stall-time delta.",
             );
             for k in &self.kernels {
                 for s in k.sites.iter().take(top_sites) {
-                    sample(
-                        &mut out,
-                        "mogpu_diff_site_delta_seconds",
-                        &[("pair", &k.label), ("source", &s.source)],
-                        s.delta_s,
-                    );
+                    e.sample(&[("pair", &k.label), ("source", &s.source)], s.delta_s);
                 }
             }
         }
-        let mut hist_shifts: Vec<(&HistogramDiff, &'static str)> = Vec::new();
+        let mut hist_shifts: Vec<(&HistogramDiff, &str)> = Vec::new();
         if let Some(s) = &self.serving {
             hist_shifts.push((&s.frame, "serving"));
             hist_shifts.push((&s.e2e, "serving"));
@@ -1629,20 +1603,18 @@ impl DiffReport {
             hist_shifts.push((&f.e2e, "fleet"));
         }
         if !hist_shifts.is_empty() {
-            header(
-                &mut out,
+            e.family(
                 "mogpu_diff_latency_quantile_shift_seconds",
+                Kind::Gauge,
                 "Latency-quantile shift (B - A).",
             );
-            for (h, scope) in &hist_shifts {
+            for (h, scope) in hist_shifts {
                 for (q, v) in [
                     ("0.5", h.p50_shift_s),
                     ("0.95", h.p95_shift_s),
                     ("0.99", h.p99_shift_s),
                 ] {
-                    sample(
-                        &mut out,
-                        "mogpu_diff_latency_quantile_shift_seconds",
+                    e.sample(
                         &[("scope", scope), ("histogram", &h.name), ("quantile", q)],
                         v,
                     );
@@ -1650,21 +1622,16 @@ impl DiffReport {
             }
         }
         if !self.metrics.is_empty() {
-            header(
-                &mut out,
+            e.family(
                 "mogpu_diff_metric_delta",
+                Kind::Gauge,
                 "Bench-baseline metric delta (B - A).",
             );
             for m in &self.metrics {
-                sample(
-                    &mut out,
-                    "mogpu_diff_metric_delta",
-                    &[("metric", &m.metric)],
-                    m.delta,
-                );
+                e.sample(&[("metric", &m.metric)], m.delta);
             }
         }
-        out
+        e.finish()
     }
 }
 

@@ -40,8 +40,9 @@
 //!   question from the report alone.
 
 use crate::config::GpuConfig;
+use crate::exposition::{Exposition, Kind};
 use crate::serving::{
-    header, push_histogram, push_quantiles, push_sample, serving_report, EventKind,
+    counter_families, latency_families, serving_report, window_families, DeviceSnapshot, EventKind,
     LatencyHistogram, ServingEvent, ServingReport, ServingWindowConfig, SloConfig,
 };
 use crate::streams::{
@@ -634,357 +635,143 @@ pub fn prometheus_fleet(report: &FleetReport, snapshot: usize) -> String {
     } else {
         snaps.iter().flatten().map(|s| s.t_s).fold(0.0f64, f64::max)
     };
+    // Devices with a snapshot to serve, as `(device label, snapshot)`.
+    let devices: Vec<DeviceSnapshot> = report
+        .devices
+        .iter()
+        .zip(&snaps)
+        .filter_map(|(d, snap)| Some((d.label.as_str(), (*snap)?)))
+        .collect();
 
-    let mut out = String::new();
-    header(
-        &mut out,
-        "mogpu_frame_latency_seconds",
-        "histogram",
-        "Per-frame device sojourn latency (upload start to download end).",
-    );
-    for (d, snap) in report.devices.iter().zip(&snaps) {
-        let Some(snap) = snap else { continue };
-        for s in &snap.streams {
-            let labels = vec![
-                ("device", d.label.clone()),
-                ("stream", s.stream.to_string()),
-            ];
-            push_histogram(
-                &mut out,
-                "mogpu_frame_latency_seconds",
-                &labels,
-                &s.frame_latency,
-            );
-        }
-    }
-    header(
-        &mut out,
-        "mogpu_e2e_latency_seconds",
-        "histogram",
-        "End-to-end frame latency (camera arrival to download end) the SLO judges.",
-    );
-    for (d, snap) in report.devices.iter().zip(&snaps) {
-        let Some(snap) = snap else { continue };
-        for s in &snap.streams {
-            let labels = vec![
-                ("device", d.label.clone()),
-                ("stream", s.stream.to_string()),
-            ];
-            push_histogram(
-                &mut out,
-                "mogpu_e2e_latency_seconds",
-                &labels,
-                &s.e2e_latency,
-            );
-        }
-    }
-    header(
-        &mut out,
-        "mogpu_pipeline_e2e_latency_seconds",
-        "histogram",
-        "End-to-end latency across all streams of each device (merged histogram).",
-    );
-    for (d, snap) in report.devices.iter().zip(&snaps) {
-        let Some(snap) = snap else { continue };
-        let mut merged = LatencyHistogram::new();
-        for s in &snap.streams {
-            merged.merge(&s.e2e_latency);
-        }
-        push_histogram(
-            &mut out,
-            "mogpu_pipeline_e2e_latency_seconds",
-            &[("device", d.label.clone())],
-            &merged,
-        );
-    }
-    header(
-        &mut out,
-        "mogpu_pipeline_e2e_latency_quantile_seconds",
-        "gauge",
-        "Per-device end-to-end latency quantiles from the merged buckets (absent until a frame completes).",
-    );
-    for (d, snap) in report.devices.iter().zip(&snaps) {
-        let Some(snap) = snap else { continue };
-        let mut merged = LatencyHistogram::new();
-        for s in &snap.streams {
-            merged.merge(&s.e2e_latency);
-        }
-        push_quantiles(
-            &mut out,
-            "mogpu_pipeline_e2e_latency_quantile_seconds",
-            &[("device", d.label.clone())],
-            &merged,
-        );
-    }
-    header(
-        &mut out,
-        "mogpu_fleet_e2e_latency_seconds",
-        "histogram",
-        "End-to-end latency across the whole fleet (all devices merged).",
+    let mut e = Exposition::new();
+    latency_families(
+        &mut e,
+        &devices,
+        [
+            "End-to-end latency across all streams of each device (merged histogram).",
+            "Per-device end-to-end latency quantiles from the merged buckets (absent until a frame completes).",
+        ],
     );
     let mut fleet_merged = LatencyHistogram::new();
-    for snap in snaps.iter().flatten() {
+    for (_, snap) in &devices {
         for s in &snap.streams {
             fleet_merged.merge(&s.e2e_latency);
         }
     }
-    push_histogram(
-        &mut out,
+    e.family(
         "mogpu_fleet_e2e_latency_seconds",
-        &[],
-        &fleet_merged,
-    );
-    header(
-        &mut out,
+        Kind::Histogram,
+        "End-to-end latency across the whole fleet (all devices merged).",
+    )
+    .histogram(&[], &fleet_merged);
+    e.family(
         "mogpu_fleet_e2e_latency_quantile_seconds",
-        "gauge",
+        Kind::Gauge,
         "Fleet-wide end-to-end latency quantiles from the merged buckets (absent until a frame completes).",
-    );
-    push_quantiles(
-        &mut out,
-        "mogpu_fleet_e2e_latency_quantile_seconds",
-        &[],
-        &fleet_merged,
-    );
+    )
+    .quantiles(&[], &fleet_merged);
 
-    header(
-        &mut out,
-        "mogpu_frames_completed_total",
-        "counter",
+    counter_families(
+        &mut e,
+        &devices,
         "Frames completed (downloaded) per device and stream, cumulative.",
     );
-    for (d, snap) in report.devices.iter().zip(&snaps) {
-        let Some(snap) = snap else { continue };
-        for s in &snap.streams {
-            push_sample(
-                &mut out,
-                "mogpu_frames_completed_total",
-                &[
-                    ("device", d.label.clone()),
-                    ("stream", s.stream.to_string()),
-                ],
-                s.frames_completed as f64,
-            );
-        }
-    }
-    header(
-        &mut out,
-        "mogpu_slo_violations_total",
-        "counter",
-        "Frames whose end-to-end latency exceeded the deadline, cumulative.",
-    );
-    for (d, snap) in report.devices.iter().zip(&snaps) {
-        let Some(snap) = snap else { continue };
-        for s in &snap.streams {
-            push_sample(
-                &mut out,
-                "mogpu_slo_violations_total",
-                &[
-                    ("device", d.label.clone()),
-                    ("stream", s.stream.to_string()),
-                ],
-                s.slo_violations as f64,
-            );
-        }
-    }
-    header(
-        &mut out,
+    e.family(
         "mogpu_frames_dropped_total",
-        "counter",
+        Kind::Counter,
         "Frames shed by the fleet admission controller, per attributed device and stream.",
     );
+    // Cumulative through the replay clock, grouped (device, stream) in
+    // order of first drop.
+    let mut dropped: Vec<((&str, usize), u64)> = Vec::new();
+    for ev in report
+        .drop_events
+        .iter()
+        .filter(|ev| ev.t_s <= clock + 1e-12)
     {
-        // Cumulative through the replay clock, grouped (device, stream).
-        let mut keys: Vec<(String, usize)> = Vec::new();
-        let mut counts: Vec<u64> = Vec::new();
-        for e in &report.drop_events {
-            if e.t_s > clock + 1e-12 {
-                continue;
-            }
-            let key = (e.device.clone(), e.stream);
-            match keys.iter().position(|k| *k == key) {
-                Some(i) => counts[i] += 1,
-                None => {
-                    keys.push(key);
-                    counts.push(1);
-                }
-            }
+        let key = (ev.device.as_str(), ev.stream);
+        match dropped.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, n)) => *n += 1,
+            None => dropped.push((key, 1)),
         }
-        for ((device, stream), n) in keys.into_iter().zip(counts) {
-            push_sample(
-                &mut out,
-                "mogpu_frames_dropped_total",
-                &[("device", device), ("stream", stream.to_string())],
-                n as f64,
-            );
-        }
+    }
+    for ((device, stream), n) in dropped {
+        e.sample(
+            &[("device", device), ("stream", &stream.to_string())],
+            n as f64,
+        );
     }
 
-    header(
-        &mut out,
-        "mogpu_slo_burn_rate",
-        "gauge",
-        "Windowed error-budget burn rate per device and stream (>1 = out of SLO).",
+    window_families(
+        &mut e,
+        &devices,
+        [
+            "Windowed error-budget burn rate per device and stream (>1 = out of SLO).",
+            "Streams served at SLO in the current window, per device.",
+            "Streams admitted to each device.",
+        ],
     );
-    for (d, snap) in report.devices.iter().zip(&snaps) {
-        let Some(snap) = snap else { continue };
-        for w in &snap.windows {
-            push_sample(
-                &mut out,
-                "mogpu_slo_burn_rate",
-                &[
-                    ("device", d.label.clone()),
-                    ("stream", w.stream.to_string()),
-                ],
-                w.burn_rate,
-            );
-        }
-    }
-    header(
-        &mut out,
-        "mogpu_streams_at_slo",
-        "gauge",
-        "Streams served at SLO in the current window, per device.",
-    );
-    for (d, snap) in report.devices.iter().zip(&snaps) {
-        let Some(snap) = snap else { continue };
-        push_sample(
-            &mut out,
-            "mogpu_streams_at_slo",
-            &[("device", d.label.clone())],
-            snap.streams_at_slo as f64,
-        );
-    }
-    header(
-        &mut out,
-        "mogpu_streams_serving",
-        "gauge",
-        "Streams admitted to each device.",
-    );
-    for (d, snap) in report.devices.iter().zip(&snaps) {
-        let Some(snap) = snap else { continue };
-        push_sample(
-            &mut out,
-            "mogpu_streams_serving",
-            &[("device", d.label.clone())],
-            snap.streams.len() as f64,
-        );
-    }
-    header(
-        &mut out,
-        "mogpu_device_mem_used_bytes",
-        "gauge",
-        "Device memory occupied by admitted streams.",
-    );
-    for d in &report.devices {
-        push_sample(
-            &mut out,
+    type Planned = fn(&FleetDeviceReport) -> f64;
+    let planned: [(&str, &str, Planned); 3] = [
+        (
             "mogpu_device_mem_used_bytes",
-            &[("device", d.label.clone())],
-            d.mem_used as f64,
-        );
-    }
-    header(
-        &mut out,
-        "mogpu_device_mem_budget_bytes",
-        "gauge",
-        "Device memory budget available to streams.",
-    );
-    for d in &report.devices {
-        push_sample(
-            &mut out,
+            "Device memory occupied by admitted streams.",
+            |d| d.mem_used as f64,
+        ),
+        (
             "mogpu_device_mem_budget_bytes",
-            &[("device", d.label.clone())],
-            d.mem_budget as f64,
-        );
-    }
-    header(
-        &mut out,
-        "mogpu_device_load",
-        "gauge",
-        "Planned compute load per device (sum of admitted utilizations).",
-    );
-    for d in &report.devices {
-        push_sample(
-            &mut out,
+            "Device memory budget available to streams.",
+            |d| d.mem_budget as f64,
+        ),
+        (
             "mogpu_device_load",
-            &[("device", d.label.clone())],
-            d.load,
-        );
+            "Planned compute load per device (sum of admitted utilizations).",
+            |d| d.load,
+        ),
+    ];
+    for (name, help, value) in planned {
+        e.family(name, Kind::Gauge, help);
+        for d in &report.devices {
+            e.sample(&[("device", &d.label)], value(d));
+        }
     }
 
-    header(
-        &mut out,
-        "mogpu_fleet_devices",
-        "gauge",
-        "Devices in the fleet.",
-    );
-    push_sample(
-        &mut out,
-        "mogpu_fleet_devices",
-        &[],
-        report.devices.len() as f64,
-    );
-    header(
-        &mut out,
-        "mogpu_fleet_streams_total",
-        "gauge",
-        "Streams offered to the fleet (admitted + shed).",
-    );
-    push_sample(
-        &mut out,
-        "mogpu_fleet_streams_total",
-        &[],
-        report.streams_total() as f64,
-    );
-    header(
-        &mut out,
-        "mogpu_fleet_streams_admitted",
-        "gauge",
-        "Streams admitted across all devices.",
-    );
-    push_sample(
-        &mut out,
-        "mogpu_fleet_streams_admitted",
-        &[],
-        report.streams_admitted() as f64,
-    );
-    header(
-        &mut out,
-        "mogpu_fleet_streams_shed",
-        "gauge",
-        "Streams shed by admission control.",
-    );
-    push_sample(
-        &mut out,
-        "mogpu_fleet_streams_shed",
-        &[],
-        report.shed.len() as f64,
-    );
-    header(
-        &mut out,
-        "mogpu_fleet_streams_at_slo",
-        "gauge",
-        "Streams served at SLO in the current window, fleet-wide.",
-    );
-    push_sample(
-        &mut out,
-        "mogpu_fleet_streams_at_slo",
-        &[],
-        snaps
-            .iter()
-            .flatten()
-            .map(|s| s.streams_at_slo)
-            .sum::<u64>() as f64,
-    );
-    header(
-        &mut out,
-        "mogpu_serving_clock_seconds",
-        "gauge",
-        "Schedule-clock time of the served snapshot (fleet replay clock).",
-    );
-    push_sample(&mut out, "mogpu_serving_clock_seconds", &[], clock);
-    out
+    let at_slo: u64 = devices.iter().map(|(_, s)| s.streams_at_slo).sum();
+    for (name, help, value) in [
+        (
+            "mogpu_fleet_devices",
+            "Devices in the fleet.",
+            report.devices.len() as f64,
+        ),
+        (
+            "mogpu_fleet_streams_total",
+            "Streams offered to the fleet (admitted + shed).",
+            report.streams_total() as f64,
+        ),
+        (
+            "mogpu_fleet_streams_admitted",
+            "Streams admitted across all devices.",
+            report.streams_admitted() as f64,
+        ),
+        (
+            "mogpu_fleet_streams_shed",
+            "Streams shed by admission control.",
+            report.shed.len() as f64,
+        ),
+        (
+            "mogpu_fleet_streams_at_slo",
+            "Streams served at SLO in the current window, fleet-wide.",
+            at_slo as f64,
+        ),
+        (
+            "mogpu_serving_clock_seconds",
+            "Schedule-clock time of the served snapshot (fleet replay clock).",
+            clock,
+        ),
+    ] {
+        e.family(name, Kind::Gauge, help).sample(&[], value);
+    }
+    e.finish()
 }
 
 // ---- the "which device to buy" advisor ----

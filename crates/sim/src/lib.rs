@@ -62,6 +62,7 @@ pub mod cpu;
 pub mod dataflow;
 pub mod diff;
 pub mod dma;
+pub(crate) mod exposition;
 pub mod fleet;
 pub mod kernel;
 pub mod memory;

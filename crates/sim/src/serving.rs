@@ -36,8 +36,9 @@
 //! Every metric carries `device` and `stream` labels now, so the
 //! ROADMAP's heterogeneous fleet only adds label *values*, not plumbing.
 
+use crate::exposition::{Exposition, Kind};
 use crate::streams::StreamSchedule;
-use crate::telemetry::{escape_label, PipelineTelemetry};
+use crate::telemetry::PipelineTelemetry;
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Schema version of [`ServingReport`] and the JSONL event log.
@@ -834,76 +835,104 @@ pub fn serving_report(
 
 // ---- Prometheus exposition (histogram families + serving gauges) ----
 
-pub(crate) fn push_sample(out: &mut String, name: &str, labels: &[(&str, String)], value: f64) {
-    out.push_str(name);
-    if !labels.is_empty() {
-        out.push('{');
-        for (i, (k, v)) in labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(k);
-            out.push_str("=\"");
-            out.push_str(&escape_label(v));
-            out.push('"');
+/// One device's snapshot as an exposition sees it: the `device` label
+/// and the snapshot. [`prometheus_serving`] writes the families below
+/// for one such pair, [`crate::fleet::prometheus_fleet`] for every
+/// device; where the two disagree on a family's HELP it is a parameter.
+pub(crate) type DeviceSnapshot<'a> = (&'a str, &'a ServingSnapshot);
+
+/// The per-stream frame and end-to-end latency histograms, then each
+/// device's merged end-to-end histogram and its quantile gauges.
+pub(crate) fn latency_families(
+    e: &mut Exposition,
+    devices: &[DeviceSnapshot],
+    [merged_help, quantile_help]: [&str; 2],
+) {
+    e.family(
+        "mogpu_frame_latency_seconds",
+        Kind::Histogram,
+        "Per-frame device sojourn latency (upload start to download end).",
+    );
+    for &(device, snap) in devices {
+        for s in &snap.streams {
+            let stream = s.stream.to_string();
+            e.histogram(&[("device", device), ("stream", &stream)], &s.frame_latency);
         }
-        out.push('}');
     }
-    out.push(' ');
-    if value.is_finite() {
-        out.push_str(&format!("{value:?}"));
-    } else if value.is_nan() {
-        out.push_str("NaN");
-    } else if value > 0.0 {
-        out.push_str("+Inf");
-    } else {
-        out.push_str("-Inf");
+    e.family(
+        "mogpu_e2e_latency_seconds",
+        Kind::Histogram,
+        "End-to-end frame latency (camera arrival to download end) the SLO judges.",
+    );
+    let mut merged = vec![LatencyHistogram::new(); devices.len()];
+    for (&(device, snap), m) in devices.iter().zip(&mut merged) {
+        for s in &snap.streams {
+            let stream = s.stream.to_string();
+            e.histogram(&[("device", device), ("stream", &stream)], &s.e2e_latency);
+            m.merge(&s.e2e_latency);
+        }
     }
-    out.push('\n');
+    let name = "mogpu_pipeline_e2e_latency_seconds";
+    e.family(name, Kind::Histogram, merged_help);
+    for (&(device, _), m) in devices.iter().zip(&merged) {
+        e.histogram(&[("device", device)], m);
+    }
+    let name = "mogpu_pipeline_e2e_latency_quantile_seconds";
+    e.family(name, Kind::Gauge, quantile_help);
+    for (&(device, _), m) in devices.iter().zip(&merged) {
+        e.quantiles(&[("device", device)], m);
+    }
 }
 
-pub(crate) fn push_histogram(
-    out: &mut String,
-    name: &str,
-    base_labels: &[(&str, String)],
-    h: &LatencyHistogram,
+/// The per-stream completion and SLO-violation counters.
+pub(crate) fn counter_families(
+    e: &mut Exposition,
+    devices: &[DeviceSnapshot],
+    completed_help: &str,
 ) {
-    let mut cum = 0u64;
-    for i in 0..NUM_BOUNDS {
-        cum += h.counts[i];
-        let mut labels = base_labels.to_vec();
-        labels.push(("le", format!("{:?}", bucket_bound(i))));
-        push_sample(out, &format!("{name}_bucket"), &labels, cum as f64);
+    type Count = fn(&StreamServing) -> u64;
+    let families: [(&'static str, &str, Count); 2] = [
+        ("mogpu_frames_completed_total", completed_help, |s| {
+            s.frames_completed
+        }),
+        (
+            "mogpu_slo_violations_total",
+            "Frames whose end-to-end latency exceeded the deadline, cumulative.",
+            |s| s.slo_violations,
+        ),
+    ];
+    for (name, help, count) in families {
+        e.family(name, Kind::Counter, help);
+        for &(device, snap) in devices {
+            for s in &snap.streams {
+                let stream = s.stream.to_string();
+                e.sample(&[("device", device), ("stream", &stream)], count(s) as f64);
+            }
+        }
     }
-    let mut labels = base_labels.to_vec();
-    labels.push(("le", "+Inf".to_string()));
-    push_sample(out, &format!("{name}_bucket"), &labels, h.count as f64);
-    push_sample(out, &format!("{name}_sum"), base_labels, h.sum);
-    push_sample(out, &format!("{name}_count"), base_labels, h.count as f64);
 }
 
-pub(crate) fn header(out: &mut String, name: &str, kind: &str, help: &str) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-}
-
-/// Emits `quantile`-labelled gauges reconstructed from the histogram
-/// buckets — and emits *nothing* when the histogram is empty:
-/// [`LatencyHistogram::quantile`] returns its `NaN` sentinel there, and
-/// `NaN` is a parse error to most Prometheus scrapers, so an all-shed
-/// device must drop the family rather than expose the sentinel.
-pub(crate) fn push_quantiles(
-    out: &mut String,
-    name: &str,
-    base_labels: &[(&str, String)],
-    h: &LatencyHistogram,
+/// The windowed per-stream burn rate, then the per-device
+/// streams-at-SLO and streams-serving gauges.
+pub(crate) fn window_families(
+    e: &mut Exposition,
+    devices: &[DeviceSnapshot],
+    [burn_help, at_slo_help, serving_help]: [&str; 3],
 ) {
-    if h.count == 0 {
-        return;
+    e.family("mogpu_slo_burn_rate", Kind::Gauge, burn_help);
+    for &(device, snap) in devices {
+        for w in &snap.windows {
+            let stream = w.stream.to_string();
+            e.sample(&[("device", device), ("stream", &stream)], w.burn_rate);
+        }
     }
-    for q in [0.5, 0.95, 0.99] {
-        let mut labels = base_labels.to_vec();
-        labels.push(("quantile", format!("{q}")));
-        push_sample(out, name, &labels, h.quantile(q));
+    e.family("mogpu_streams_at_slo", Kind::Gauge, at_slo_help);
+    for &(device, snap) in devices {
+        e.sample(&[("device", device)], snap.streams_at_slo as f64);
+    }
+    e.family("mogpu_streams_serving", Kind::Gauge, serving_help);
+    for &(device, snap) in devices {
+        e.sample(&[("device", device)], snap.streams.len() as f64);
     }
 }
 
@@ -925,187 +954,67 @@ pub fn prometheus_serving(report: &ServingReport, snapshot: usize) -> String {
         streams_at_slo: 0,
         dram_bytes_total: 0.0,
     };
-    let snap = match report
+    let snap = report
         .snapshots
         .get(snapshot.min(report.snapshots.len().saturating_sub(1)))
-    {
-        Some(s) => s,
-        None => &empty,
-    };
-    let dev = || ("device", report.device.clone());
-    let mut out = String::new();
-
-    header(
-        &mut out,
-        "mogpu_frame_latency_seconds",
-        "histogram",
-        "Per-frame device sojourn latency (upload start to download end).",
+        .unwrap_or(&empty);
+    let devices = [(report.device.as_str(), snap)];
+    let device = [("device", report.device.as_str())];
+    let mut e = Exposition::new();
+    latency_families(
+        &mut e,
+        &devices,
+        [
+            "End-to-end latency across all streams of the device (merged histogram).",
+            "End-to-end latency quantiles reconstructed from the merged buckets (absent until a frame completes).",
+        ],
     );
-    for s in &snap.streams {
-        let labels = vec![dev(), ("stream", s.stream.to_string())];
-        push_histogram(
-            &mut out,
-            "mogpu_frame_latency_seconds",
-            &labels,
-            &s.frame_latency,
-        );
-    }
-    header(
-        &mut out,
-        "mogpu_e2e_latency_seconds",
-        "histogram",
-        "End-to-end frame latency (camera arrival to download end) the SLO judges.",
-    );
-    for s in &snap.streams {
-        let labels = vec![dev(), ("stream", s.stream.to_string())];
-        push_histogram(
-            &mut out,
-            "mogpu_e2e_latency_seconds",
-            &labels,
-            &s.e2e_latency,
-        );
-    }
-    header(
-        &mut out,
-        "mogpu_pipeline_e2e_latency_seconds",
-        "histogram",
-        "End-to-end latency across all streams of the device (merged histogram).",
-    );
-    let mut merged = LatencyHistogram::new();
-    for s in &snap.streams {
-        merged.merge(&s.e2e_latency);
-    }
-    push_histogram(
-        &mut out,
-        "mogpu_pipeline_e2e_latency_seconds",
-        &[dev()],
-        &merged,
-    );
-    header(
-        &mut out,
-        "mogpu_pipeline_e2e_latency_quantile_seconds",
-        "gauge",
-        "End-to-end latency quantiles reconstructed from the merged buckets (absent until a frame completes).",
-    );
-    push_quantiles(
-        &mut out,
-        "mogpu_pipeline_e2e_latency_quantile_seconds",
-        &[dev()],
-        &merged,
-    );
-
-    header(
-        &mut out,
-        "mogpu_frames_completed_total",
-        "counter",
+    counter_families(
+        &mut e,
+        &devices,
         "Frames completed (downloaded) per stream, cumulative on the schedule clock.",
     );
-    for s in &snap.streams {
-        push_sample(
-            &mut out,
-            "mogpu_frames_completed_total",
-            &[dev(), ("stream", s.stream.to_string())],
-            s.frames_completed as f64,
-        );
-    }
-    header(
-        &mut out,
-        "mogpu_slo_violations_total",
-        "counter",
-        "Frames whose end-to-end latency exceeded the deadline, cumulative.",
-    );
-    for s in &snap.streams {
-        push_sample(
-            &mut out,
-            "mogpu_slo_violations_total",
-            &[dev(), ("stream", s.stream.to_string())],
-            s.slo_violations as f64,
-        );
-    }
-    header(
-        &mut out,
+    e.family(
         "mogpu_slo_deadline_seconds",
-        "gauge",
+        Kind::Gauge,
         "Configured end-to-end frame deadline.",
     );
     for s in &snap.streams {
-        push_sample(
-            &mut out,
-            "mogpu_slo_deadline_seconds",
-            &[dev(), ("stream", s.stream.to_string())],
-            report.slo.deadline_s,
-        );
+        let stream = s.stream.to_string();
+        e.sample(&[device[0], ("stream", &stream)], report.slo.deadline_s);
     }
-    header(
-        &mut out,
-        "mogpu_slo_burn_rate",
-        "gauge",
-        "Windowed error-budget burn rate (violation fraction over budget; >1 = out of SLO).",
+    window_families(
+        &mut e,
+        &devices,
+        [
+            "Windowed error-budget burn rate (violation fraction over budget; >1 = out of SLO).",
+            "Streams served at SLO in the current window (burn rate <= 1).",
+            "Streams multiplexed onto the device.",
+        ],
     );
-    for w in &snap.windows {
-        push_sample(
-            &mut out,
-            "mogpu_slo_burn_rate",
-            &[dev(), ("stream", w.stream.to_string())],
-            w.burn_rate,
-        );
+    for (name, kind, help, value) in [
+        (
+            "mogpu_serving_window_seconds",
+            Kind::Gauge,
+            "Snapshot window length on the schedule clock.",
+            report.window_s,
+        ),
+        (
+            "mogpu_serving_clock_seconds",
+            Kind::Gauge,
+            "Schedule-clock time of the served snapshot (end of its window).",
+            snap.t_s,
+        ),
+        (
+            "mogpu_serving_dram_bytes_total",
+            Kind::Counter,
+            "Cumulative DRAM bytes through the snapshot, from the telemetry counter.",
+            snap.dram_bytes_total,
+        ),
+    ] {
+        e.family(name, kind, help).sample(&device, value);
     }
-    header(
-        &mut out,
-        "mogpu_streams_at_slo",
-        "gauge",
-        "Streams served at SLO in the current window (burn rate <= 1).",
-    );
-    push_sample(
-        &mut out,
-        "mogpu_streams_at_slo",
-        &[dev()],
-        snap.streams_at_slo as f64,
-    );
-    header(
-        &mut out,
-        "mogpu_streams_serving",
-        "gauge",
-        "Streams multiplexed onto the device.",
-    );
-    push_sample(
-        &mut out,
-        "mogpu_streams_serving",
-        &[dev()],
-        snap.streams.len() as f64,
-    );
-    header(
-        &mut out,
-        "mogpu_serving_window_seconds",
-        "gauge",
-        "Snapshot window length on the schedule clock.",
-    );
-    push_sample(
-        &mut out,
-        "mogpu_serving_window_seconds",
-        &[dev()],
-        report.window_s,
-    );
-    header(
-        &mut out,
-        "mogpu_serving_clock_seconds",
-        "gauge",
-        "Schedule-clock time of the served snapshot (end of its window).",
-    );
-    push_sample(&mut out, "mogpu_serving_clock_seconds", &[dev()], snap.t_s);
-    header(
-        &mut out,
-        "mogpu_serving_dram_bytes_total",
-        "counter",
-        "Cumulative DRAM bytes through the snapshot, from the telemetry counter.",
-    );
-    push_sample(
-        &mut out,
-        "mogpu_serving_dram_bytes_total",
-        &[dev()],
-        snap.dram_bytes_total,
-    );
-    out
+    e.finish()
 }
 
 #[cfg(test)]

@@ -41,6 +41,7 @@
 
 use crate::config::GpuConfig;
 use crate::dma::{FrameSpans, Span};
+use crate::exposition::{Exposition, Kind};
 use crate::occupancy::Occupancy;
 use crate::stats::{DerivedMetrics, KernelStats};
 use crate::streams::StreamSchedule;
@@ -381,114 +382,6 @@ pub fn sample_streams(
 
 // ---- Prometheus text exposition ----
 
-/// Escapes a label value per the Prometheus text exposition format.
-pub fn escape_label(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-struct Metric {
-    name: &'static str,
-    kind: &'static str,
-    help: &'static str,
-}
-
-const METRICS: &[Metric] = &[
-    Metric {
-        name: "mogpu_quantum_seconds",
-        kind: "gauge",
-        help: "Telemetry sampling quantum of the pipeline (seconds).",
-    },
-    Metric {
-        name: "mogpu_makespan_seconds",
-        kind: "gauge",
-        help: "Pipeline makespan covered by the telemetry series (seconds).",
-    },
-    Metric {
-        name: "mogpu_sm_occupancy",
-        kind: "gauge",
-        help: "Resident-warp occupancy of one SM while busy during quantum q (0 when idle).",
-    },
-    Metric {
-        name: "mogpu_sm_ipc",
-        kind: "gauge",
-        help: "Weighted warp-instruction issue slots retired per clock on one SM during quantum q.",
-    },
-    Metric {
-        name: "mogpu_sm_eligible_warps",
-        kind: "gauge",
-        help: "Modelled warps issuing per cycle on one SM during quantum q (time-averaged).",
-    },
-    Metric {
-        name: "mogpu_sm_stalled_warps",
-        kind: "gauge",
-        help: "Modelled resident-but-stalled warps on one SM during quantum q (time-averaged).",
-    },
-    Metric {
-        name: "mogpu_dram_bandwidth_bytes_per_second",
-        kind: "gauge",
-        help: "Device-wide DRAM bandwidth during quantum q.",
-    },
-    Metric {
-        name: "mogpu_l2_hit_rate",
-        kind: "gauge",
-        help: "L2 hits over L2 accesses during quantum q (0 without traffic or cache model).",
-    },
-    Metric {
-        name: "mogpu_copy_engine_utilization",
-        kind: "gauge",
-        help: "Copy-engine busy fraction during quantum q, over all copy engines.",
-    },
-    Metric {
-        name: "mogpu_dram_bytes_total",
-        kind: "counter",
-        help: "Cumulative DRAM bytes through the end of quantum q (monotone in q).",
-    },
-    Metric {
-        name: "mogpu_kernel_branch_efficiency",
-        kind: "gauge",
-        help: "Non-divergent branch slots over branch slots for the pipeline's kernel.",
-    },
-    Metric {
-        name: "mogpu_kernel_gld_efficiency",
-        kind: "gauge",
-        help: "Requested over transacted global-load bytes for the pipeline's kernel.",
-    },
-    Metric {
-        name: "mogpu_kernel_gst_efficiency",
-        kind: "gauge",
-        help: "Requested over transacted global-store bytes for the pipeline's kernel.",
-    },
-    Metric {
-        name: "mogpu_kernel_mem_access_efficiency",
-        kind: "gauge",
-        help: "Requested over transacted DRAM bytes (all spaces) for the pipeline's kernel.",
-    },
-    Metric {
-        name: "mogpu_kernel_store_transactions",
-        kind: "gauge",
-        help: "DRAM store transactions of the pipeline's kernel over the run.",
-    },
-    Metric {
-        name: "mogpu_kernel_total_transactions",
-        kind: "gauge",
-        help: "DRAM transactions of the pipeline's kernel over the run.",
-    },
-    Metric {
-        name: "mogpu_kernel_occupancy",
-        kind: "gauge",
-        help: "Resident-warp occupancy of the pipeline's kernel; the limiter label names what caps it.",
-    },
-];
-
 /// Per-kernel scalar gauges exported beside a pipeline's time series:
 /// the derived profiler metrics plus the occupancy value and its
 /// limiter label.
@@ -513,111 +406,161 @@ impl KernelGauges {
     }
 }
 
-fn sample_line(out: &mut String, name: &str, labels: &[(&str, String)], value: f64) {
-    out.push_str(name);
-    out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(k);
-        out.push_str("=\"");
-        out.push_str(&escape_label(v));
-        out.push('"');
-    }
-    out.push_str("} ");
-    if value.is_finite() {
-        out.push_str(&format!("{value:?}"));
-    } else {
-        out.push_str("NaN");
-    }
-    out.push('\n');
-}
-
 /// Renders one or more labelled pipelines in the Prometheus text
-/// exposition format (`# HELP`/`# TYPE` once per metric, samples grouped
-/// by metric, then pipeline, then SM, then quantum — deterministic).
-/// The optional [`KernelGauges`] adds the per-kernel derived metrics and
-/// occupancy; pipelines without one (e.g. stream aggregates) skip those
-/// samples while keeping the metric declarations.
+/// exposition format: one family per metric, samples grouped by family,
+/// then pipeline, then SM, then quantum (deterministic). The optional
+/// [`KernelGauges`] adds the per-kernel derived metrics and occupancy;
+/// pipelines without one (e.g. stream aggregates) skip those samples
+/// while the families are still declared.
 pub fn prometheus(pipelines: &[(String, &PipelineTelemetry, Option<KernelGauges>)]) -> String {
-    let mut out = String::new();
-    for m in METRICS {
-        out.push_str(&format!("# HELP {} {}\n", m.name, m.help));
-        out.push_str(&format!("# TYPE {} {}\n", m.name, m.kind));
-        for (label, t, gauges) in pipelines {
-            let pl = |extra: Vec<(&'static str, String)>| -> Vec<(&'static str, String)> {
-                let mut l = vec![("pipeline", label.clone())];
-                l.extend(extra);
-                l
-            };
-            match m.name {
-                "mogpu_quantum_seconds" => sample_line(&mut out, m.name, &pl(vec![]), t.quantum),
-                "mogpu_makespan_seconds" => sample_line(&mut out, m.name, &pl(vec![]), t.makespan),
-                "mogpu_kernel_branch_efficiency"
-                | "mogpu_kernel_gld_efficiency"
-                | "mogpu_kernel_gst_efficiency"
-                | "mogpu_kernel_mem_access_efficiency"
-                | "mogpu_kernel_store_transactions"
-                | "mogpu_kernel_total_transactions"
-                | "mogpu_kernel_occupancy" => {
-                    if let Some(g) = gauges {
-                        let (labels, value) = match m.name {
-                            "mogpu_kernel_branch_efficiency" => {
-                                (pl(vec![]), g.metrics.branch_efficiency)
-                            }
-                            "mogpu_kernel_gld_efficiency" => (pl(vec![]), g.metrics.gld_efficiency),
-                            "mogpu_kernel_gst_efficiency" => (pl(vec![]), g.metrics.gst_efficiency),
-                            "mogpu_kernel_mem_access_efficiency" => {
-                                (pl(vec![]), g.metrics.mem_access_efficiency)
-                            }
-                            "mogpu_kernel_store_transactions" => {
-                                (pl(vec![]), g.metrics.store_transactions as f64)
-                            }
-                            "mogpu_kernel_total_transactions" => {
-                                (pl(vec![]), g.metrics.total_transactions as f64)
-                            }
-                            _ => (pl(vec![("limiter", g.limiter.clone())]), g.occupancy),
-                        };
-                        sample_line(&mut out, m.name, &labels, value);
-                    }
-                }
-                "mogpu_sm_occupancy"
-                | "mogpu_sm_ipc"
-                | "mogpu_sm_eligible_warps"
-                | "mogpu_sm_stalled_warps" => {
-                    for s in &t.sm {
-                        let series = match m.name {
-                            "mogpu_sm_occupancy" => &s.occupancy,
-                            "mogpu_sm_ipc" => &s.ipc,
-                            "mogpu_sm_eligible_warps" => &s.eligible_warps,
-                            _ => &s.stalled_warps,
-                        };
-                        for (q, &v) in series.iter().enumerate() {
-                            sample_line(
-                                &mut out,
-                                m.name,
-                                &pl(vec![("sm", s.sm.to_string()), ("q", q.to_string())]),
-                                v,
-                            );
-                        }
-                    }
-                }
-                _ => {
-                    let series = match m.name {
-                        "mogpu_dram_bandwidth_bytes_per_second" => &t.dram_bandwidth,
-                        "mogpu_l2_hit_rate" => &t.l2_hit_rate,
-                        "mogpu_copy_engine_utilization" => &t.copy_engine_utilization,
-                        _ => &t.dram_bytes_cumulative,
-                    };
-                    for (q, &v) in series.iter().enumerate() {
-                        sample_line(&mut out, m.name, &pl(vec![("q", q.to_string())]), v);
-                    }
+    let mut e = Exposition::new();
+
+    type Scalar = fn(&PipelineTelemetry) -> f64;
+    let scalars: [(&str, &str, Scalar); 2] = [
+        (
+            "mogpu_quantum_seconds",
+            "Telemetry sampling quantum of the pipeline (seconds).",
+            |t| t.quantum,
+        ),
+        (
+            "mogpu_makespan_seconds",
+            "Pipeline makespan covered by the telemetry series (seconds).",
+            |t| t.makespan,
+        ),
+    ];
+    for (name, help, value) in scalars {
+        e.family(name, Kind::Gauge, help);
+        for (label, t, _) in pipelines {
+            e.sample(&[("pipeline", label)], value(t));
+        }
+    }
+
+    type PerSm = fn(&SmSeries) -> &[f64];
+    let per_sm: [(&str, &str, PerSm); 4] = [
+        (
+            "mogpu_sm_occupancy",
+            "Resident-warp occupancy of one SM while busy during quantum q (0 when idle).",
+            |s| &s.occupancy,
+        ),
+        (
+            "mogpu_sm_ipc",
+            "Weighted warp-instruction issue slots retired per clock on one SM during quantum q.",
+            |s| &s.ipc,
+        ),
+        (
+            "mogpu_sm_eligible_warps",
+            "Modelled warps issuing per cycle on one SM during quantum q (time-averaged).",
+            |s| &s.eligible_warps,
+        ),
+        (
+            "mogpu_sm_stalled_warps",
+            "Modelled resident-but-stalled warps on one SM during quantum q (time-averaged).",
+            |s| &s.stalled_warps,
+        ),
+    ];
+    for (name, help, series) in per_sm {
+        e.family(name, Kind::Gauge, help);
+        for (label, t, _) in pipelines {
+            for s in &t.sm {
+                let sm = s.sm.to_string();
+                for (q, &v) in series(s).iter().enumerate() {
+                    e.sample(
+                        &[("pipeline", label), ("sm", &sm), ("q", &q.to_string())],
+                        v,
+                    );
                 }
             }
         }
     }
-    out
+
+    type Device = fn(&PipelineTelemetry) -> &[f64];
+    let device: [(&str, Kind, &str, Device); 4] = [
+        (
+            "mogpu_dram_bandwidth_bytes_per_second",
+            Kind::Gauge,
+            "Device-wide DRAM bandwidth during quantum q.",
+            |t| &t.dram_bandwidth,
+        ),
+        (
+            "mogpu_l2_hit_rate",
+            Kind::Gauge,
+            "L2 hits over L2 accesses during quantum q (0 without traffic or cache model).",
+            |t| &t.l2_hit_rate,
+        ),
+        (
+            "mogpu_copy_engine_utilization",
+            Kind::Gauge,
+            "Copy-engine busy fraction during quantum q, over all copy engines.",
+            |t| &t.copy_engine_utilization,
+        ),
+        (
+            "mogpu_dram_bytes_total",
+            Kind::Counter,
+            "Cumulative DRAM bytes through the end of quantum q (monotone in q).",
+            |t| &t.dram_bytes_cumulative,
+        ),
+    ];
+    for (name, kind, help, series) in device {
+        e.family(name, kind, help);
+        for (label, t, _) in pipelines {
+            for (q, &v) in series(t).iter().enumerate() {
+                e.sample(&[("pipeline", label), ("q", &q.to_string())], v);
+            }
+        }
+    }
+
+    type Gauge = fn(&DerivedMetrics) -> f64;
+    let kernel: [(&str, &str, Gauge); 6] = [
+        (
+            "mogpu_kernel_branch_efficiency",
+            "Non-divergent branch slots over branch slots for the pipeline's kernel.",
+            |m| m.branch_efficiency,
+        ),
+        (
+            "mogpu_kernel_gld_efficiency",
+            "Requested over transacted global-load bytes for the pipeline's kernel.",
+            |m| m.gld_efficiency,
+        ),
+        (
+            "mogpu_kernel_gst_efficiency",
+            "Requested over transacted global-store bytes for the pipeline's kernel.",
+            |m| m.gst_efficiency,
+        ),
+        (
+            "mogpu_kernel_mem_access_efficiency",
+            "Requested over transacted DRAM bytes (all spaces) for the pipeline's kernel.",
+            |m| m.mem_access_efficiency,
+        ),
+        (
+            "mogpu_kernel_store_transactions",
+            "DRAM store transactions of the pipeline's kernel over the run.",
+            |m| m.store_transactions as f64,
+        ),
+        (
+            "mogpu_kernel_total_transactions",
+            "DRAM transactions of the pipeline's kernel over the run.",
+            |m| m.total_transactions as f64,
+        ),
+    ];
+    for (name, help, value) in kernel {
+        e.family(name, Kind::Gauge, help);
+        for (label, _, g) in pipelines {
+            if let Some(g) = g {
+                e.sample(&[("pipeline", label)], value(&g.metrics));
+            }
+        }
+    }
+    e.family(
+        "mogpu_kernel_occupancy",
+        Kind::Gauge,
+        "Resident-warp occupancy of the pipeline's kernel; the limiter label names what caps it.",
+    );
+    for (label, _, g) in pipelines {
+        if let Some(g) = g {
+            e.sample(&[("pipeline", label), ("limiter", &g.limiter)], g.occupancy);
+        }
+    }
+    e.finish()
 }
 
 #[cfg(test)]
@@ -763,7 +706,6 @@ mod tests {
 
     #[test]
     fn prometheus_escapes_label_values() {
-        assert_eq!(escape_label("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         let cfg = GpuConfig::tesla_c2075();
         let k = KernelSlice::from_stats(
             Span {
@@ -776,8 +718,8 @@ mod tests {
             1.0,
         );
         let t = sample_pipeline(&[k], &[], &cfg, &TelemetryConfig { samples: 2 });
-        let text = prometheus(&[("level \"W\"\n".to_string(), &t, None)]);
-        assert!(text.contains("pipeline=\"level \\\"W\\\"\\n\""));
+        let text = prometheus(&[("lev\\el \"W\"\n".to_string(), &t, None)]);
+        assert!(text.contains("pipeline=\"lev\\\\el \\\"W\\\"\\n\""));
         // No raw newline inside any sample line (only as terminator).
         for line in text.lines() {
             assert!(!line.is_empty());
@@ -797,14 +739,38 @@ mod tests {
         );
         let gauges = KernelGauges::new(&DerivedMetrics::from_stats(&stats(150), &cfg), &occ());
         let text = prometheus(&[("level A".to_string(), &t, Some(gauges.clone()))]);
-        for m in METRICS {
-            assert!(text.contains(&format!("# HELP {} ", m.name)), "{}", m.name);
-            assert!(
-                text.contains(&format!("# TYPE {} {}", m.name, m.kind)),
-                "{}",
-                m.name
+        let families = [
+            ("mogpu_quantum_seconds", "gauge"),
+            ("mogpu_makespan_seconds", "gauge"),
+            ("mogpu_sm_occupancy", "gauge"),
+            ("mogpu_sm_ipc", "gauge"),
+            ("mogpu_sm_eligible_warps", "gauge"),
+            ("mogpu_sm_stalled_warps", "gauge"),
+            ("mogpu_dram_bandwidth_bytes_per_second", "gauge"),
+            ("mogpu_l2_hit_rate", "gauge"),
+            ("mogpu_copy_engine_utilization", "gauge"),
+            ("mogpu_dram_bytes_total", "counter"),
+            ("mogpu_kernel_branch_efficiency", "gauge"),
+            ("mogpu_kernel_gld_efficiency", "gauge"),
+            ("mogpu_kernel_gst_efficiency", "gauge"),
+            ("mogpu_kernel_mem_access_efficiency", "gauge"),
+            ("mogpu_kernel_store_transactions", "gauge"),
+            ("mogpu_kernel_total_transactions", "gauge"),
+            ("mogpu_kernel_occupancy", "gauge"),
+        ];
+        for (name, kind) in families {
+            assert_eq!(
+                text.matches(&format!("# HELP {name} ")).count(),
+                1,
+                "{name}"
+            );
+            assert_eq!(
+                text.matches(&format!("# TYPE {name} {kind}\n")).count(),
+                1,
+                "{name}"
             );
         }
+        assert_eq!(text.matches("# TYPE ").count(), families.len());
         // Per-kernel gauges carry the limiter label.
         assert!(text.contains("mogpu_kernel_occupancy{pipeline=\"level A\",limiter=\"Blocks\"}"));
         assert!(text.contains("mogpu_kernel_branch_efficiency{pipeline=\"level A\"}"));

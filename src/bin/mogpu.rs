@@ -247,6 +247,16 @@ fn opt_value(args: &[String], flag: &str) -> Option<String> {
         .cloned()
 }
 
+/// Parses the value of `flag`, or returns `default` when the flag is
+/// absent. A value that does not parse is an error naming the flag
+/// (`bad --frames "abc"`), never a silent fall-back to the default.
+fn opt_parse<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
+    match opt_value(args, flag) {
+        Some(v) => v.parse().map_err(|_| format!("bad {flag} {v:?}")),
+        None => Ok(default),
+    }
+}
+
 fn opt_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
@@ -317,9 +327,7 @@ fn cmd_info() -> Result<(), String> {
 
 fn cmd_demo(args: &[String]) -> Result<(), String> {
     let out_dir = PathBuf::from(opt_value(args, "--out").unwrap_or_else(|| "mogpu_demo".into()));
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(40))
-        .unwrap_or(40);
+    let n_frames: usize = opt_parse(args, "--frames", 40)?;
     let level = parse_level(&opt_value(args, "--level").unwrap_or_else(|| "F".into()))?;
     let obs = ObsFlags::parse(args)?;
 
@@ -389,12 +397,8 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_ladder(args: &[String]) -> Result<(), String> {
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(24))
-        .unwrap_or(24);
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
+    let n_frames: usize = opt_parse(args, "--frames", 24)?;
+    let k: usize = opt_parse(args, "--k", 3)?;
     let use_f32 = opt_flag(args, "--float");
     let json = opt_flag(args, "--json");
     let obs = ObsFlags::parse(args)?;
@@ -585,9 +589,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let input = opt_value(args, "--input").or_else(|| opt_value(args, "-i"));
     let output = opt_value(args, "--output").or_else(|| opt_value(args, "-o"));
     let level = parse_level(&opt_value(args, "--level").unwrap_or_else(|| "F".into()))?;
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
+    let k: usize = opt_parse(args, "--k", 3)?;
     let use_f32 = opt_flag(args, "--float");
     let obs = ObsFlags::parse(args)?;
 
@@ -604,10 +606,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         None => {
             // No capture given: fall back to the synthetic surveillance
             // scene so observability outputs can be exercised standalone.
-            let n_frames: usize = opt_value(args, "--frames")
-                .map(|v| v.parse().unwrap_or(16))
-                .unwrap_or(16)
-                .max(2);
+            let n_frames: usize = opt_parse(args, "--frames", 16)?.max(2);
             let res = Resolution::QQVGA;
             println!("no --input given: synthetic scene, {n_frames} frames at {res}");
             SceneBuilder::new(res)
@@ -659,16 +658,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {
     let level = parse_level(&opt_value(args, "--level").unwrap_or_else(|| "F".into()))?;
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(16))
-        .unwrap_or(16);
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
+    let n_frames: usize = opt_parse(args, "--frames", 16)?;
+    let k: usize = opt_parse(args, "--k", 3)?;
     let use_f32 = opt_flag(args, "--float");
-    let top: usize = opt_value(args, "--top")
-        .map(|v| v.parse().unwrap_or(10))
-        .unwrap_or(10);
+    let top: usize = opt_parse(args, "--top", 10)?;
     let obs = ObsFlags::parse(args)?;
 
     let frames = match opt_value(args, "--input").or_else(|| opt_value(args, "-i")) {
@@ -706,19 +699,11 @@ fn cmd_advise(args: &[String]) -> Result<(), String> {
         return cmd_advise_fleet(&PathBuf::from(path), opt_flag(args, "--json"));
     }
     let level = parse_level(&opt_value(args, "--level").unwrap_or_else(|| "A".into()))?;
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(16))
-        .unwrap_or(16)
-        .max(2);
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
+    let n_frames: usize = opt_parse(args, "--frames", 16)?.max(2);
+    let k: usize = opt_parse(args, "--k", 3)?;
     let use_f32 = opt_flag(args, "--float");
     let json = opt_flag(args, "--json");
-    let top: usize = opt_value(args, "--top")
-        .map(|v| v.parse().unwrap_or(10))
-        .unwrap_or(10)
-        .max(1);
+    let top: usize = opt_parse(args, "--top", 10)?.max(1);
     let tpb: Option<u32> = match opt_value(args, "--tpb") {
         Some(v) => Some(v.parse().map_err(|_| format!("bad --tpb {v:?}"))?),
         None => None,
@@ -954,10 +939,7 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
         ));
     }
     let json = opt_flag(args, "--json");
-    let top: usize = match opt_value(args, "--top") {
-        Some(v) => v.parse().map_err(|_| format!("bad --top {v:?}"))?,
-        None => 10,
-    };
+    let top: usize = opt_parse(args, "--top", 10)?;
     let cfg = match opt_value(args, "--config") {
         Some(name) => GpuConfig::preset(&name).ok_or_else(|| {
             format!(
@@ -1027,13 +1009,8 @@ fn cmd_dataflow(args: &[String]) -> Result<(), String> {
     }
 
     let level = parse_level(&opt_value(args, "--level").unwrap_or_else(|| "F".into()))?;
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(16))
-        .unwrap_or(16)
-        .max(2);
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
+    let n_frames: usize = opt_parse(args, "--frames", 16)?.max(2);
+    let k: usize = opt_parse(args, "--k", 3)?;
     let use_f32 = opt_flag(args, "--float");
     let json = opt_flag(args, "--json");
     let dot_out = opt_value(args, "--dot-out").map(PathBuf::from);
@@ -1091,45 +1068,25 @@ fn dataflow_run<T: mogpu::core::DeviceReal>(
 }
 
 fn cmd_streams(args: &[String]) -> Result<(), String> {
-    let n_streams: usize = opt_value(args, "--streams")
-        .map(|v| v.parse().unwrap_or(4))
-        .unwrap_or(4)
-        .max(1);
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(16))
-        .unwrap_or(16)
-        .max(2);
+    let n_streams: usize = opt_parse(args, "--streams", 4)?.max(1);
+    let n_frames: usize = opt_parse(args, "--frames", 16)?.max(2);
     let level = parse_level(&opt_value(args, "--level").unwrap_or_else(|| "F".into()))?;
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
+    let k: usize = opt_parse(args, "--k", 3)?;
     let use_f32 = opt_flag(args, "--float");
-    let buffers: usize = opt_value(args, "--buffers")
-        .map(|v| v.parse().unwrap_or(2))
-        .unwrap_or(2);
-    let fps: f64 = opt_value(args, "--fps")
-        .map(|v| v.parse().unwrap_or(0.0))
-        .unwrap_or(0.0);
+    let buffers: usize = opt_parse(args, "--buffers", 2)?;
+    let fps: f64 = opt_parse(args, "--fps", 0.0)?;
     let json = opt_flag(args, "--json");
-    let slo_ms: f64 = opt_value(args, "--slo-ms")
-        .map(|v| v.parse().unwrap_or(40.0))
-        .unwrap_or(40.0);
-    let error_budget: f64 = opt_value(args, "--error-budget")
-        .map(|v| v.parse().unwrap_or(0.01))
-        .unwrap_or(0.01);
+    let slo_ms: f64 = opt_parse(args, "--slo-ms", 40.0)?;
+    let error_budget: f64 = opt_parse(args, "--error-budget", 0.01)?;
     let slo = mogpu::sim::serving::SloConfig {
         deadline_s: slo_ms.max(0.0) / 1e3,
         error_budget: error_budget.max(0.0),
     };
-    let window_ms: f64 = opt_value(args, "--window-ms")
-        .map(|v| v.parse().unwrap_or(0.0))
-        .unwrap_or(0.0);
+    let window_ms: f64 = opt_parse(args, "--window-ms", 0.0)?;
     let window_s = window_ms.max(0.0) / 1e3;
     let events_out = opt_value(args, "--events-out").map(PathBuf::from);
     let serve_addr = opt_value(args, "--serve-metrics");
-    let serve_seconds: f64 = opt_value(args, "--serve-seconds")
-        .map(|v| v.parse().unwrap_or(0.0))
-        .unwrap_or(0.0);
+    let serve_seconds: f64 = opt_parse(args, "--serve-seconds", 0.0)?;
     let replay_s = parse_replay_s(args)?;
     let obs = ObsFlags::parse(args)?;
 
@@ -1358,43 +1315,23 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
         ));
     }
     let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-    let n_streams: usize = opt_value(args, "--streams")
-        .map(|v| v.parse().unwrap_or(4))
-        .unwrap_or(4)
-        .max(1);
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(12))
-        .unwrap_or(12)
-        .max(2);
+    let n_streams: usize = opt_parse(args, "--streams", 4)?.max(1);
+    let n_frames: usize = opt_parse(args, "--frames", 12)?.max(2);
     let level = parse_level(&opt_value(args, "--level").unwrap_or_else(|| "F".into()))?;
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
+    let k: usize = opt_parse(args, "--k", 3)?;
     let use_f32 = opt_flag(args, "--float");
-    let buffers: usize = opt_value(args, "--buffers")
-        .map(|v| v.parse().unwrap_or(2))
-        .unwrap_or(2);
-    let fps: f64 = opt_value(args, "--fps")
-        .map(|v| v.parse().unwrap_or(0.0))
-        .unwrap_or(0.0);
+    let buffers: usize = opt_parse(args, "--buffers", 2)?;
+    let fps: f64 = opt_parse(args, "--fps", 0.0)?;
     let json = opt_flag(args, "--json");
-    let slo_ms: f64 = opt_value(args, "--slo-ms")
-        .map(|v| v.parse().unwrap_or(40.0))
-        .unwrap_or(40.0);
-    let error_budget: f64 = opt_value(args, "--error-budget")
-        .map(|v| v.parse().unwrap_or(0.01))
-        .unwrap_or(0.01);
+    let slo_ms: f64 = opt_parse(args, "--slo-ms", 40.0)?;
+    let error_budget: f64 = opt_parse(args, "--error-budget", 0.01)?;
     let slo = mogpu::sim::serving::SloConfig {
         deadline_s: slo_ms.max(0.0) / 1e3,
         error_budget: error_budget.max(0.0),
     };
-    let window_ms: f64 = opt_value(args, "--window-ms")
-        .map(|v| v.parse().unwrap_or(0.0))
-        .unwrap_or(0.0);
+    let window_ms: f64 = opt_parse(args, "--window-ms", 0.0)?;
     let window_s = window_ms.max(0.0) / 1e3;
-    let headroom: f64 = opt_value(args, "--headroom")
-        .map(|v| v.parse().unwrap_or(1.0))
-        .unwrap_or(1.0);
+    let headroom: f64 = opt_parse(args, "--headroom", 1.0)?;
     let device_mem: Option<usize> = match opt_value(args, "--device-mem-mb") {
         Some(v) => {
             let mb: f64 = v
@@ -1409,9 +1346,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
     };
     let events_out = opt_value(args, "--events-out").map(PathBuf::from);
     let serve_addr = opt_value(args, "--serve-metrics");
-    let serve_seconds: f64 = opt_value(args, "--serve-seconds")
-        .map(|v| v.parse().unwrap_or(0.0))
-        .unwrap_or(0.0);
+    let serve_seconds: f64 = opt_parse(args, "--serve-seconds", 0.0)?;
     let replay_s = parse_replay_s(args)?;
     let obs = ObsFlags::parse(args)?;
 
@@ -1618,9 +1553,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         "usage: mogpu serve --report FILE.json [--addr HOST:PORT] [--serve-seconds N] [--replay-ms N]",
     )?);
     let addr = opt_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:9184".into());
-    let serve_seconds: f64 = opt_value(args, "--serve-seconds")
-        .map(|v| v.parse().unwrap_or(0.0))
-        .unwrap_or(0.0);
+    let serve_seconds: f64 = opt_parse(args, "--serve-seconds", 0.0)?;
     let replay_s = parse_replay_s(args)?;
 
     let text = std::fs::read_to_string(&report_path)
@@ -1646,13 +1579,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let level = parse_level(&opt_value(args, "--level").unwrap_or_else(|| "F".into()))?;
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(16))
-        .unwrap_or(16)
-        .max(2);
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
+    let n_frames: usize = opt_parse(args, "--frames", 16)?.max(2);
+    let k: usize = opt_parse(args, "--k", 3)?;
     let use_f32 = opt_flag(args, "--float");
     let out = opt_value(args, "--out").map(PathBuf::from);
 
@@ -1701,15 +1629,9 @@ fn cmd_bench_record(args: &[String]) -> Result<(), String> {
             .unwrap_or_else(|| mogpu::bench::baseline::DEFAULT_BASELINE_PATH.into()),
     );
     let mut cfg = mogpu::bench::BenchConfig::default();
-    if let Some(v) = opt_value(args, "--frames") {
-        cfg.frames = v.parse().map_err(|_| format!("bad --frames {v:?}"))?;
-    }
-    if let Some(v) = opt_value(args, "--k") {
-        cfg.k = v.parse().map_err(|_| format!("bad --k {v:?}"))?;
-    }
-    if let Some(v) = opt_value(args, "--streams") {
-        cfg.streams = v.parse().map_err(|_| format!("bad --streams {v:?}"))?;
-    }
+    cfg.frames = opt_parse(args, "--frames", cfg.frames)?;
+    cfg.k = opt_parse(args, "--k", cfg.k)?;
+    cfg.streams = opt_parse(args, "--streams", cfg.streams)?;
     cfg.frames = cfg.frames.max(2);
     cfg.streams = cfg.streams.max(1);
 
@@ -1793,13 +1715,8 @@ fn cmd_bench_check(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_check(args: &[String]) -> Result<(), String> {
-    let n_frames: usize = opt_value(args, "--frames")
-        .map(|v| v.parse().unwrap_or(8))
-        .unwrap_or(8)
-        .max(2);
-    let k: usize = opt_value(args, "--k")
-        .map(|v| v.parse().unwrap_or(3))
-        .unwrap_or(3);
+    let n_frames: usize = opt_parse(args, "--frames", 8)?.max(2);
+    let k: usize = opt_parse(args, "--k", 3)?;
     let use_f32 = opt_flag(args, "--float");
     let json = opt_flag(args, "--json");
 

@@ -490,3 +490,42 @@ fn bench_without_a_subcommand_errors() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("record|check"));
 }
+
+/// A numeric flag whose value does not parse is an error naming the
+/// flag and the value, never a silent fall-back to the default.
+#[test]
+fn malformed_numeric_flags_are_rejected() {
+    for (args, flag, value) in [
+        (
+            &["ladder", "--frames", "abc", "--k", "x"][..],
+            "--frames",
+            "abc",
+        ),
+        (&["ladder", "--frames", "4", "--k", "x"][..], "--k", "x"),
+        (
+            &["streams", "--streams", "2x", "--frames", "4"][..],
+            "--streams",
+            "2x",
+        ),
+        (
+            &["streams", "--streams", "2", "--slo-ms", "fast"][..],
+            "--slo-ms",
+            "fast",
+        ),
+        (
+            &["fleet", "--streams", "2", "--headroom", "1,5"][..],
+            "--headroom",
+            "1,5",
+        ),
+        (&["fleet", "--frames", "-3"][..], "--frames", "-3"),
+    ] {
+        let out = mogpu(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(out.stdout.is_empty(), "{args:?} ran: {}", stdout(&out));
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(
+            err.contains(&format!("bad {flag} {value:?}")),
+            "{args:?} stderr does not name the flag and value: {err}"
+        );
+    }
+}

@@ -3,6 +3,10 @@
 //! parser), the series embedded in run reports, the Chrome-trace counter
 //! tracks, and the byte-stable canonical serialization.
 
+#[path = "support/exposition.rs"]
+mod exposition;
+
+use exposition::{parse_exposition, Sample};
 use mogpu::json::Value;
 use mogpu::prelude::*;
 use mogpu::sim::telemetry::{prometheus, KernelGauges};
@@ -42,162 +46,6 @@ fn profiled_run(level: OptLevel, frames: &[Frame<u8>]) -> ProfileReport {
     gpu.set_profile_mode(ProfileMode::On);
     gpu.process_all(&frames[1..]).unwrap();
     gpu.take_profile_report().unwrap()
-}
-
-// ---- a small Prometheus text-format parser for round-trip checks ----
-
-#[derive(Debug)]
-struct Sample {
-    labels: BTreeMap<String, String>,
-    value: f64,
-}
-
-#[derive(Debug, Default)]
-struct Exposition {
-    /// `# HELP` texts keyed by metric name.
-    help: BTreeMap<String, String>,
-    /// `# TYPE` values ("gauge" / "counter") keyed by metric name.
-    types: BTreeMap<String, String>,
-    /// Samples keyed by metric name, in exposition order.
-    samples: BTreeMap<String, Vec<Sample>>,
-}
-
-/// Unescapes a Prometheus label value: `\\`, `\"`, and `\n`.
-fn unescape(s: &str) -> String {
-    let mut out = String::new();
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('\\') => out.push('\\'),
-                Some('"') => out.push('"'),
-                Some('n') => out.push('\n'),
-                other => panic!("bad escape \\{other:?} in label value {s:?}"),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// Splits `name{l1="v1",l2="v2"} value` into its parts, honoring escapes.
-fn parse_sample_line(line: &str) -> (String, Sample) {
-    let brace = line.find('{');
-    let (name, rest) = match brace {
-        Some(i) => (&line[..i], &line[i..]),
-        None => {
-            let mut it = line.splitn(2, ' ');
-            let name = it.next().unwrap();
-            let value: f64 = it.next().expect("value").trim().parse().expect("f64");
-            return (
-                name.to_string(),
-                Sample {
-                    labels: BTreeMap::new(),
-                    value,
-                },
-            );
-        }
-    };
-    assert!(rest.starts_with('{'), "malformed sample line {line:?}");
-    // Scan the label block char by char; a raw '}' only terminates it
-    // outside a quoted value.
-    let mut labels = BTreeMap::new();
-    let mut chars = rest.char_indices().skip(1).peekable();
-    let mut end = None;
-    loop {
-        // Label name up to '='.
-        let mut label = String::new();
-        loop {
-            match chars.next() {
-                Some((i, '}')) => {
-                    assert!(label.is_empty(), "dangling label name in {line:?}");
-                    end = Some(i);
-                    break;
-                }
-                Some((_, '=')) => break,
-                Some((_, c)) => label.push(c),
-                None => panic!("unterminated label block in {line:?}"),
-            }
-        }
-        if label.is_empty() {
-            break;
-        }
-        assert_eq!(chars.next().map(|(_, c)| c), Some('"'), "in {line:?}");
-        let mut raw = String::new();
-        loop {
-            match chars.next() {
-                Some((_, '\\')) => {
-                    raw.push('\\');
-                    raw.push(chars.next().expect("escaped char").1);
-                }
-                Some((_, '"')) => break,
-                Some((_, c)) => raw.push(c),
-                None => panic!("unterminated label value in {line:?}"),
-            }
-        }
-        labels.insert(label, unescape(&raw));
-        if let Some(&(_, ',')) = chars.peek() {
-            chars.next();
-        }
-    }
-    let end = end.expect("label block must close");
-    let value_text = rest[end + 1..].trim();
-    let value: f64 = value_text.parse().unwrap_or_else(|_| {
-        assert_eq!(value_text, "NaN", "unparsable value in {line:?}");
-        f64::NAN
-    });
-    (name.to_string(), Sample { labels, value })
-}
-
-/// Parses a full exposition, asserting the structural invariants: every
-/// line is a comment or a sample, and each metric's `# HELP` and
-/// `# TYPE` appear exactly once, before its first sample.
-fn parse_exposition(text: &str) -> Exposition {
-    let mut exp = Exposition::default();
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# HELP ") {
-            let mut it = rest.splitn(2, ' ');
-            let name = it.next().unwrap().to_string();
-            let help = it.next().expect("help text").to_string();
-            assert!(
-                exp.help.insert(name.clone(), help).is_none(),
-                "duplicate # HELP for {name}"
-            );
-        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut it = rest.splitn(2, ' ');
-            let name = it.next().unwrap().to_string();
-            let ty = it.next().expect("type").to_string();
-            assert!(
-                ["gauge", "counter", "histogram"].contains(&ty.as_str()),
-                "bad type {ty:?} for {name}"
-            );
-            assert!(
-                exp.types.insert(name.clone(), ty).is_none(),
-                "duplicate # TYPE for {name}"
-            );
-        } else {
-            assert!(!line.starts_with('#'), "unrecognized comment {line:?}");
-            let (name, sample) = parse_sample_line(line);
-            // Histogram samples (`x_bucket`, `x_sum`, `x_count`) are
-            // documented under their family name `x`.
-            let family = ["_bucket", "_sum", "_count"]
-                .iter()
-                .find_map(|suf| name.strip_suffix(suf))
-                .filter(|base| exp.types.get(*base).map(String::as_str) == Some("histogram"))
-                .map(|base| base.to_string())
-                .unwrap_or_else(|| name.clone());
-            assert!(
-                exp.help.contains_key(&family) && exp.types.contains_key(&family),
-                "sample for {name} before its # HELP/# TYPE"
-            );
-            exp.samples.entry(name).or_default().push(sample);
-        }
-    }
-    exp
 }
 
 // ---- exposition round trip ----
