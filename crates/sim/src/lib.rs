@@ -77,8 +77,6 @@ pub mod telemetry;
 pub mod timing;
 pub mod trace;
 pub mod warp;
-#[doc(hidden)]
-pub mod warp_reference;
 
 pub use advisor::{advise, roofline, AdvisorInput, Advisory, Evidence, Roofline, Transform};
 pub use config::{CpuConfig, GpuConfig};

@@ -252,7 +252,11 @@ impl Serialize for SanReport {
 /// (same shape as [`site_source`]'s display, but without touching the
 /// global site registry).
 fn source_of(loc: &'static Location<'static>) -> String {
-    format!("{}:{}", loc.file(), loc.line())
+    format!(
+        "{}:{}",
+        crate::trace::workspace_path(loc.file()),
+        loc.line()
+    )
 }
 
 /// One shadow access record: who touched the byte, in which sync epoch,

@@ -26,7 +26,8 @@ pub type Site = usize;
 /// Resolved source position of a [`Site`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteSource {
-    /// Source file path as the compiler recorded it.
+    /// Source file path from its last `crates/` component on, so it
+    /// does not depend on where the checkout lives.
     pub file: &'static str,
     /// 1-based line.
     pub line: u32,
@@ -46,6 +47,19 @@ fn site_registry() -> &'static RwLock<std::collections::HashMap<Site, SiteSource
     REGISTRY.get_or_init(Default::default)
 }
 
+/// Trims a compiler-recorded source path to its part from the last
+/// `crates/` component on. `file!()` is relative inside the workspace
+/// but absolute when the crate is built as a path dependency from
+/// outside it, so without this trim a report's site keys would depend
+/// on where the checkout lives. A path with no `crates/` component is
+/// returned unchanged.
+pub(crate) fn workspace_path(file: &'static str) -> &'static str {
+    match file.rfind("/crates/") {
+        Some(i) => &file[i + 1..],
+        None => file,
+    }
+}
+
 /// Registers a site's source position. Called when a profiling
 /// accumulator folds a site's first slot contribution, and when the
 /// sanitizer ([`crate::sancheck`]) records a finding at a site; plain
@@ -63,7 +77,7 @@ pub(crate) fn register_site(site: Site, loc: &'static std::panic::Location<'stat
     registry.write().expect("site registry poisoned").insert(
         site,
         SiteSource {
-            file: loc.file(),
+            file: workspace_path(loc.file()),
             line: loc.line(),
             column: loc.column(),
         },
@@ -283,6 +297,19 @@ impl SiteCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn workspace_path_drops_the_checkout_prefix() {
+        assert_eq!(
+            workspace_path("/home/ci/checkout/crates/core/src/kernels/mod.rs"),
+            "crates/core/src/kernels/mod.rs"
+        );
+        assert_eq!(
+            workspace_path("crates/core/src/kernels/mod.rs"),
+            "crates/core/src/kernels/mod.rs"
+        );
+        assert_eq!(workspace_path("src/bin/mogpu.rs"), "src/bin/mogpu.rs");
+    }
 
     #[test]
     fn occurrences_increment_per_site() {

@@ -14,7 +14,7 @@
 //! is also what makes the fold deterministic.
 //!
 //! Statistics semantics are pinned bit-for-bit against the pre-SoA
-//! implementation preserved in [`crate::warp_reference`]; see
+//! implementation preserved in `tests/support/warp_reference.rs`; see
 //! `tests/soa_equivalence.rs`.
 
 use crate::config::GpuConfig;

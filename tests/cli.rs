@@ -529,3 +529,142 @@ fn malformed_numeric_flags_are_rejected() {
         );
     }
 }
+
+/// Runs `mogpu` with `dir` as its working directory, so a command that
+/// writes to a default path writes there.
+fn mogpu_in(dir: &std::path::Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_mogpu"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("spawn mogpu")
+}
+
+/// Asserts `args` exits 1, prints nothing on stdout, and says `needle`
+/// on stderr.
+fn assert_flag_error(dir: &std::path::Path, args: &[&str], needle: &str) {
+    let out = mogpu_in(dir, args);
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{args:?} stderr: {err}");
+    assert!(out.stdout.is_empty(), "{args:?} ran: {}", stdout(&out));
+    assert!(
+        err.contains(needle),
+        "{args:?} stderr lacks {needle:?}: {err}"
+    );
+}
+
+/// Every subcommand checks its command line against its flag table:
+/// an unknown flag is an error before any work is done. The leading
+/// flags keep each run small and inside `dir` should one slip through.
+#[test]
+fn every_subcommand_rejects_an_unknown_flag() {
+    let dir = temp_dir("unknown_flags");
+    let out = dir.join("out");
+    let out = out.to_str().unwrap();
+    for (name, args) in [
+        ("info", &[][..]),
+        ("demo", &["--out", out, "--frames", "2"][..]),
+        ("ladder", &["--frames", "2"][..]),
+        ("run", &["--frames", "2"][..]),
+        ("profile", &["--frames", "2"][..]),
+        ("advise", &["--frames", "2"][..]),
+        ("diff", &["a.json", "b.json"][..]),
+        ("dataflow", &["--frames", "2"][..]),
+        ("streams", &["--streams", "1", "--frames", "2"][..]),
+        ("fleet", &["--streams", "1", "--frames", "2"][..]),
+        ("serve", &["--report", "missing.json"][..]),
+        ("check", &["--frames", "2"][..]),
+        ("metrics", &["--frames", "2"][..]),
+        ("bench record", &["--out", out, "--frames", "2"][..]),
+        ("bench check", &["--baseline", "missing.json"][..]),
+    ] {
+        let mut line: Vec<&str> = name.split(' ').collect();
+        line.extend(args);
+        line.push("--no-such-flag");
+        assert_flag_error(&dir, &line, &format!("unknown {name} option"));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Command lines that used to panic, run with a typo'd flag, ignore a
+/// flag, or swallow the next flag as a value are exit-1 errors naming
+/// the flag or argument.
+#[test]
+fn hostile_flags_are_errors_that_name_the_flag() {
+    let dir = temp_dir("hostile_flags");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    for (args, needle) in [
+        // Used to panic at an empty frame list (after printing a
+        // 2^64-1 frame count).
+        (&["ladder", "--frames", "0"][..], "--frames must be >= 2"),
+        (&["profile", "--frames", "0"][..], "--frames must be >= 2"),
+        (&["demo", "--frames", "1"][..], "--frames must be >= 2"),
+        // A typo used to run the default 24 frames.
+        (
+            &["ladder", "--frame", "3"][..],
+            "unknown ladder option \"--frame\"",
+        ),
+        (&["ladder", "5"][..], "unexpected ladder argument \"5\""),
+        // Accepted and ignored: nothing was written.
+        (&["fleet", "--trace-out", "t.json"][..], "\"--trace-out\""),
+        (
+            &["metrics", "--metrics-out", "m.prom"][..],
+            "\"--metrics-out\"",
+        ),
+        // Used to write the clips into a directory named `--frames`.
+        (
+            &["demo", "--out", "--frames", "3"][..],
+            "--out needs a value",
+        ),
+        // Used to panic converting the serving time to a Duration.
+        (
+            &[
+                "streams",
+                "--streams",
+                "1",
+                "--frames",
+                "2",
+                "--serve-seconds",
+                "1e19",
+            ][..],
+            "--serve-seconds must be",
+        ),
+        (&["streams", "--streams", "0"][..], "--streams must be"),
+        (
+            &["streams", "--error-budget", "NaN"][..],
+            "--error-budget must be",
+        ),
+        (
+            &["ladder", "--frames", "3", "--frames", "4"][..],
+            "--frames given twice",
+        ),
+    ] {
+        assert_flag_error(&dir, args, needle);
+    }
+    assert!(
+        std::fs::read_dir(&dir).unwrap().next().is_none(),
+        "a rejected command wrote into its working directory"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The help text is generated from the flag tables: every command's
+/// flags, with their ranges and defaults, are listed.
+#[test]
+fn help_lists_flags_with_ranges_and_defaults() {
+    let help = stdout(&mogpu(&["help"]));
+    for line in [
+        "    mogpu bench record",
+        "    mogpu diff A.json B.json",
+        "--frames N",
+        "(>= 2, default 24)",
+        "--input|-i IN.y4m",
+        "--replay-ms R",
+        "(> 0, default 500)",
+        "--k K",
+        "(in 1..=8, default 3)",
+    ] {
+        assert!(help.contains(line), "help lacks {line:?}:\n{help}");
+    }
+}

@@ -9,7 +9,7 @@
 //!
 //! A proptest additionally drives the production
 //! [`mogpu::sim::warp::WarpAccumulator`] and the frozen
-//! [`mogpu::sim::warp_reference::ReferenceAccumulator`] with identical
+//! [`warp_reference::ReferenceAccumulator`] with identical
 //! random event streams and asserts the folded [`KernelStats`] agree
 //! exactly, covering slot shapes no real kernel happens to produce.
 
@@ -19,10 +19,12 @@ use mogpu::prelude::*;
 use mogpu::sim::stats::KernelStats;
 use mogpu::sim::trace::{OpClass, Space};
 use mogpu::sim::warp::WarpAccumulator;
-use mogpu::sim::warp_reference::ReferenceAccumulator;
+#[path = "support/warp_reference.rs"]
+mod warp_reference;
 use proptest::prelude::*;
 use serde_json::Value;
 use std::panic::Location;
+use warp_reference::ReferenceAccumulator;
 
 /// Frames per golden run; must match `soa_golden.rs`.
 const FRAMES: usize = 9;

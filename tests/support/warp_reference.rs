@@ -1,16 +1,16 @@
 //! Frozen copy of the original hash-map warp accumulator, kept as the
-//! bit-identity oracle for the SoA rewrite in [`crate::warp`].
+//! bit-identity oracle for the SoA rewrite in [`mogpu::sim::warp`].
 //!
 //! `tests/soa_equivalence.rs` drives this and the production
-//! [`crate::warp::WarpAccumulator`] with identical event streams (including
+//! [`mogpu::sim::warp::WarpAccumulator`] with identical event streams (including
 //! proptest-generated random ones) and asserts the folded [`KernelStats`]
 //! are equal. Do not "fix" or optimize this module: its value is that it
 //! preserves the pre-rewrite semantics exactly. The only permitted edits
 //! are those required to keep it compiling.
 
-use crate::config::GpuConfig;
-use crate::stats::KernelStats;
-use crate::trace::{BuildPtrHasher, OpClass, Site, SiteCounters, Space};
+use mogpu::sim::config::GpuConfig;
+use mogpu::sim::stats::KernelStats;
+use mogpu::sim::trace::{BuildPtrHasher, OpClass, Site, SiteCounters, Space};
 use std::collections::HashMap;
 use std::panic::Location;
 
@@ -38,7 +38,7 @@ enum SlotAccum {
 }
 
 /// The pre-SoA accumulator, API-compatible with the production
-/// [`crate::warp::WarpAccumulator`] minus site profiling.
+/// [`mogpu::sim::warp::WarpAccumulator`] minus site profiling.
 #[derive(Debug, Default)]
 pub struct ReferenceAccumulator {
     occ: SiteCounters,
@@ -153,7 +153,7 @@ impl ReferenceAccumulator {
         &mut self,
         cfg: &GpuConfig,
         stats: &mut KernelStats,
-        mut cache: Option<&mut crate::cache::CacheModel>,
+        mut cache: Option<&mut mogpu::sim::cache::CacheModel>,
     ) {
         let seg = cfg.segment_bytes;
         let mut segments: Vec<u64> = Vec::with_capacity(64);
