@@ -192,24 +192,23 @@ impl IntervalCollector {
         }
     }
 
-    /// Records the written bytes of one 8-byte overlay cell at `base`.
+    /// Records byte `base + i` for each set bit `i` of `mask`, one run
+    /// per run of set bits: a 64-byte overlay page line's written bytes,
+    /// or the bytes of a load its block did not store.
     #[inline]
-    pub(crate) fn record_cell(&mut self, base: u64, mask: u8) {
-        if mask == 0xFF {
-            self.record_run(base, base + 8);
+    pub(crate) fn record_mask(&mut self, base: u64, mask: u64) {
+        if mask == !0 {
+            self.record_run(base, base + 64);
             return;
         }
-        let mut i = 0u32;
-        while i < 8 {
-            if mask & (1 << i) != 0 {
-                let s = i;
-                while i < 8 && mask & (1 << i) != 0 {
-                    i += 1;
-                }
-                self.record_run(base + s as u64, base + i as u64);
-            } else {
-                i += 1;
-            }
+        let mut rest = mask;
+        while rest != 0 {
+            let s = rest.trailing_zeros();
+            // Length of the run of set bits starting at `s`.
+            let n = (!(rest >> s)).trailing_zeros();
+            self.record_run(base + s as u64, base + (s + n) as u64);
+            // Adding the run's lowest bit carries through it: clears it.
+            rest &= rest.wrapping_add(1 << s);
         }
     }
 
@@ -242,7 +241,7 @@ impl IntervalCollector {
 /// `reads` holds only *external* reads — bytes a thread loaded that its
 /// own block had not already stored — so it is exactly the launch's RAW
 /// demand on earlier producers. `writes` is the published store set,
-/// taken from the same overlay cells that update device memory.
+/// taken from the same overlay page masks that update device memory.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LaunchAccess {
     /// Bytes loaded from outside the launch's own stores.
@@ -849,9 +848,12 @@ mod tests {
         c.record_run(8, 16);
         c.record_run(4, 12); // overlapping, inside the last run
         assert_eq!(c.take_set().runs(), &[(0, 16)]);
-        c.record_cell(64, 0b0110_0101);
+        c.record_mask(64, 0b0110_0101);
         let s = c.take_set();
         assert_eq!(s.runs(), &[(64, 65), (66, 67), (69, 71)]);
+        c.record_mask(128, !0);
+        c.record_mask(256, 0xF << 60 | 1);
+        assert_eq!(c.take_set().runs(), &[(128, 192), (256, 257), (316, 320)]);
     }
 
     #[test]

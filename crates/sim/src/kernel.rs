@@ -12,7 +12,7 @@
 
 use crate::config::GpuConfig;
 use crate::dataflow::{IntervalCollector, IntervalSet, LaunchAccess};
-use crate::memory::{Buffer, DeviceMemory, InitMask};
+use crate::memory::{Buffer, DeviceMemory, InitMask, LINE_BYTES, PAGE_BYTES, PAGE_LINES};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::profile::SiteProfile;
 use crate::sancheck::{BlockSan, SanReport};
@@ -142,49 +142,116 @@ pub struct LaunchReport {
 
 /// Byte-granular read-your-writes overlay for one block's global stores.
 ///
-/// Keyed by 8-byte-aligned cell address; each cell holds a validity mask
-/// and the written bytes, so stores and loads of *different* widths over
-/// the same address compose correctly. (Regression: the overlay used to
-/// be keyed by exact `(address, width)`, so an 8-byte store read back
-/// through a 4-byte load silently fell through to the stale pre-launch
-/// snapshot. Byte granularity also makes publishing order-independent
-/// within a block — cells are disjoint, so applying them in any order
-/// produces the same memory.)
+/// Stores land in [`PAGE_BYTES`]-byte, size-aligned pages. Each page
+/// holds the stored bytes plus one 64-bit written-byte mask word per
+/// 64-byte line, so stores and loads of *different* widths over the same
+/// address compose correctly and a store is one copy plus one shift-or.
+/// (Regression: the overlay used to be keyed by exact `(address,
+/// width)`, so an 8-byte store read back through a 4-byte load silently
+/// fell through to the stale pre-launch snapshot.)
 ///
-/// The map is a purpose-built open-addressing table (multiply-shift hash,
-/// linear probing) over an insertion-ordered cell vector: the per-access
-/// lookup on the interpreter's hot path is one multiply and usually one
-/// probe, and [`WriteOverlay::clear`] recycles the allocation across
-/// blocks and launches.
+/// The mask words are the overlay's whole view of "written": loads merge
+/// page bytes only where they are set, initcheck and dataflow read them
+/// through [`WriteOverlay::written_bits`], and publication copies fully
+/// written lines whole and ORs each word into the device's [`InitMask`],
+/// whose words line up with page lines.
+///
+/// Pages are found through a purpose-built open-addressing table
+/// (multiply-shift hash on the page number, linear probing) over an
+/// insertion-ordered page vector: the per-access lookup on the
+/// interpreter's hot path is one multiply and usually one probe, and
+/// [`WriteOverlay::take_pages`] recycles the allocation across blocks
+/// and launches.
 #[derive(Debug)]
 pub(crate) struct WriteOverlay {
-    /// Bucket → cell base address, or [`EMPTY_KEY`].
+    /// Bucket → page number, or [`EMPTY_KEY`].
     keys: Vec<u64>,
-    /// Bucket → index into `cells` (valid where `keys` is occupied).
+    /// Bucket → index into `pages` (valid where `keys` is occupied).
     slots: Vec<u32>,
-    /// `(base, cell)` in first-store order.
-    cells: Vec<(u64, OverlayCell)>,
+    /// Pages in first-store order.
+    pages: Vec<OverlayPage>,
     /// `64 - log2(capacity)`.
     shift: u32,
 }
 
-/// Sentinel for an empty overlay bucket. Cell bases are 8-byte-aligned
-/// device addresses, so the all-ones pattern can never collide.
+/// Sentinel for an empty overlay bucket. Page numbers are device
+/// addresses divided by [`PAGE_BYTES`], so the all-ones pattern can
+/// never collide.
 const EMPTY_KEY: u64 = u64::MAX;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct OverlayCell {
-    mask: u8,
-    bytes: [u8; 8],
+/// One [`PAGE_BYTES`]-aligned page of a block's stores.
+#[derive(Debug)]
+struct OverlayPage {
+    /// Device address of the page's first byte.
+    base: u64,
+    /// Bit `i` of word `l`: byte `64 * l + i` was stored.
+    mask: [u64; PAGE_LINES],
+    bytes: [u8; PAGE_BYTES],
+}
+
+/// Mask of the low `n` bits, `1 <= n <= 64`.
+#[inline]
+fn low_bits(n: usize) -> u64 {
+    u64::MAX >> (64 - n)
+}
+
+impl OverlayPage {
+    fn new(base: u64) -> Self {
+        OverlayPage {
+            base,
+            mask: [0; PAGE_LINES],
+            bytes: [0; PAGE_BYTES],
+        }
+    }
+
+    /// Stores `val` at page offset `off` (`val` must fit in the page).
+    #[inline]
+    fn write(&mut self, off: usize, val: &[u8]) {
+        let n = val.len();
+        self.bytes[off..off + n].copy_from_slice(val);
+        let (line, bit) = (off / LINE_BYTES, off % LINE_BYTES);
+        self.mask[line] |= low_bits(n) << bit;
+        if bit + n > LINE_BYTES {
+            self.mask[line + 1] |= low_bits(bit + n - LINE_BYTES);
+        }
+    }
+
+    /// Which of the `n <= 64` bytes at page offset `off` were stored
+    /// (bit `i` = byte `off + i`).
+    #[inline]
+    fn written(&self, off: usize, n: usize) -> u64 {
+        let (line, bit) = (off / LINE_BYTES, off % LINE_BYTES);
+        let mut m = self.mask[line] >> bit;
+        if bit + n > LINE_BYTES {
+            m |= self.mask[line + 1] << (LINE_BYTES - bit);
+        }
+        m & low_bits(n)
+    }
+
+    /// Overwrites `out` (the bytes at page offset `off`) with the bytes
+    /// this page stored there.
+    #[inline]
+    fn patch(&self, off: usize, out: &mut [u8]) {
+        let m = self.written(off, out.len());
+        if m == low_bits(out.len()) {
+            out.copy_from_slice(&self.bytes[off..off + out.len()]);
+        } else if m != 0 {
+            for (j, o) in out.iter_mut().enumerate() {
+                if m & (1 << j) != 0 {
+                    *o = self.bytes[off + j];
+                }
+            }
+        }
+    }
 }
 
 impl Default for WriteOverlay {
     fn default() -> Self {
-        let cap = 1024usize;
+        let cap = 256usize;
         WriteOverlay {
             keys: vec![EMPTY_KEY; cap],
             slots: vec![0; cap],
-            cells: Vec::new(),
+            pages: Vec::new(),
             shift: 64 - cap.trailing_zeros(),
         }
     }
@@ -192,19 +259,19 @@ impl Default for WriteOverlay {
 
 impl WriteOverlay {
     #[inline]
-    fn bucket(&self, base: u64) -> usize {
-        (base.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    fn bucket(&self, page: u64) -> usize {
+        (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 
-    /// Index of `base`'s cell, or `None` if the block has not stored into
-    /// that cell.
+    /// Index of page number `page`, or `None` if the block has not
+    /// stored into it.
     #[inline]
-    fn find(&self, base: u64) -> Option<usize> {
+    fn find(&self, page: u64) -> Option<usize> {
         let mask = self.keys.len() - 1;
-        let mut b = self.bucket(base);
+        let mut b = self.bucket(page);
         loop {
             let k = self.keys[b];
-            if k == base {
+            if k == page {
                 return Some(self.slots[b] as usize);
             }
             if k == EMPTY_KEY {
@@ -214,22 +281,23 @@ impl WriteOverlay {
         }
     }
 
-    /// Index of `base`'s cell, appending a fresh one on first store.
+    /// Index of page number `page`, appending a fresh page on first
+    /// store.
     #[inline]
-    fn find_or_insert(&mut self, base: u64) -> usize {
+    fn find_or_insert(&mut self, page: u64) -> usize {
         let mask = self.keys.len() - 1;
-        let mut b = self.bucket(base);
+        let mut b = self.bucket(page);
         loop {
             let k = self.keys[b];
-            if k == base {
+            if k == page {
                 return self.slots[b] as usize;
             }
             if k == EMPTY_KEY {
-                let ix = self.cells.len();
-                self.keys[b] = base;
+                let ix = self.pages.len();
+                self.keys[b] = page;
                 self.slots[b] = ix as u32;
-                self.cells.push((base, OverlayCell::default()));
-                if self.cells.len() * 2 > self.keys.len() {
+                self.pages.push(OverlayPage::new(page * PAGE_BYTES as u64));
+                if self.pages.len() * 2 > self.keys.len() {
                     self.grow();
                 }
                 return ix;
@@ -245,30 +313,34 @@ impl WriteOverlay {
         self.slots = vec![0; cap];
         self.shift = 64 - cap.trailing_zeros();
         let mask = cap - 1;
-        for (ix, &(base, _)) in self.cells.iter().enumerate() {
-            let mut b = (base.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        for (ix, p) in self.pages.iter().enumerate() {
+            let page = p.base / PAGE_BYTES as u64;
+            let mut b = (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
             while self.keys[b] != EMPTY_KEY {
                 b = (b + 1) & mask;
             }
-            self.keys[b] = base;
+            self.keys[b] = page;
             self.slots[b] = ix as u32;
         }
     }
 
+    /// Splits the `width` bytes at `addr` at the page boundary they may
+    /// straddle: `(page number, offset in page, bytes in this page)`.
+    #[inline]
+    fn split(addr: u64, width: usize) -> (u64, usize, usize) {
+        let off = (addr % PAGE_BYTES as u64) as usize;
+        (addr / PAGE_BYTES as u64, off, width.min(PAGE_BYTES - off))
+    }
+
     /// Records a store of `val` (little-endian access bytes) at `addr`.
-    /// An access of width <= 8 touches at most two cells.
+    /// An access of width <= 8 touches at most two pages.
     fn store(&mut self, addr: u64, val: &[u8]) {
-        let mut i = 0;
-        while i < val.len() {
-            let a = addr + i as u64;
-            let base = a & !7;
-            let off = (a - base) as usize;
-            let n = (8 - off).min(val.len() - i);
-            let ix = self.find_or_insert(base);
-            let cell = &mut self.cells[ix].1;
-            cell.mask |= (((1u16 << n) - 1) as u8) << off;
-            cell.bytes[off..off + n].copy_from_slice(&val[i..i + n]);
-            i += n;
+        let (page, off, n) = Self::split(addr, val.len());
+        let ix = self.find_or_insert(page);
+        self.pages[ix].write(off, &val[..n]);
+        if n < val.len() {
+            let ix = self.find_or_insert(page + 1);
+            self.pages[ix].write(0, &val[n..]);
         }
     }
 
@@ -278,65 +350,62 @@ impl WriteOverlay {
         let a = addr as usize;
         let mut out = [0u8; 8];
         out[..width].copy_from_slice(&snapshot[a..a + width]);
-        let mut i = 0;
-        while i < width {
-            let a = addr + i as u64;
-            let base = a & !7;
-            let off = (a - base) as usize;
-            let n = (8 - off).min(width - i);
-            if let Some(ix) = self.find(base) {
-                let cell = &self.cells[ix].1;
-                if cell.mask == 0xFF {
-                    out[i..i + n].copy_from_slice(&cell.bytes[off..off + n]);
-                } else {
-                    for j in 0..n {
-                        if cell.mask & (1 << (off + j)) != 0 {
-                            out[i + j] = cell.bytes[off + j];
-                        }
-                    }
+        if !self.pages.is_empty() {
+            let (page, off, n) = Self::split(addr, width);
+            if let Some(ix) = self.find(page) {
+                self.pages[ix].patch(off, &mut out[..n]);
+            }
+            if n < width {
+                if let Some(ix) = self.find(page + 1) {
+                    self.pages[ix].patch(0, &mut out[n..width]);
                 }
             }
-            i += n;
         }
         u64::from_le_bytes(out)
     }
 
-    /// Which bytes of the 8-byte cell at `base` this block has stored
-    /// (bit `i` = byte `base + i`).
+    /// Which of the `width <= 64` bytes at `addr` this block has stored
+    /// (bit `i` = byte `addr + i`). Initcheck treats block-local stores
+    /// as defining; dataflow counts only the other bytes as external
+    /// reads.
     #[inline]
-    fn written_mask(&self, base: u64) -> u8 {
-        self.find(base).map_or(0, |ix| self.cells[ix].1.mask)
+    pub(crate) fn written_bits(&self, addr: u64, width: usize) -> u64 {
+        if self.pages.is_empty() {
+            return 0;
+        }
+        let (page, off, n) = Self::split(addr, width);
+        let mut m = self
+            .find(page)
+            .map_or(0, |ix| self.pages[ix].written(off, n));
+        if n < width {
+            if let Some(ix) = self.find(page + 1) {
+                m |= self.pages[ix].written(0, width - n) << n;
+            }
+        }
+        m
     }
 
-    /// Whether this block has stored the byte at `addr` (initcheck
-    /// treats block-local stores as defining).
-    pub(crate) fn is_written(&self, addr: u64) -> bool {
-        let base = addr & !7;
-        self.written_mask(base) & (1 << (addr - base)) != 0
-    }
-
-    /// Takes the block's cells for publication (in first-store order,
-    /// which is deterministic; cells are disjoint so application order
-    /// within a block cannot matter anyway) and resets the table so the
-    /// overlay is ready for the next block. The replacement vector comes
-    /// from the publish-side recycling pool, so on the launching thread
-    /// the cell storage never re-grows from zero; elsewhere it is sized
-    /// like this block's cells, since a grid's blocks store alike.
-    fn take_cells(&mut self) -> Vec<(u64, OverlayCell)> {
+    /// Takes the block's pages for publication (in first-store order,
+    /// which is deterministic) and resets the table so the overlay is
+    /// ready for the next block. The replacement vector comes from the
+    /// publish-side recycling pool, so on the launching thread the page
+    /// storage never re-grows from zero; elsewhere it is sized like this
+    /// block's pages, since a grid's blocks store alike.
+    fn take_pages(&mut self) -> Vec<OverlayPage> {
         self.keys.fill(EMPTY_KEY);
-        let fresh = CELL_POOL
+        let fresh = PAGE_POOL
             .with(|p| p.borrow_mut().pop())
-            .unwrap_or_else(|| Vec::with_capacity(self.cells.len()));
-        std::mem::replace(&mut self.cells, fresh)
+            .unwrap_or_else(|| Vec::with_capacity(self.pages.len()));
+        std::mem::replace(&mut self.pages, fresh)
     }
 }
 
 thread_local! {
-    /// Emptied overlay cell vectors, recycled from the publish loop back
-    /// to `take_cells`. Both run on the launching thread when the block
+    /// Emptied overlay page vectors, recycled from the publish loop back
+    /// to `take_pages`. Both run on the launching thread when the block
     /// fan-out is sequential (the common case on small machines), so the
-    /// per-block cell storage round-trips instead of reallocating.
-    static CELL_POOL: std::cell::RefCell<Vec<Vec<(u64, OverlayCell)>>> =
+    /// per-block page storage round-trips instead of reallocating.
+    static PAGE_POOL: std::cell::RefCell<Vec<Vec<OverlayPage>>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
@@ -550,16 +619,12 @@ impl ThreadCtx<'_> {
         addr: u64,
         width: usize,
     ) {
-        if self.san.is_none() {
+        let Some(san) = self.san.as_deref_mut() else {
             return;
-        }
-        for b in addr..addr + width as u64 {
-            if !self.init.is_init(b as usize) && !self.writes.is_written(b) {
-                if let Some(san) = self.san.as_deref_mut() {
-                    san.uninit_global(loc, buf, addr, width);
-                }
-                return;
-            }
+        };
+        let written = self.writes.written_bits(addr, width);
+        if (0..width).any(|i| written & (1 << i) == 0 && !self.init.is_init(addr as usize + i)) {
+            san.uninit_global(loc, buf, addr, width);
         }
     }
 
@@ -577,32 +642,8 @@ impl ThreadCtx<'_> {
         let Some(reads) = self.reads.as_deref_mut() else {
             return;
         };
-        let end = addr + width as u64;
-        let mut start = None;
-        let mut a = addr;
-        // One overlay probe per 8-byte cell, not per byte.
-        while a < end {
-            let base = a & !7;
-            let cell_end = (base + 8).min(end);
-            let mask = self.writes.written_mask(base);
-            if mask == 0 {
-                start.get_or_insert(a);
-            } else {
-                for b in a..cell_end {
-                    if mask & (1 << (b - base)) != 0 {
-                        if let Some(s) = start.take() {
-                            reads.record_run(s, b);
-                        }
-                    } else {
-                        start.get_or_insert(b);
-                    }
-                }
-            }
-            a = cell_end;
-        }
-        if let Some(s) = start {
-            reads.record_run(s, end);
-        }
+        let written = self.writes.written_bits(addr, width);
+        reads.record_mask(addr, !written & low_bits(width));
     }
 
     /// Loads an `f64` from global memory at element index `idx` of `buf`.
@@ -1024,7 +1065,7 @@ fn launch_prepared(
     let init: &InitMask = mem.init_mask();
 
     type BlockResult = (
-        Vec<(u64, OverlayCell)>,
+        Vec<OverlayPage>,
         KernelStats,
         Option<SiteProfile>,
         Option<SanReport>,
@@ -1046,6 +1087,7 @@ fn launch_prepared(
                 reads.clear();
             }
             acc.set_profiling(opts.profile_sites);
+            acc.set_geometry(cfg);
             let mut stats = KernelStats::default();
             let mut san = opts
                 .sanitize
@@ -1106,7 +1148,7 @@ fn launch_prepared(
             let sites = acc.take_site_profile();
             let block_reads = opts.dataflow.then(|| reads.take_set());
             (
-                writes.take_cells(),
+                writes.take_pages(),
                 stats,
                 sites,
                 san.map(BlockSan::into_report),
@@ -1127,31 +1169,33 @@ fn launch_prepared(
             total.merge(block);
         }
     }
-    // Publish in block order: byte-granular cells are disjoint within a
-    // block, and cross-block collisions resolve last-block-wins,
-    // deterministically. Emptied cell vectors go back to the pool for
-    // the next block's `take_cells`. The dataflow write set is read off
-    // the same cells, so it is exactly the published bytes.
+    // Publish in block order: pages are disjoint within a block, and
+    // cross-block collisions resolve last-block-wins byte by byte,
+    // deterministically. Emptied page vectors go back to the pool for
+    // the next block's `take_pages`. The dataflow write set is read off
+    // the same mask words, so it is exactly the published bytes.
     let mut access_cols = opts
         .dataflow
         .then(|| (IntervalCollector::default(), IntervalCollector::default()));
-    for (mut cells, _, _, _, block_reads) in results {
+    for (mut pages, _, _, _, block_reads) in results {
         if let Some((rcol, wcol)) = access_cols.as_mut() {
             if let Some(r) = &block_reads {
                 rcol.extend_set(r);
             }
-            for &(base, cell) in &cells {
-                wcol.record_cell(base, cell.mask);
+            for p in &pages {
+                for (l, &m) in p.mask.iter().enumerate() {
+                    wcol.record_mask(p.base + (l * LINE_BYTES) as u64, m);
+                }
             }
         }
-        for &(base, cell) in &cells {
-            mem.apply_masked(base, cell.mask, cell.bytes);
+        for p in &pages {
+            mem.apply_page(p.base, &p.mask, &p.bytes);
         }
-        cells.clear();
-        CELL_POOL.with(|p| {
+        pages.clear();
+        PAGE_POOL.with(|p| {
             let mut pool = p.borrow_mut();
             if pool.len() < 16 {
-                pool.push(cells);
+                pool.push(pages);
             }
         });
     }
@@ -1952,5 +1996,218 @@ mod determinism_tests {
         let (s2, m2) = run();
         assert_eq!(s1, s2);
         assert_eq!(m1, m2);
+    }
+}
+
+#[cfg(test)]
+mod overlay_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Device bytes the oracle streams address: four overlay pages.
+    const WINDOW: usize = 4 * PAGE_BYTES;
+
+    /// One overlay operation of the oracle stream.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Store { addr: u64, width: usize, val: u64 },
+        Load { addr: u64, width: usize },
+    }
+
+    /// Stores and loads of width 1/2/4/8 at aligned addresses, anywhere
+    /// in the window, or across a page boundary.
+    fn arb_op() -> impl Strategy<Value = Op> {
+        (0u8..3, 0u8..4, 0u8..3, any::<u64>(), any::<u64>()).prop_map(
+            |(kind, w, placement, a, val)| {
+                let width = 1usize << w;
+                let addr = match placement {
+                    // Naturally aligned, as kernel stores are.
+                    0 => (a % (WINDOW / width) as u64) * width as u64,
+                    // Any byte.
+                    1 => a % (WINDOW - 8) as u64,
+                    // Straddling (or ending at) a page boundary.
+                    _ => {
+                        let page = 1 + a % (WINDOW / PAGE_BYTES - 1) as u64;
+                        page * PAGE_BYTES as u64 - 1 - (a >> 32) % width as u64
+                    }
+                };
+                if kind == 0 {
+                    Op::Load { addr, width }
+                } else {
+                    Op::Store { addr, width, val }
+                }
+            },
+        )
+    }
+
+    /// The pre-launch device image the loads fall back to.
+    fn snapshot() -> Vec<u8> {
+        (0..WINDOW).map(|i| (i * 7 % 251) as u8).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The page overlay agrees with a plain byte map: every load
+        /// returns the snapshot patched with exactly the stored bytes,
+        /// `written_bits` names exactly the stored bytes, and publishing
+        /// the pages writes and marks exactly them.
+        #[test]
+        fn page_overlay_matches_a_byte_map(ops in proptest::collection::vec(arb_op(), 0..200)) {
+            let snap = snapshot();
+            let mut overlay = WriteOverlay::default();
+            let mut model: BTreeMap<u64, u8> = BTreeMap::new();
+            for op in &ops {
+                match *op {
+                    Op::Store { addr, width, val } => {
+                        let bytes = val.to_le_bytes();
+                        overlay.store(addr, &bytes[..width]);
+                        for (i, &b) in bytes[..width].iter().enumerate() {
+                            model.insert(addr + i as u64, b);
+                        }
+                    }
+                    Op::Load { addr, width } => {
+                        let mut want = [0u8; 8];
+                        let mut want_bits = 0u64;
+                        for (i, w) in want[..width].iter_mut().enumerate() {
+                            let a = addr + i as u64;
+                            *w = model.get(&a).copied().unwrap_or(snap[a as usize]);
+                            if model.contains_key(&a) {
+                                want_bits |= 1 << i;
+                            }
+                        }
+                        prop_assert_eq!(overlay.load(&snap, addr, width), u64::from_le_bytes(want));
+                        prop_assert_eq!(overlay.written_bits(addr, width), want_bits);
+                    }
+                }
+            }
+            // Publish onto a device whose first half is defined.
+            let mut mem = DeviceMemory::new(WINDOW);
+            let buf = mem.alloc(WINDOW).unwrap();
+            mem.upload(buf, &snap);
+            mem.reset();
+            let buf = mem.alloc(WINDOW).unwrap();
+            mem.upload(buf.slice(0, WINDOW / 2), &snap[..WINDOW / 2]);
+            for p in overlay.take_pages() {
+                mem.apply_page(p.base, &p.mask, &p.bytes);
+            }
+            let image = mem.download(buf);
+            for a in 0..WINDOW {
+                let stored = model.get(&(a as u64));
+                prop_assert_eq!(image[a], stored.copied().unwrap_or(snap[a]), "byte {}", a);
+                let init = stored.is_some() || a < WINDOW / 2;
+                prop_assert_eq!(mem.init_mask().is_init(a), init, "init {}", a);
+            }
+            // The overlay is empty again for the next block.
+            prop_assert_eq!(overlay.written_bits(0, 8), 0);
+            prop_assert_eq!(overlay.load(&snap, 0, 8), u64::from_le_bytes(snap[..8].try_into().unwrap()));
+        }
+    }
+
+    /// Block 0 stores whole f64s over a buffer; block 1 then stores
+    /// scattered bytes and f32s over the same bytes. Publication in
+    /// block order makes block 1 win exactly the bytes it stored and
+    /// leaves block 0's bytes everywhere else, line by line.
+    #[test]
+    fn later_block_wins_overlapping_bytes_one_by_one() {
+        struct Overlap {
+            buf: Buffer,
+        }
+        impl Kernel for Overlap {
+            fn resources(&self) -> KernelResources {
+                KernelResources {
+                    regs_per_thread: 8,
+                    shared_bytes_per_block: 0,
+                    local_f64_slots: 0,
+                }
+            }
+            fn run(&self, ctx: &mut ThreadCtx<'_>) {
+                let t = ctx.thread_idx();
+                if ctx.block_idx() == 0 {
+                    ctx.st_f64(
+                        self.buf,
+                        t,
+                        f64::from_bits(0x0101_0101_0101_0101 * (t as u64 + 1)),
+                    );
+                } else {
+                    if t.is_multiple_of(3) {
+                        ctx.st_u8(self.buf, 8 * t + t % 8, 0xE0 | t as u8);
+                    }
+                    if t.is_multiple_of(5) {
+                        ctx.st_f32(self.buf, 2 * t + 1, f32::from_bits(0xA0B0_C0D0));
+                    }
+                }
+            }
+        }
+        let mut mem = DeviceMemory::new(1 << 16);
+        let buf = mem.alloc_array::<f64>(32).unwrap();
+        let cfg = GpuConfig::default();
+        let lc = LaunchConfig {
+            blocks: 2,
+            threads_per_block: 32,
+        };
+        launch(&mut mem, &cfg, lc, &Overlap { buf }).unwrap();
+        let mut want: Vec<u8> = (0..256).map(|i| (i / 8 + 1) as u8).collect();
+        for t in 0..32usize {
+            if t.is_multiple_of(3) {
+                want[8 * t + t % 8] = 0xE0 | t as u8;
+            }
+            if t.is_multiple_of(5) {
+                want[8 * t + 4..8 * t + 8].copy_from_slice(&0xA0B0_C0D0u32.to_le_bytes());
+            }
+        }
+        assert_eq!(mem.download(buf), want);
+    }
+
+    /// Publication marks exactly the bytes a launch stored in the
+    /// device's initialization map: sparse bytes, whole f64s and f32s,
+    /// and nothing around them.
+    #[test]
+    fn publish_marks_exactly_the_stored_bytes() {
+        /// Thread t stores a byte at 37t, and thread t < 8 an f64 at
+        /// element 100 + 3t and an f32 at element 300 + t.
+        struct Sparse {
+            buf: Buffer,
+        }
+        impl Kernel for Sparse {
+            fn resources(&self) -> KernelResources {
+                KernelResources {
+                    regs_per_thread: 8,
+                    shared_bytes_per_block: 0,
+                    local_f64_slots: 0,
+                }
+            }
+            fn run(&self, ctx: &mut ThreadCtx<'_>) {
+                let t = ctx.global_thread_id();
+                ctx.st_u8(self.buf, 37 * t, 1);
+                if t < 8 {
+                    ctx.st_f64(self.buf, 100 + 3 * t, 2.0);
+                    ctx.st_f32(self.buf, 300 + t, 3.0);
+                }
+            }
+        }
+        let mut mem = DeviceMemory::new(1 << 16);
+        let before = mem.alloc(256).unwrap();
+        let buf = mem.alloc(64 * 37).unwrap();
+        let after = mem.alloc(256).unwrap();
+        let cfg = GpuConfig::default();
+        launch(&mut mem, &cfg, LaunchConfig::cover(64, 32), &Sparse { buf }).unwrap();
+        let mut want = vec![false; buf.len()];
+        for t in 0..64 {
+            want[37 * t] = true;
+        }
+        for t in 0..8 {
+            want[8 * (100 + 3 * t)..8 * (101 + 3 * t)].fill(true);
+            want[4 * (300 + t)..4 * (301 + t)].fill(true);
+        }
+        let base = buf.addr() as usize;
+        for (i, &w) in want.iter().enumerate() {
+            assert_eq!(mem.init_mask().is_init(base + i), w, "byte {i}");
+        }
+        for b in [before, after] {
+            let a = b.addr() as usize;
+            assert!((a..a + b.len()).all(|i| !mem.init_mask().is_init(i)));
+        }
     }
 }

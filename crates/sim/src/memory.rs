@@ -101,6 +101,18 @@ impl std::fmt::Display for MemoryError {
 
 impl std::error::Error for MemoryError {}
 
+/// Bytes per write-overlay page: the unit a block's global stores are
+/// buffered and published in (see [`crate::kernel`]). Pages are aligned
+/// to their size, so each page covers whole [`InitMask`] words.
+pub(crate) const PAGE_BYTES: usize = 512;
+
+/// Bytes per page line: one 64-bit written-byte mask word, and one
+/// [`InitMask`] word.
+pub(crate) const LINE_BYTES: usize = 64;
+
+/// Lines per overlay page.
+pub(crate) const PAGE_LINES: usize = PAGE_BYTES / LINE_BYTES;
+
 /// Bit-per-byte map of device bytes that hold defined data — written by a
 /// host typed accessor, covered by an H2D [`DeviceMemory::upload`], or
 /// published by a kernel store. The sanitizer's initcheck reads loads
@@ -146,6 +158,16 @@ impl InitMask {
             self.bits[first + 1..last].fill(!0);
             self.bits[last] |= tail;
         }
+    }
+
+    /// Marks the bytes of the 64-byte line `line` (byte `64 * line + i`
+    /// for each set bit `i` of `bits`) as initialized: one word OR.
+    #[inline]
+    fn mark_line(&mut self, line: usize, bits: u64) {
+        if self.bits.len() <= line {
+            self.bits.resize(line + 1, 0);
+        }
+        self.bits[line] |= bits;
     }
 
     /// Whether `byte` has ever been initialized.
@@ -256,25 +278,39 @@ impl DeviceMemory {
         &self.init
     }
 
-    /// Applies one write-overlay cell — up to 8 bytes at 8-byte-aligned
-    /// `base`, valid where `mask` has a bit set — and marks the bytes
-    /// initialized. Only masked bytes are touched, so a cell straddling
-    /// the end of the backing store is safe as long as its masked bytes
-    /// came from a bounds-checked kernel store.
-    pub(crate) fn apply_masked(&mut self, base: u64, mask: u8, bytes: [u8; 8]) {
+    /// Applies one write-overlay page at [`PAGE_BYTES`]-aligned `base`:
+    /// byte `64 * l + i` of `bytes` is written where bit `i` of
+    /// `mask[l]` is set, and exactly those bytes are marked initialized.
+    /// A fully written line is one 64-byte copy; any other line is
+    /// copied byte by byte under its mask, so bytes this page did not
+    /// store keep whatever an earlier page wrote. Only masked bytes are
+    /// touched, so a page reaching past the end of the backing store is
+    /// safe as long as its masked bytes came from bounds-checked kernel
+    /// stores.
+    pub(crate) fn apply_page(
+        &mut self,
+        base: u64,
+        mask: &[u64; PAGE_LINES],
+        bytes: &[u8; PAGE_BYTES],
+    ) {
         let base = base as usize;
-        if mask == 0xFF {
-            // Fully-written cell — the overwhelmingly common case for
-            // f64/f32 stores: one 8-byte copy, one word-granular mark.
-            self.data[base..base + 8].copy_from_slice(&bytes);
-            self.init.mark(base, 8);
-            return;
-        }
-        for (j, &v) in bytes.iter().enumerate() {
-            if mask & (1 << j) != 0 {
-                self.data[base + j] = v;
-                self.init.mark(base + j, 1);
+        debug_assert_eq!(base % PAGE_BYTES, 0, "unaligned overlay page");
+        for (l, (&m, src)) in mask.iter().zip(bytes.chunks_exact(LINE_BYTES)).enumerate() {
+            if m == 0 {
+                continue;
             }
+            let at = base + l * LINE_BYTES;
+            if m == !0 {
+                self.data[at..at + LINE_BYTES].copy_from_slice(src);
+            } else {
+                let mut rest = m;
+                while rest != 0 {
+                    let j = rest.trailing_zeros() as usize;
+                    self.data[at + j] = src[j];
+                    rest &= rest - 1;
+                }
+            }
+            self.init.mark_line(at / LINE_BYTES, m);
         }
     }
 
@@ -508,15 +544,35 @@ mod tests {
         assert!(!m.init_mask().is_init(u.addr() as usize));
     }
 
+    /// A page with one full line, one partial line and six empty ones
+    /// writes and marks exactly its masked bytes: the untouched bytes
+    /// keep their old values and stay undefined where they were.
     #[test]
-    fn apply_masked_writes_only_masked_bytes_and_marks_them() {
+    fn apply_page_writes_only_masked_bytes_and_marks_them() {
         let mut m = DeviceMemory::new(1 << 16);
-        let a = m.alloc(8).unwrap();
-        m.upload(a, &[9; 8]);
-        let base = a.addr();
-        m.apply_masked(base, 0b0000_0110, [0, 11, 22, 0, 0, 0, 0, 0]);
-        assert_eq!(m.download(a), vec![9, 11, 22, 9, 9, 9, 9, 9]);
-        assert!(m.init_mask().is_init(base as usize + 1));
+        let a = m.alloc(2 * PAGE_BYTES).unwrap();
+        let base = a.addr() + PAGE_BYTES as u64;
+        assert_eq!(base % PAGE_BYTES as u64, 0);
+        // Only the first page is defined before the publish.
+        m.upload(a.slice(0, PAGE_BYTES), &[9; PAGE_BYTES]);
+        let bytes: [u8; PAGE_BYTES] = std::array::from_fn(|i| (i % 251) as u8 + 1);
+        let mut mask = [0u64; PAGE_LINES];
+        mask[1] = !0;
+        mask[6] = 0b0110 | 1 << 63;
+        m.apply_page(base, &mask, &bytes);
+        let page = &m.download(a)[PAGE_BYTES..];
+        for (i, (&got, &src)) in page.iter().zip(&bytes).enumerate() {
+            let written = mask[i / LINE_BYTES] & (1 << (i % LINE_BYTES)) != 0;
+            assert_eq!(got, if written { src } else { 0 }, "byte {i}");
+            assert_eq!(
+                m.init_mask().is_init(base as usize + i),
+                written,
+                "byte {i}"
+            );
+        }
+        // The defined page before it is untouched.
+        assert!(m.download(a)[..PAGE_BYTES].iter().all(|&b| b == 9));
+        assert!((0..PAGE_BYTES).all(|i| m.init_mask().is_init(a.addr() as usize + i)));
     }
 
     #[test]

@@ -616,8 +616,15 @@ impl ServingReport {
     }
 }
 
+/// Most snapshots one serving report holds. A requested window shorter
+/// than `makespan / MAX_SNAPSHOTS` is widened to that, so a tiny window
+/// cannot make the report (and the memory building it) grow without
+/// bound.
+pub const MAX_SNAPSHOTS: usize = 256;
+
 /// How the run is windowed. `window_s == 0` auto-sizes to
-/// `makespan / 8` (at least one window).
+/// `makespan / 8` (at least one window); any window is widened so the
+/// run has at most [`MAX_SNAPSHOTS`] of them.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServingWindowConfig {
     /// Window length on the schedule clock (seconds; 0 = auto).
@@ -657,7 +664,7 @@ pub fn serving_report(
     );
     let makespan = schedule.makespan();
     let window_s = if window.window_s > 0.0 {
-        window.window_s
+        window.window_s.max(makespan / MAX_SNAPSHOTS as f64)
     } else if makespan > 0.0 {
         makespan / 8.0
     } else {
@@ -736,7 +743,8 @@ pub fn serving_report(
     let n_streams = schedule.streams.len();
     let mut cumulative: Vec<StreamServing> = (0..n_streams).map(StreamServing::new).collect();
     let n_windows = if makespan > 0.0 {
-        (makespan / window_s).ceil().max(1.0) as usize
+        // The clamp absorbs rounding in the widened window's quotient.
+        ((makespan / window_s).ceil().max(1.0) as usize).min(MAX_SNAPSHOTS)
     } else {
         1
     };
@@ -1181,6 +1189,43 @@ mod tests {
         assert_eq!(last.streams, r.streams);
         let total: u64 = r.streams.iter().map(|s| s.frames_completed).sum();
         assert_eq!(total, sched.total_frames() as u64);
+    }
+
+    /// Regression: a window far shorter than the run used to make
+    /// `ceil(makespan / window)` snapshots with no bound (12,990 for a
+    /// 1e-5 ms window over two frames). The window is widened instead,
+    /// and the snapshots still end at the run's totals.
+    #[test]
+    fn a_tiny_window_is_widened_to_the_snapshot_cap() {
+        let (sched, periods) = schedule_of(2, 6, 0.0);
+        let window = |window_s| ServingWindowConfig { window_s };
+        let report = |w: &ServingWindowConfig| {
+            serving_report(
+                &sched,
+                &periods,
+                "d",
+                "level F",
+                &SloConfig::default(),
+                w,
+                None,
+            )
+        };
+        let makespan = sched.makespan();
+        for window_s in [
+            1e-8,
+            makespan / MAX_SNAPSHOTS as f64 / 3.0,
+            f64::MIN_POSITIVE,
+        ] {
+            let r = report(&window(window_s));
+            assert_eq!(r.snapshots.len(), MAX_SNAPSHOTS, "window {window_s}");
+            assert_eq!(r.window_s, makespan / MAX_SNAPSHOTS as f64);
+            assert!((r.snapshots.last().unwrap().t_s - makespan).abs() < 1e-12);
+            assert_eq!(r.snapshots.last().unwrap().streams, r.streams);
+        }
+        // A window the cap allows is kept as asked.
+        let r = report(&window(makespan / 10.0));
+        assert_eq!(r.window_s, makespan / 10.0);
+        assert!(r.snapshots.len() <= 11);
     }
 
     #[test]

@@ -9,9 +9,14 @@
 //! once, and from then on the per-lane occurrence counters and the
 //! occurrence → slot table are flat arrays indexed directly. The hot
 //! `record_*` path performs no hashing (one multiply-shift probe in the
-//! interner) and no allocation (access vectors are recycled through a
-//! pool across warps). Slots are kept in program/insertion order, which
-//! is also what makes the fold deterministic.
+//! interner) and no allocation (key vectors are recycled through a pool
+//! across warps). A memory slot does not keep its lanes' raw accesses:
+//! as each lane records, the access is turned into the segments (or
+//! shared bank words) it touches and a key is pushed only when it
+//! differs from the slot's last one, so the warp-end fold sees short,
+//! usually already sorted key lists. Slots are kept in
+//! program/insertion order, which is also what makes the fold
+//! deterministic.
 //!
 //! Statistics semantics are pinned bit-for-bit against the pre-SoA
 //! implementation preserved in `tests/support/warp_reference.rs`; see
@@ -46,7 +51,12 @@ enum SlotKind {
         space: Space,
         write: bool,
         bytes_requested: u64,
-        accesses: Vec<(u64, u8)>,
+        /// Lane accesses recorded into the slot.
+        accesses: u32,
+        /// The segments (global/local) or 4-byte bank words (shared) the
+        /// accesses touch, in record order, each pushed only when it
+        /// differs from the one before it.
+        keys: Vec<u64>,
     },
     Branch {
         taken: u32,
@@ -91,15 +101,67 @@ pub struct WarpAccumulator {
     /// global source-location registry (registration is idempotent, the
     /// flag just avoids re-taking the registry lock per warp).
     site_registered: Vec<bool>,
-    /// Recycled access vectors for `SlotKind::Mem`, refilled at warp end
+    /// Recycled key vectors for `SlotKind::Mem`, refilled at warp end
     /// so steady-state recording never allocates.
-    access_pool: Vec<Vec<(u64, u8)>>,
+    key_pool: Vec<Vec<u64>>,
+    /// Segment size the keys of global/local slots are recorded in.
+    segment: SegmentGeometry,
     /// Warp-end scratch: first-touch-ordered segment list of one slot.
     segments: Vec<u64>,
-    /// Warp-end scratch: the 4-byte shared words of one slot.
-    words: Vec<u64>,
     /// Warp-end scratch: distinct-word counts per shared bank.
     bank_counts: Vec<u32>,
+}
+
+/// Bytes per shared-memory bank word.
+const BANK_WORD_BYTES: u64 = 4;
+
+/// Segment size every shipped [`GpuConfig`] uses (the Fermi L1 line);
+/// [`WarpAccumulator::new`] records in it until
+/// [`WarpAccumulator::set_geometry`] says otherwise.
+const DEFAULT_SEGMENT_BYTES: u64 = 128;
+
+/// Address → segment index for one segment size: a shift when the size
+/// is a power of two, a division otherwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SegmentGeometry {
+    bytes: u64,
+    /// `log2(bytes)`, or `None` when `bytes` is not a power of two.
+    shift: Option<u32>,
+}
+
+impl SegmentGeometry {
+    fn new(bytes: u64) -> Self {
+        assert!(bytes > 0, "segment size must be positive");
+        SegmentGeometry {
+            bytes,
+            shift: bytes.is_power_of_two().then(|| bytes.trailing_zeros()),
+        }
+    }
+
+    #[inline]
+    fn index(self, addr: u64) -> u64 {
+        match self.shift {
+            Some(s) => addr >> s,
+            None => addr / self.bytes,
+        }
+    }
+
+    /// Appends the keys an access of `width` bytes at `addr` in `space`
+    /// touches — segments for global/local, bank words for shared —
+    /// skipping each key equal to the last one pushed.
+    #[inline]
+    fn push_keys(self, space: Space, addr: u64, width: u8, keys: &mut Vec<u64>) {
+        let end = addr + width.max(1) as u64 - 1;
+        let (first, last) = match space {
+            Space::Shared => (addr / BANK_WORD_BYTES, end / BANK_WORD_BYTES),
+            Space::Global | Space::Local => (self.index(addr), self.index(end)),
+        };
+        for k in first..=last {
+            if keys.last() != Some(&k) {
+                keys.push(k);
+            }
+        }
+    }
 }
 
 impl WarpAccumulator {
@@ -115,9 +177,9 @@ impl WarpAccumulator {
             profiling: false,
             site_acc: Vec::new(),
             site_registered: Vec::new(),
-            access_pool: Vec::new(),
+            key_pool: Vec::new(),
+            segment: SegmentGeometry::new(DEFAULT_SEGMENT_BYTES),
             segments: Vec::with_capacity(64),
-            words: Vec::with_capacity(64),
             bank_counts: Vec::new(),
         }
     }
@@ -160,6 +222,16 @@ impl WarpAccumulator {
             self.site_acc.fill_with(SiteStats::default);
         }
         self.profiling = on;
+    }
+
+    /// Records global/local accesses in `cfg`'s segment size from the
+    /// next warp on; [`WarpAccumulator::end_warp`] rejects any other
+    /// config. Call it between warps, never with slots pending.
+    pub fn set_geometry(&mut self, cfg: &GpuConfig) {
+        debug_assert!(self.slots.is_empty(), "geometry changed mid-warp");
+        if self.segment.bytes != cfg.segment_bytes {
+            self.segment = SegmentGeometry::new(cfg.segment_bytes);
+        }
     }
 
     /// Starts recording a new lane of the current warp.
@@ -259,24 +331,29 @@ impl WarpAccumulator {
         width: u8,
     ) {
         let site = loc as *const _ as usize;
+        let segment = self.segment;
         match self.locate(site) {
             Ok(ix) => match &mut self.slots[ix].kind {
                 SlotKind::Mem {
+                    space,
                     bytes_requested,
                     accesses,
+                    keys,
                     ..
                 } => {
                     *bytes_requested += width as u64;
-                    accesses.push((addr, width));
+                    *accesses += 1;
+                    // Keys follow the slot's space: the first lane's.
+                    segment.push_keys(*space, addr, width, keys);
                 }
                 other => debug_assert!(false, "slot kind mismatch at mem slot: {other:?}"),
             },
             Err((dense, occ)) => {
-                let mut accesses = self
-                    .access_pool
+                let mut keys = self
+                    .key_pool
                     .pop()
                     .unwrap_or_else(|| Vec::with_capacity(32));
-                accesses.push((addr, width));
+                segment.push_keys(space, addr, width, &mut keys);
                 self.slots.push(Slot {
                     site,
                     dense,
@@ -285,7 +362,8 @@ impl WarpAccumulator {
                         space,
                         write,
                         bytes_requested: width as u64,
-                        accesses,
+                        accesses: 1,
+                        keys,
                     },
                 });
             }
@@ -371,21 +449,28 @@ impl WarpAccumulator {
         stats: &mut KernelStats,
         mut cache: Option<&mut crate::cache::CacheModel>,
     ) {
-        let seg = cfg.segment_bytes;
+        assert_eq!(
+            cfg.segment_bytes, self.segment.bytes,
+            "warp folded under a {} B segment config but recorded in {} B segments; \
+             call set_geometry before the warp",
+            cfg.segment_bytes, self.segment.bytes
+        );
+        let banks = cfg.shared_banks as u64;
+        let bank_mask = banks.is_power_of_two().then(|| banks - 1);
         if self.bank_counts.len() < cfg.shared_banks as usize {
             self.bank_counts.resize(cfg.shared_banks as usize, 0);
         }
         // Move the slot list out so the scratch fields stay borrowable;
         // it is drained (capacity retained) and swapped back below.
         let mut slots = std::mem::take(&mut self.slots);
-        for slot in &slots {
+        for slot in &mut slots {
             // Per-slot contribution, also attributed to the slot's source
             // site when profiling is on.
             let mut delta = SiteStats {
                 warp_slots: 1,
                 ..Default::default()
             };
-            match &slot.kind {
+            match &mut slot.kind {
                 SlotKind::Op {
                     class,
                     max_count,
@@ -412,6 +497,7 @@ impl WarpAccumulator {
                     write,
                     bytes_requested,
                     accesses,
+                    keys,
                 } => {
                     stats.issue_cycles += 1.0;
                     if PROFILE {
@@ -425,31 +511,21 @@ impl WarpAccumulator {
                             // sort+dedup then per-bank counting gives the
                             // same per-bank distinct-word sets as the
                             // per-bank lists the reference kept.
-                            self.words.clear();
-                            for &(addr, width) in accesses {
-                                let mut w = addr / 4;
-                                let end = (addr + width as u64).div_ceil(4);
-                                loop {
-                                    self.words.push(w);
-                                    w += 1;
-                                    if w >= end {
-                                        break;
-                                    }
-                                }
-                            }
-                            self.words.sort_unstable();
-                            self.words.dedup();
-                            let banks = cfg.shared_banks as u64;
+                            sort_distinct(keys);
+                            let bank = |w: u64| match bank_mask {
+                                Some(m) => (w & m) as usize,
+                                None => (w % banks) as usize,
+                            };
                             let mut degree = 1u64;
-                            for &w in &self.words {
-                                let b = (w % banks) as usize;
+                            for &w in keys.iter() {
+                                let b = bank(w);
                                 self.bank_counts[b] += 1;
                                 degree = degree.max(self.bank_counts[b] as u64);
                             }
-                            for &w in &self.words {
-                                self.bank_counts[(w % banks) as usize] = 0;
+                            for &w in keys.iter() {
+                                self.bank_counts[bank(w)] = 0;
                             }
-                            stats.shared_accesses += accesses.len() as u64;
+                            stats.shared_accesses += *accesses as u64;
                             stats.shared_replays += degree - 1;
                             // Each replay is an extra issue of this slot.
                             stats.issue_cycles += (degree - 1) as f64;
@@ -466,15 +542,9 @@ impl WarpAccumulator {
                                     // so the sequence of `access_segment`
                                     // calls is semantics.
                                     self.segments.clear();
-                                    for &(addr, width) in accesses {
-                                        let first = addr / seg;
-                                        let last = (addr + width as u64 - 1) / seg;
-                                        for s in first..=last {
-                                            if self.segments.last() != Some(&s)
-                                                && !self.segments.contains(&s)
-                                            {
-                                                self.segments.push(s);
-                                            }
+                                    for &s in keys.iter() {
+                                        if !self.segments.contains(&s) {
+                                            self.segments.push(s);
                                         }
                                     }
                                     let mut misses = 0u64;
@@ -490,56 +560,33 @@ impl WarpAccumulator {
                                 }
                                 None => {
                                     // Without a cache only the *count* of
-                                    // distinct segments matters, so the
-                                    // quadratic first-touch dedupe can be
-                                    // replaced by sort + dedup — ~5x
-                                    // cheaper for the strided slots of the
-                                    // unoptimized ladder levels. The
-                                    // `last()` check strips the runs of
-                                    // equal segments coalesced accesses
-                                    // produce before paying for the sort.
-                                    self.segments.clear();
-                                    for &(addr, width) in accesses {
-                                        let first = addr / seg;
-                                        let last = (addr + width as u64 - 1) / seg;
-                                        let mut s = first;
-                                        loop {
-                                            if self.segments.last() != Some(&s) {
-                                                self.segments.push(s);
-                                            }
-                                            if s >= last {
-                                                break;
-                                            }
-                                            s += 1;
-                                        }
-                                    }
-                                    self.segments.sort_unstable();
-                                    self.segments.dedup();
-                                    self.segments.len() as u64
+                                    // distinct segments matters.
+                                    sort_distinct(keys);
+                                    keys.len() as u64
                                 }
                             };
                             stats.mem_slots += 1;
-                            stats.lane_mem_accesses += accesses.len() as u64;
+                            stats.lane_mem_accesses += *accesses as u64;
                             if PROFILE {
                                 delta.transactions = tx;
                                 delta.bytes_requested = *bytes_requested;
                             }
-                            match (space, write) {
+                            match (*space, *write) {
                                 (Space::Global, false) => {
                                     stats.global_load_tx += tx;
-                                    stats.global_load_bytes_requested += bytes_requested;
+                                    stats.global_load_bytes_requested += *bytes_requested;
                                 }
                                 (Space::Global, true) => {
                                     stats.global_store_tx += tx;
-                                    stats.global_store_bytes_requested += bytes_requested;
+                                    stats.global_store_bytes_requested += *bytes_requested;
                                 }
                                 (Space::Local, false) => {
                                     stats.local_load_tx += tx;
-                                    stats.local_load_bytes_requested += bytes_requested;
+                                    stats.local_load_bytes_requested += *bytes_requested;
                                 }
                                 (Space::Local, true) => {
                                     stats.local_store_tx += tx;
-                                    stats.local_store_bytes_requested += bytes_requested;
+                                    stats.local_store_bytes_requested += *bytes_requested;
                                 }
                                 (Space::Shared, _) => unreachable!(),
                             }
@@ -594,16 +641,26 @@ impl WarpAccumulator {
         stats.warp_slots += slots.len() as u64;
         stats.warps += 1;
         stats.lanes += self.lanes_seen as u64;
-        // Reset the occurrence → slot table and recycle access vectors.
+        // Reset the occurrence → slot table and recycle key vectors.
         for slot in slots.drain(..) {
             self.slot_of[slot.dense as usize][slot.occ as usize] = u32::MAX;
-            if let SlotKind::Mem { mut accesses, .. } = slot.kind {
-                accesses.clear();
-                self.access_pool.push(accesses);
+            if let SlotKind::Mem { mut keys, .. } = slot.kind {
+                keys.clear();
+                self.key_pool.push(keys);
             }
         }
         self.slots = slots;
         self.lanes_seen = 0;
+    }
+}
+
+/// Sorts `keys` into its distinct values. Record-time folding already
+/// dropped consecutive repeats, so a list that is sorted is distinct and
+/// coalesced slots — the common case — skip the sort.
+fn sort_distinct(keys: &mut Vec<u64>) {
+    if !keys.is_sorted() {
+        keys.sort_unstable();
+        keys.dedup();
     }
 }
 
@@ -837,6 +894,55 @@ mod tests {
         });
         assert_eq!(stats.lanes, 7);
         assert_eq!(stats.global_load_tx, 1); // 56 B within one segment
+    }
+
+    /// Keys are recorded in the segment size of the config the
+    /// accumulator was set to; folding under another is refused instead
+    /// of counting the wrong segments.
+    #[test]
+    fn end_warp_rejects_a_config_with_another_segment_size() {
+        let mut acc = WarpAccumulator::new();
+        let mut stats = KernelStats::default();
+        acc.begin_lane();
+        acc.record_mem(site_a(), Space::Global, false, 0, 8);
+        let wide = GpuConfig {
+            segment_bytes: 256,
+            ..cfg()
+        };
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            acc.end_warp(&wide, &mut stats)
+        }));
+        assert!(r.is_err(), "a 256 B fold of 128 B keys must be refused");
+    }
+
+    /// Segment and bank counts that are not powers of two take the
+    /// division path and count exactly what the definition says.
+    #[test]
+    fn non_power_of_two_geometry_folds_by_division() {
+        let odd = GpuConfig {
+            segment_bytes: 96,
+            shared_banks: 24,
+            ..cfg()
+        };
+        let mut acc = WarpAccumulator::new();
+        acc.set_geometry(&odd);
+        let mut stats = KernelStats::default();
+        for lane in 0..32u64 {
+            acc.begin_lane();
+            acc.record_mem(site_a(), Space::Global, false, lane * 12 + 5, 8);
+            acc.record_mem(site_b(), Space::Shared, false, lane * 8, 4);
+        }
+        acc.end_warp(&odd, &mut stats);
+        let segments: std::collections::BTreeSet<u64> = (0..32u64)
+            .flat_map(|l| [(l * 12 + 5) / 96, (l * 12 + 12) / 96])
+            .collect();
+        assert_eq!(stats.global_load_tx, segments.len() as u64);
+        // Lane l reads word 2l, on bank 2l % 24.
+        let mut per_bank = [0u64; 24];
+        for l in 0..32 {
+            per_bank[(2 * l) % 24] += 1;
+        }
+        assert_eq!(stats.shared_replays, per_bank.iter().max().unwrap() - 1);
     }
 
     #[test]

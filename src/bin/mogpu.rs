@@ -718,7 +718,18 @@ fn level_exposition(reports: &[ProfileReport]) -> String {
     mogpu::sim::telemetry::prometheus(&pipelines)
 }
 
+/// Fails when `mode`, a flag that switches the command into another
+/// mode, is given together with one of the `ignored` flags that mode
+/// would silently drop.
+fn reject_ignored(args: &Args, mode: &str, ignored: &[&str]) -> Res {
+    match ignored.iter().find(|f| args.flag(mode) && args.flag(f)) {
+        Some(f) => Err(format!("{f} has no effect with {mode}; drop one of them").into()),
+        None => Ok(()),
+    }
+}
+
 fn cmd_run(args: &Args) -> Res {
+    reject_ignored(args, "--input", &["--frames"])?;
     let level = level(args)?;
     let model = Model::from(args);
     if args.text("--input").is_none() {
@@ -761,6 +772,7 @@ fn cmd_run(args: &Args) -> Res {
 }
 
 fn cmd_profile(args: &Args) -> Res {
+    reject_ignored(args, "--input", &["--frames"])?;
     let level = level(args)?;
     let model = Model::from(args);
     let out = model.run(Some(level), &input_frames(args)?, PROFILED)?;
@@ -771,6 +783,8 @@ fn cmd_profile(args: &Args) -> Res {
 
 fn cmd_advise(args: &Args) -> Res {
     let json = args.flag("--json");
+    let profile_only = ["--level", "--frames", "--tpb", "--top", "--k", "--float"];
+    reject_ignored(args, "--fleet-report", &profile_only)?;
     if let Some(path) = args.path("--fleet-report") {
         return advise_fleet(&path, json);
     }

@@ -649,6 +649,82 @@ fn hostile_flags_are_errors_that_name_the_flag() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Regression: `--window-ms` far below the run length used to make one
+/// snapshot per window with no bound (12,990 windows and a 27.8 MB
+/// document for this command line). The window is widened so the report
+/// holds at most `MAX_SNAPSHOTS` of them.
+#[test]
+fn a_tiny_serving_window_is_widened_to_the_snapshot_cap() {
+    let out = mogpu(&[
+        "streams",
+        "--streams",
+        "1",
+        "--frames",
+        "2",
+        "--window-ms",
+        "1e-5",
+        "--json",
+    ]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc: mogpu::json::Value = mogpu::json::from_str(stdout(&out).trim()).unwrap();
+    let serving = &doc["serving"];
+    let snapshots = serving["snapshots"].as_array().unwrap().len();
+    let cap = mogpu::sim::serving::MAX_SNAPSHOTS;
+    assert_eq!(snapshots, cap);
+    let makespan = serving["makespan_s"].as_f64().unwrap();
+    let window = serving["window_s"].as_f64().unwrap();
+    assert!(window > 1e-8, "window {window} was not widened");
+    assert!((window * cap as f64 - makespan).abs() <= 1e-12 * makespan);
+}
+
+/// A flag that switches a command into another mode cannot be combined
+/// with a flag that mode ignores: the command exits 1 naming both
+/// instead of running without it.
+#[test]
+fn mode_flags_reject_the_flags_their_mode_ignores() {
+    let dir = temp_dir("ignored_flags");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    for (args, ignored, mode) in [
+        (
+            &["advise", "--fleet-report", "f.json", "--level", "B"][..],
+            "--level",
+            "--fleet-report",
+        ),
+        (
+            &["advise", "--fleet-report", "f.json", "--tpb", "64"][..],
+            "--tpb",
+            "--fleet-report",
+        ),
+        (
+            &["advise", "--frames", "9", "--fleet-report", "f.json"][..],
+            "--frames",
+            "--fleet-report",
+        ),
+        (
+            &["run", "--input", "in.y4m", "--frames", "4"][..],
+            "--frames",
+            "--input",
+        ),
+        (
+            &["profile", "-i", "in.y4m", "--frames", "4"][..],
+            "--frames",
+            "--input",
+        ),
+    ] {
+        assert_flag_error(&dir, args, &format!("{ignored} has no effect with {mode}"));
+    }
+    assert!(
+        std::fs::read_dir(&dir).unwrap().next().is_none(),
+        "a rejected command wrote into its working directory"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The help text is generated from the flag tables: every command's
 /// flags, with their ranges and defaults, are listed.
 #[test]
