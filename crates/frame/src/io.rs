@@ -46,6 +46,28 @@ impl From<FrameError> for IoError {
     }
 }
 
+/// Largest frame the readers accept, in pixels: 8192 x 8192, above
+/// 8K UHD (7680 x 4320). A header declaring more is rejected before any
+/// pixel buffer is allocated, so a hostile or corrupt header cannot
+/// request an unbounded allocation or overflow the pixel count.
+pub const MAX_PIXELS: usize = 8192 * 8192;
+
+/// Checks the dimensions a header declares: both nonzero and at most
+/// [`MAX_PIXELS`] pixels in all.
+fn header_resolution(width: usize, height: usize) -> Result<Resolution, IoError> {
+    if width == 0 || height == 0 {
+        return Err(IoError::Format(format!(
+            "frame size {width}x{height} has no pixels"
+        )));
+    }
+    match width.checked_mul(height) {
+        Some(pixels) if pixels <= MAX_PIXELS => Ok(Resolution::new(width, height)),
+        _ => Err(IoError::Format(format!(
+            "frame size {width}x{height} exceeds the {MAX_PIXELS}-pixel limit"
+        ))),
+    }
+}
+
 // ---- PGM (P5, 8-bit) ----
 
 /// Writes a frame as a binary PGM (P5).
@@ -71,7 +93,8 @@ pub fn save_pgm<P: AsRef<Path>>(frame: &Frame<u8>, path: P) -> Result<(), IoErro
 /// Reads a binary PGM (P5, maxval 255).
 ///
 /// # Errors
-/// [`IoError::Format`] for non-P5 or non-8-bit files; I/O errors.
+/// [`IoError::Format`] for non-P5 or non-8-bit files and for zero or
+/// more than [`MAX_PIXELS`] pixels; I/O errors.
 pub fn read_pgm<R: Read>(r: R) -> Result<Frame<u8>, IoError> {
     let mut r = BufReader::new(r);
     let mut magic = [0u8; 2];
@@ -87,7 +110,7 @@ pub fn read_pgm<R: Read>(r: R) -> Result<Frame<u8>, IoError> {
             "unsupported maxval {maxval} (want 255)"
         )));
     }
-    let res = Resolution::new(width, height);
+    let res = header_resolution(width, height)?;
     let mut data = vec![0u8; res.pixels()];
     r.read_exact(&mut data)?;
     Ok(Frame::from_vec(res, data)?)
@@ -102,8 +125,9 @@ pub fn load_pgm<P: AsRef<Path>>(path: P) -> Result<Frame<u8>, IoError> {
 }
 
 /// Parses one whitespace-delimited PNM header integer, skipping `#`
-/// comments.
+/// comments. A token longer than any `usize` is refused as it is read.
 fn read_pnm_token<R: BufRead>(r: &mut R) -> Result<usize, IoError> {
+    const MAX_DIGITS: usize = 20;
     let mut tok = String::new();
     loop {
         let mut byte = [0u8; 1];
@@ -125,6 +149,9 @@ fn read_pnm_token<R: BufRead>(r: &mut R) -> Result<usize, IoError> {
             return Err(IoError::Format(format!(
                 "unexpected character {c:?} in PNM header"
             )));
+        }
+        if tok.len() == MAX_DIGITS {
+            return Err(IoError::Format(format!("PNM integer {tok}... is too long")));
         }
         tok.push(c);
     }
@@ -170,7 +197,8 @@ pub fn write_y4m<W: Write>(seq: &FrameSequence<u8>, fps: u32, w: W) -> Result<()
 /// Reads a YUV4MPEG2 stream's luma plane (C420 or Cmono).
 ///
 /// # Errors
-/// [`IoError::Format`] for unsupported colourspaces or malformed headers.
+/// [`IoError::Format`] for unsupported colourspaces, malformed headers
+/// and frames of zero or more than [`MAX_PIXELS`] pixels.
 pub fn read_y4m<R: Read>(r: R) -> Result<FrameSequence<u8>, IoError> {
     let mut r = BufReader::new(r);
     let mut header = String::new();
@@ -201,7 +229,7 @@ pub fn read_y4m<R: Read>(r: R) -> Result<FrameSequence<u8>, IoError> {
         (Some(w), Some(h)) => (w, h),
         _ => return Err(IoError::Format("missing W/H in Y4M header".into())),
     };
-    let res = Resolution::new(width, height);
+    let res = header_resolution(width, height)?;
     let mut seq = FrameSequence::new(res);
     loop {
         let mut frame_line = String::new();
@@ -332,6 +360,38 @@ mod tests {
     fn y4m_rejects_unknown_colourspace() {
         let data = b"YUV4MPEG2 W2 H2 F30:1 C444\nFRAME\n\0\0\0\0";
         assert!(matches!(read_y4m(&data[..]), Err(IoError::Format(_))));
+    }
+
+    /// Headers that declare no pixels, an overflowing pixel count or
+    /// more than the cap are format errors, found before any pixel
+    /// buffer is allocated.
+    #[test]
+    fn hostile_headers_are_format_errors() {
+        let pgm: [&[u8]; 5] = [
+            b"P5\n4294967296 4294967296 255\n",
+            b"P5\n0 5 255\n",
+            b"P5\n5 0 255\n",
+            b"P5\n8193 8192 255\n",
+            b"P5\n184467440737095516150 1 255\n",
+        ];
+        for data in pgm {
+            let err = read_pgm(data).expect_err("hostile PGM header accepted");
+            assert!(matches!(err, IoError::Format(_)), "{err}");
+        }
+        let y4m: [&[u8]; 4] = [
+            b"YUV4MPEG2 W4294967296 H4294967296 Cmono\nFRAME\n",
+            b"YUV4MPEG2 W0 H5 C420\nFRAME\n",
+            b"YUV4MPEG2 W16 H0 C420\n",
+            b"YUV4MPEG2 W16384 H8192 Cmono\n",
+        ];
+        for data in y4m {
+            let err = read_y4m(data).expect_err("hostile Y4M header accepted");
+            assert!(matches!(err, IoError::Format(_)), "{err}");
+        }
+        // The cap itself is accepted: the header passes, and the missing
+        // payload is an I/O error.
+        let at_cap = b"P5\n8192 8192 255\n";
+        assert!(matches!(read_pgm(&at_cap[..]), Err(IoError::Io(_))));
     }
 
     #[test]

@@ -205,7 +205,7 @@ impl OverlayPage {
     }
 
     /// Stores `val` at page offset `off` (`val` must fit in the page).
-    #[inline]
+    #[inline(always)]
     fn write(&mut self, off: usize, val: &[u8]) {
         let n = val.len();
         self.bytes[off..off + n].copy_from_slice(val);
@@ -230,7 +230,7 @@ impl OverlayPage {
 
     /// Overwrites `out` (the bytes at page offset `off`) with the bytes
     /// this page stored there.
-    #[inline]
+    #[inline(always)]
     fn patch(&self, off: usize, out: &mut [u8]) {
         let m = self.written(off, out.len());
         if m == low_bits(out.len()) {
@@ -333,35 +333,62 @@ impl WriteOverlay {
     }
 
     /// Records a store of `val` (little-endian access bytes) at `addr`.
+    /// The width `W` is a constant of each typed accessor, so the copy
+    /// into the page is a fixed-size move rather than a `memcpy` call.
     /// An access of width <= 8 touches at most two pages.
-    fn store(&mut self, addr: u64, val: &[u8]) {
-        let (page, off, n) = Self::split(addr, val.len());
-        let ix = self.find_or_insert(page);
-        self.pages[ix].write(off, &val[..n]);
-        if n < val.len() {
-            let ix = self.find_or_insert(page + 1);
-            self.pages[ix].write(0, &val[n..]);
+    #[inline(always)]
+    fn store<const W: usize>(&mut self, addr: u64, val: [u8; W]) {
+        let (page, off, n) = Self::split(addr, W);
+        if n == W {
+            let ix = self.find_or_insert(page);
+            self.pages[ix].write(off, &val);
+        } else {
+            self.store_straddling(page, &val, n);
         }
     }
 
-    /// Loads `width` bytes at `addr`: the pre-launch snapshot patched
-    /// with any bytes this block has stored.
-    fn load(&self, snapshot: &[u8], addr: u64, width: usize) -> u64 {
+    /// The cold half of [`WriteOverlay::store`]: the first `n` bytes of
+    /// `val` end page number `page`, the rest start the next page.
+    #[cold]
+    fn store_straddling(&mut self, page: u64, val: &[u8], n: usize) {
+        let ix = self.find_or_insert(page);
+        self.pages[ix].write(PAGE_BYTES - n, &val[..n]);
+        let ix = self.find_or_insert(page + 1);
+        self.pages[ix].write(0, &val[n..]);
+    }
+
+    /// Loads the `W` bytes at `addr`: the pre-launch snapshot patched
+    /// with any bytes this block has stored. Fixed-width like
+    /// [`WriteOverlay::store`].
+    #[inline(always)]
+    fn load<const W: usize>(&self, snapshot: &[u8], addr: u64) -> [u8; W] {
         let a = addr as usize;
-        let mut out = [0u8; 8];
-        out[..width].copy_from_slice(&snapshot[a..a + width]);
+        let mut out = [0u8; W];
+        out.copy_from_slice(&snapshot[a..a + W]);
         if !self.pages.is_empty() {
-            let (page, off, n) = Self::split(addr, width);
-            if let Some(ix) = self.find(page) {
-                self.pages[ix].patch(off, &mut out[..n]);
-            }
-            if n < width {
-                if let Some(ix) = self.find(page + 1) {
-                    self.pages[ix].patch(0, &mut out[n..width]);
+            let (page, off, n) = Self::split(addr, W);
+            if n == W {
+                if let Some(ix) = self.find(page) {
+                    self.pages[ix].patch(off, &mut out);
                 }
+            } else {
+                self.patch_straddling(page, &mut out, n);
             }
         }
-        u64::from_le_bytes(out)
+        out
+    }
+
+    /// The cold half of [`WriteOverlay::load`], split like
+    /// [`WriteOverlay::store_straddling`].
+    #[cold]
+    fn patch_straddling(&self, page: u64, out: &mut [u8], n: usize) {
+        let (head, tail) = out.split_at_mut(n);
+        if let Some(ix) = self.find(page) {
+            self.pages[ix].patch(PAGE_BYTES - n, head);
+        }
+        if let Some(ix) = self.find(page + 1) {
+            self.pages[ix].patch(0, tail);
+        }
     }
 
     /// Which of the `width <= 64` bytes at `addr` this block has stored
@@ -432,12 +459,16 @@ thread_local! {
 struct PooledScratch(BlockScratch);
 
 impl PooledScratch {
+    /// Takes a worker's scratch for one launch. The warp accumulator's
+    /// slot template is dropped here, once per launch per worker: the
+    /// previous launch may have run another kernel, whose slots this
+    /// one's lanes would never replay.
     fn take() -> Self {
-        PooledScratch(
-            SCRATCH_POOL
-                .with(|p| p.borrow_mut().pop())
-                .unwrap_or_default(),
-        )
+        let mut scratch = SCRATCH_POOL
+            .with(|p| p.borrow_mut().pop())
+            .unwrap_or_default();
+        scratch.acc.reset_template();
+        PooledScratch(scratch)
     }
 }
 
@@ -628,9 +659,9 @@ impl ThreadCtx<'_> {
         }
     }
 
-    #[inline]
-    fn read_bytes(&self, addr: u64, width: usize) -> u64 {
-        self.writes.load(self.snapshot, addr, width)
+    #[inline(always)]
+    fn read_bytes<const W: usize>(&self, addr: u64) -> [u8; W] {
+        self.writes.load(self.snapshot, addr)
     }
 
     /// Dataflow hook for a bounds-valid global load: records the byte
@@ -657,7 +688,7 @@ impl ThreadCtx<'_> {
         self.acc.record_mem(loc, Space::Global, false, addr, 8);
         self.check_global_init(loc, buf, addr, 8);
         self.record_external_read(addr, 8);
-        f64::from_le_bytes(self.read_bytes(addr, 8).to_le_bytes())
+        f64::from_le_bytes(self.read_bytes(addr))
     }
 
     /// Stores an `f64` to global memory at element index `idx` of `buf`.
@@ -669,7 +700,7 @@ impl ThreadCtx<'_> {
         };
         self.acc
             .record_mem(Location::caller(), Space::Global, true, addr, 8);
-        self.writes.store(addr, &v.to_le_bytes());
+        self.writes.store(addr, v.to_le_bytes());
     }
 
     /// Loads an `f32` from global memory.
@@ -683,7 +714,7 @@ impl ThreadCtx<'_> {
         self.acc.record_mem(loc, Space::Global, false, addr, 4);
         self.check_global_init(loc, buf, addr, 4);
         self.record_external_read(addr, 4);
-        f32::from_le_bytes((self.read_bytes(addr, 4) as u32).to_le_bytes())
+        f32::from_le_bytes(self.read_bytes(addr))
     }
 
     /// Stores an `f32` to global memory.
@@ -695,7 +726,7 @@ impl ThreadCtx<'_> {
         };
         self.acc
             .record_mem(Location::caller(), Space::Global, true, addr, 4);
-        self.writes.store(addr, &v.to_le_bytes());
+        self.writes.store(addr, v.to_le_bytes());
     }
 
     /// Loads a `u8` from global memory.
@@ -709,7 +740,8 @@ impl ThreadCtx<'_> {
         self.acc.record_mem(loc, Space::Global, false, addr, 1);
         self.check_global_init(loc, buf, addr, 1);
         self.record_external_read(addr, 1);
-        self.read_bytes(addr, 1) as u8
+        let [v] = self.read_bytes(addr);
+        v
     }
 
     /// Stores a `u8` to global memory.
@@ -721,7 +753,7 @@ impl ThreadCtx<'_> {
         };
         self.acc
             .record_mem(Location::caller(), Space::Global, true, addr, 1);
-        self.writes.store(addr, &[v]);
+        self.writes.store(addr, [v]);
     }
 
     // ---- local (spill) memory ----
@@ -2041,6 +2073,31 @@ mod overlay_tests {
         )
     }
 
+    /// Stores the low `width` bytes of `val` through the accessor of
+    /// that constant width, as the typed `st_*` accessors do.
+    fn store_width(overlay: &mut WriteOverlay, addr: u64, width: usize, val: u64) {
+        let b = val.to_le_bytes();
+        match width {
+            1 => overlay.store(addr, [b[0]]),
+            2 => overlay.store(addr, [b[0], b[1]]),
+            4 => overlay.store(addr, [b[0], b[1], b[2], b[3]]),
+            _ => overlay.store(addr, b),
+        }
+    }
+
+    /// Loads `width` bytes through the accessor of that constant width,
+    /// zero-extended.
+    fn load_width(overlay: &WriteOverlay, snap: &[u8], addr: u64, width: usize) -> u64 {
+        let mut out = [0u8; 8];
+        match width {
+            1 => out[..1].copy_from_slice(&overlay.load::<1>(snap, addr)),
+            2 => out[..2].copy_from_slice(&overlay.load::<2>(snap, addr)),
+            4 => out[..4].copy_from_slice(&overlay.load::<4>(snap, addr)),
+            _ => out = overlay.load::<8>(snap, addr),
+        }
+        u64::from_le_bytes(out)
+    }
+
     /// The pre-launch device image the loads fall back to.
     fn snapshot() -> Vec<u8> {
         (0..WINDOW).map(|i| (i * 7 % 251) as u8).collect()
@@ -2062,7 +2119,7 @@ mod overlay_tests {
                 match *op {
                     Op::Store { addr, width, val } => {
                         let bytes = val.to_le_bytes();
-                        overlay.store(addr, &bytes[..width]);
+                        store_width(&mut overlay, addr, width, val);
                         for (i, &b) in bytes[..width].iter().enumerate() {
                             model.insert(addr + i as u64, b);
                         }
@@ -2077,7 +2134,7 @@ mod overlay_tests {
                                 want_bits |= 1 << i;
                             }
                         }
-                        prop_assert_eq!(overlay.load(&snap, addr, width), u64::from_le_bytes(want));
+                        prop_assert_eq!(load_width(&overlay, &snap, addr, width), u64::from_le_bytes(want));
                         prop_assert_eq!(overlay.written_bits(addr, width), want_bits);
                     }
                 }
@@ -2101,7 +2158,7 @@ mod overlay_tests {
             }
             // The overlay is empty again for the next block.
             prop_assert_eq!(overlay.written_bits(0, 8), 0);
-            prop_assert_eq!(overlay.load(&snap, 0, 8), u64::from_le_bytes(snap[..8].try_into().unwrap()));
+            prop_assert_eq!(load_width(&overlay, &snap, 0, 8), u64::from_le_bytes(snap[..8].try_into().unwrap()));
         }
     }
 

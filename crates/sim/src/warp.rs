@@ -7,16 +7,21 @@
 //! structure-of-arrays style around dense site indices: a
 //! [`SiteInterner`] maps `&'static Location` addresses to small integers
 //! once, and from then on the per-lane occurrence counters and the
-//! occurrence → slot table are flat arrays indexed directly. The hot
-//! `record_*` path performs no hashing (one multiply-shift probe in the
-//! interner) and no allocation (key vectors are recycled through a pool
-//! across warps). A memory slot does not keep its lanes' raw accesses:
+//! occurrence → slot table are flat arrays indexed directly.
+//!
+//! The slot table is a *template* kept across the warps of a launch:
+//! consecutive warps run the same kernel, so their lanes replay the same
+//! slots in the same order, and a warp only stamps the slots it touches
+//! with its epoch and lists them in first-touch order. The fold walks
+//! that list, which is the order a fresh table would have created the
+//! slots in. A lane that replays the template in order is recognised by
+//! comparing each event's site at a cursor — no hashing, no occurrence
+//! counting (see `WarpAccumulator::hit`) — on a path inlined into every
+//! `record_*` call. A memory slot does not keep its lanes' raw accesses:
 //! as each lane records, the access is turned into the segments (or
 //! shared bank words) it touches and a key is pushed only when it
 //! differs from the slot's last one, so the warp-end fold sees short,
-//! usually already sorted key lists. Slots are kept in
-//! program/insertion order, which is also what makes the fold
-//! deterministic.
+//! usually already sorted key lists.
 //!
 //! Statistics semantics are pinned bit-for-bit against the pre-SoA
 //! implementation preserved in `tests/support/warp_reference.rs`; see
@@ -28,15 +33,19 @@ use crate::stats::KernelStats;
 use crate::trace::{OpClass, Site, SiteInterner, Space};
 use std::panic::Location;
 
-/// One warp-level instruction slot under construction.
+/// One warp-level instruction slot of the template.
 #[derive(Debug)]
 struct Slot {
     /// Original site pointer (for profile attribution).
     site: Site,
-    /// Dense site index (to reset the slot table at warp end).
+    /// Dense site index.
     dense: u32,
     /// Per-lane occurrence index this slot represents.
     occ: u32,
+    /// Epoch of the last warp that touched the slot. Any other value
+    /// than the current warp's means `kind` holds an earlier warp's
+    /// counters, which the first touch of this warp overwrites.
+    epoch: u32,
     kind: SlotKind,
 }
 
@@ -70,25 +79,39 @@ enum SlotKind {
 /// Accumulates the events of one warp's 32 lanes and flushes warp-level
 /// statistics into a [`KernelStats`].
 ///
-/// Lanes execute sequentially; [`WarpAccumulator::begin_lane`] resets the
-/// per-lane occurrence counters, and [`WarpAccumulator::end_warp`] analyses
-/// and clears the slot table.
+/// Lanes execute sequentially; [`WarpAccumulator::begin_lane`] rewinds
+/// the lane cursor, and [`WarpAccumulator::end_warp`] folds the slots
+/// the warp touched and opens the next warp's epoch.
 #[derive(Debug)]
 pub struct WarpAccumulator {
     interner: SiteInterner,
-    /// Per dense site: the current lane's occurrence counter.
+    /// Per dense site: the current lane's occurrence counter. Maintained
+    /// only once the lane has left the template's order; see `in_order`.
     occ: Vec<u32>,
-    /// Per dense site: occurrence → slot index for the current warp
-    /// (`u32::MAX` = no slot yet). Rows keep their allocation across
-    /// warps; entries are un-set per slot at warp end.
+    /// Per dense site: occurrence → template slot index. Row `d` holds
+    /// exactly one entry per slot of site `d`, in occurrence order.
     slot_of: Vec<Vec<u32>>,
-    /// Slots of the current warp, in first-recorded (program) order.
+    /// The template: every slot created since the last
+    /// [`WarpAccumulator::reset_template`], in creation order. Slot
+    /// `(s, k)` is created only after `(s, 0..k)`, so exactly `k` slots
+    /// of site `s` precede it (the prefix invariant).
     slots: Vec<Slot>,
+    /// Indices of the slots the current warp touched, in first-touch
+    /// order: the order the fold visits them in.
+    touched: Vec<u32>,
+    /// The current warp's epoch; never [`NEVER`].
+    epoch: u32,
     /// Predicted slot index of the current lane's next event. Lanes of a
-    /// warp usually replay the previous lane's event sequence in program
-    /// order, so the common case needs no interner probe at all — just
-    /// an exact `(site, occurrence)` check against `slots[cursor]`.
+    /// warp usually replay the template in program order, so the common
+    /// case is a site check against `slots[cursor]`.
     cursor: u32,
+    /// Whether every event of the current lane so far matched
+    /// `slots[0..cursor]` one by one. Such a lane's occurrence count of a
+    /// site is that prefix's count of it, so by the prefix invariant a
+    /// site match at the cursor is also an occurrence match and `occ`
+    /// need not be kept. The first miss materializes `occ` from the
+    /// prefix and clears the flag.
+    in_order: bool,
     lanes_seen: u32,
     /// Whether per-site attribution is on (off by default).
     profiling: bool,
@@ -101,8 +124,9 @@ pub struct WarpAccumulator {
     /// global source-location registry (registration is idempotent, the
     /// flag just avoids re-taking the registry lock per warp).
     site_registered: Vec<bool>,
-    /// Recycled key vectors for `SlotKind::Mem`, refilled at warp end
-    /// so steady-state recording never allocates.
+    /// Recycled key vectors for `SlotKind::Mem`, refilled when a slot
+    /// changes kind or the template is dropped, so steady-state
+    /// recording never allocates.
     key_pool: Vec<Vec<u64>>,
     /// Segment size the keys of global/local slots are recorded in.
     segment: SegmentGeometry,
@@ -111,6 +135,9 @@ pub struct WarpAccumulator {
     /// Warp-end scratch: distinct-word counts per shared bank.
     bank_counts: Vec<u32>,
 }
+
+/// Epoch value no warp has: the stamp of a slot not yet touched.
+const NEVER: u32 = 0;
 
 /// Bytes per shared-memory bank word.
 const BANK_WORD_BYTES: u64 = 4;
@@ -149,7 +176,7 @@ impl SegmentGeometry {
     /// Appends the keys an access of `width` bytes at `addr` in `space`
     /// touches — segments for global/local, bank words for shared —
     /// skipping each key equal to the last one pushed.
-    #[inline]
+    #[inline(always)]
     fn push_keys(self, space: Space, addr: u64, width: u8, keys: &mut Vec<u64>) {
         let end = addr + width.max(1) as u64 - 1;
         let (first, last) = match space {
@@ -172,7 +199,10 @@ impl WarpAccumulator {
             occ: Vec::new(),
             slot_of: Vec::new(),
             slots: Vec::new(),
+            touched: Vec::new(),
+            epoch: NEVER + 1,
             cursor: 0,
+            in_order: true,
             lanes_seen: 0,
             profiling: false,
             site_acc: Vec::new(),
@@ -228,100 +258,178 @@ impl WarpAccumulator {
     /// next warp on; [`WarpAccumulator::end_warp`] rejects any other
     /// config. Call it between warps, never with slots pending.
     pub fn set_geometry(&mut self, cfg: &GpuConfig) {
-        debug_assert!(self.slots.is_empty(), "geometry changed mid-warp");
+        debug_assert!(self.touched.is_empty(), "geometry changed mid-warp");
         if self.segment.bytes != cfg.segment_bytes {
             self.segment = SegmentGeometry::new(cfg.segment_bytes);
         }
     }
 
+    /// Drops the slot template, so the next warp builds one from its own
+    /// lanes — call it before warps of another kernel, whose sites would
+    /// never match. Call it between warps.
+    pub(crate) fn reset_template(&mut self) {
+        debug_assert!(self.touched.is_empty(), "template dropped mid-warp");
+        for slot in self.slots.drain(..) {
+            if let SlotKind::Mem { mut keys, .. } = slot.kind {
+                keys.clear();
+                self.key_pool.push(keys);
+            }
+        }
+        for row in &mut self.slot_of {
+            row.clear();
+        }
+        self.cursor = 0;
+        self.in_order = true;
+    }
+
     /// Starts recording a new lane of the current warp.
     pub fn begin_lane(&mut self) {
-        self.occ.fill(0);
         self.cursor = 0;
+        self.in_order = true;
         self.lanes_seen += 1;
     }
 
-    /// Resolves the warp slot for one event at `site`: `Ok(index)` when
-    /// the slot exists (an earlier lane reached this `(site, occurrence)`
-    /// first), `Err((dense, occ))` when the caller must push a new slot —
-    /// the table already points at `self.slots.len()`.
+    /// The hit path: the slot the current lane's event at `site`
+    /// accumulates into, when the slot at the cursor is this event's and
+    /// the warp has already touched it. Anything else — a first touch, a
+    /// lane off the template's order, a new slot — returns `None` for
+    /// [`WarpAccumulator::locate_slow`].
     ///
-    /// The fast path predicts the slot from the cursor: when the lane is
-    /// replaying the warp's program order (the overwhelmingly common,
-    /// divergence-free case), `slots[cursor]` *is* this event's slot, and
-    /// the exact `(site, occurrence)` check proves it without touching
-    /// the interner — equivalent to the table lookup in `locate_slow`
-    /// because `slot_of[dense][occ]` was set to exactly this index when
-    /// the slot was created and is never overwritten within a warp.
-    #[inline]
-    fn locate(&mut self, site: Site) -> Result<usize, (u32, u32)> {
+    /// An in-order lane needs only the site compared: it has matched
+    /// `slots[0..cursor]`, so its occurrence of `site` is the number of
+    /// `site` slots in that prefix, which is `slots[cursor].occ` by the
+    /// prefix invariant. A lane that left order compares its occurrence
+    /// counter too, and stays on this path while the prediction holds.
+    #[inline(always)]
+    fn hit(&mut self, site: Site) -> Option<usize> {
         let cur = self.cursor as usize;
-        if let Some(slot) = self.slots.get(cur) {
-            if slot.site == site && slot.occ == self.occ[slot.dense as usize] {
-                self.occ[slot.dense as usize] += 1;
-                self.cursor = cur as u32 + 1;
-                return Ok(cur);
-            }
+        let slot = self.slots.get(cur)?;
+        if slot.site != site || slot.epoch != self.epoch {
+            return None;
         }
-        self.locate_slow(site)
+        if !self.in_order {
+            let occ = &mut self.occ[slot.dense as usize];
+            if *occ != slot.occ {
+                return None;
+            }
+            *occ += 1;
+        }
+        self.cursor = cur as u32 + 1;
+        Some(cur)
     }
 
-    #[cold]
-    fn locate_slow(&mut self, site: Site) -> Result<usize, (u32, u32)> {
+    /// The slow path of [`WarpAccumulator::hit`]: finds or creates the
+    /// slot of the current lane's event at `site` and moves the cursor
+    /// past it. On the warp's first touch of the slot it installs `fresh`
+    /// as the slot's kind (empty counters; a `Mem` kind gets a pooled key
+    /// vector), stamps the epoch and appends the slot to `touched`.
+    #[inline(never)]
+    fn locate_slow(&mut self, site: Site, fresh: SlotKind) -> usize {
+        let cur = self.cursor as usize;
+        let ix = if self.in_order && self.slots.get(cur).is_some_and(|s| s.site == site) {
+            // In order; the hit path missed on the epoch alone.
+            cur
+        } else {
+            let dense = self.intern(site);
+            let occ = if self.in_order && cur == self.slots.len() {
+                // In order past the template's end: the lane has matched
+                // every slot, so it has seen all of `site`'s occurrences
+                // and this one is new — appended at `cur`, in order.
+                self.slot_of[dense].len() as u32
+            } else {
+                if self.in_order {
+                    self.leave_order();
+                }
+                let occ = self.occ[dense];
+                self.occ[dense] = occ + 1;
+                occ
+            };
+            match self.slot_of[dense].get(occ as usize) {
+                Some(&ix) => ix as usize,
+                None => {
+                    // `occ` equals the row length: the lane reached every
+                    // earlier occurrence of `site`, so the prefix
+                    // invariant holds for the appended slot.
+                    let ix = self.slots.len();
+                    self.slot_of[dense].push(ix as u32);
+                    self.slots.push(Slot {
+                        site,
+                        dense: dense as u32,
+                        occ,
+                        epoch: NEVER,
+                        kind: SlotKind::Sync { lanes: 0 },
+                    });
+                    ix
+                }
+            }
+        };
+        self.cursor = ix as u32 + 1;
+        if self.slots[ix].epoch != self.epoch {
+            self.slots[ix].epoch = self.epoch;
+            self.touched.push(ix as u32);
+            let old = std::mem::replace(&mut self.slots[ix].kind, fresh);
+            if let SlotKind::Mem { mut keys, .. } = old {
+                keys.clear();
+                self.key_pool.push(keys);
+            }
+            if let SlotKind::Mem { keys, .. } = &mut self.slots[ix].kind {
+                *keys = self
+                    .key_pool
+                    .pop()
+                    .unwrap_or_else(|| Vec::with_capacity(32));
+            }
+        }
+        ix
+    }
+
+    /// Dense index of `site`, growing the per-site tables on first sight.
+    fn intern(&mut self, site: Site) -> usize {
         let dense = self.interner.intern(site) as usize;
         if dense >= self.occ.len() {
             self.occ.resize(dense + 1, 0);
             self.slot_of.resize_with(dense + 1, Vec::new);
         }
-        let occ = self.occ[dense];
-        self.occ[dense] = occ + 1;
-        let row = &mut self.slot_of[dense];
-        if (occ as usize) < row.len() {
-            let ix = row[occ as usize];
-            if ix != u32::MAX {
-                self.cursor = ix + 1;
-                return Ok(ix as usize);
-            }
-        } else {
-            row.resize(occ as usize + 1, u32::MAX);
+        dense
+    }
+
+    /// Takes the current lane off the in-order path: its occurrence
+    /// counters become the per-site slot counts of the prefix it matched.
+    fn leave_order(&mut self) {
+        self.occ.fill(0);
+        for slot in &self.slots[..self.cursor as usize] {
+            self.occ[slot.dense as usize] += 1;
         }
-        let ix = self.slots.len() as u32;
-        row[occ as usize] = ix;
-        // The caller pushes the new slot at `ix`; predict the event after
-        // it at `ix + 1`.
-        self.cursor = ix + 1;
-        Err((dense as u32, occ))
+        self.in_order = false;
     }
 
     /// Records `count` arithmetic operations of `class`.
-    #[inline]
+    #[inline(always)]
     pub fn record_op(&mut self, loc: &'static Location<'static>, class: OpClass, count: u32) {
         let site = loc as *const _ as usize;
-        match self.locate(site) {
-            Ok(ix) => match &mut self.slots[ix].kind {
-                SlotKind::Op {
-                    max_count, lanes, ..
-                } => {
-                    *max_count = (*max_count).max(count);
-                    *lanes += 1;
-                }
-                other => debug_assert!(false, "slot kind mismatch at op slot: {other:?}"),
-            },
-            Err((dense, occ)) => self.slots.push(Slot {
+        let ix = match self.hit(site) {
+            Some(ix) => ix,
+            None => self.locate_slow(
                 site,
-                dense,
-                occ,
-                kind: SlotKind::Op {
+                SlotKind::Op {
                     class,
-                    max_count: count,
-                    lanes: 1,
+                    max_count: 0,
+                    lanes: 0,
                 },
-            }),
+            ),
+        };
+        match &mut self.slots[ix].kind {
+            SlotKind::Op {
+                max_count, lanes, ..
+            } => {
+                *max_count = (*max_count).max(count);
+                *lanes += 1;
+            }
+            other => debug_assert!(false, "slot kind mismatch at op slot: {other:?}"),
         }
     }
 
     /// Records a memory access of `width` bytes at `addr` in `space`.
-    #[inline]
+    #[inline(always)]
     pub fn record_mem(
         &mut self,
         loc: &'static Location<'static>,
@@ -332,89 +440,76 @@ impl WarpAccumulator {
     ) {
         let site = loc as *const _ as usize;
         let segment = self.segment;
-        match self.locate(site) {
-            Ok(ix) => match &mut self.slots[ix].kind {
+        let ix = match self.hit(site) {
+            Some(ix) => ix,
+            None => self.locate_slow(
+                site,
                 SlotKind::Mem {
                     space,
-                    bytes_requested,
-                    accesses,
-                    keys,
-                    ..
-                } => {
-                    *bytes_requested += width as u64;
-                    *accesses += 1;
-                    // Keys follow the slot's space: the first lane's.
-                    segment.push_keys(*space, addr, width, keys);
-                }
-                other => debug_assert!(false, "slot kind mismatch at mem slot: {other:?}"),
-            },
-            Err((dense, occ)) => {
-                let mut keys = self
-                    .key_pool
-                    .pop()
-                    .unwrap_or_else(|| Vec::with_capacity(32));
-                segment.push_keys(space, addr, width, &mut keys);
-                self.slots.push(Slot {
-                    site,
-                    dense,
-                    occ,
-                    kind: SlotKind::Mem {
-                        space,
-                        write,
-                        bytes_requested: width as u64,
-                        accesses: 1,
-                        keys,
-                    },
-                });
+                    write,
+                    bytes_requested: 0,
+                    accesses: 0,
+                    keys: Vec::new(),
+                },
+            ),
+        };
+        match &mut self.slots[ix].kind {
+            SlotKind::Mem {
+                space,
+                bytes_requested,
+                accesses,
+                keys,
+                ..
+            } => {
+                *bytes_requested += width as u64;
+                *accesses += 1;
+                // Keys follow the slot's space: the first lane's.
+                segment.push_keys(*space, addr, width, keys);
             }
+            other => debug_assert!(false, "slot kind mismatch at mem slot: {other:?}"),
         }
     }
 
     /// Records a data-dependent branch outcome.
-    #[inline]
+    #[inline(always)]
     pub fn record_branch(&mut self, loc: &'static Location<'static>, taken: bool) {
         let site = loc as *const _ as usize;
-        match self.locate(site) {
-            Ok(ix) => match &mut self.slots[ix].kind {
-                SlotKind::Branch {
-                    taken: t,
-                    not_taken: n,
-                } => {
-                    if taken {
-                        *t += 1;
-                    } else {
-                        *n += 1;
-                    }
-                }
-                other => debug_assert!(false, "slot kind mismatch at branch slot: {other:?}"),
-            },
-            Err((dense, occ)) => self.slots.push(Slot {
+        let ix = match self.hit(site) {
+            Some(ix) => ix,
+            None => self.locate_slow(
                 site,
-                dense,
-                occ,
-                kind: SlotKind::Branch {
-                    taken: taken as u32,
-                    not_taken: !taken as u32,
+                SlotKind::Branch {
+                    taken: 0,
+                    not_taken: 0,
                 },
-            }),
+            ),
+        };
+        match &mut self.slots[ix].kind {
+            SlotKind::Branch {
+                taken: t,
+                not_taken: n,
+            } => {
+                if taken {
+                    *t += 1;
+                } else {
+                    *n += 1;
+                }
+            }
+            other => debug_assert!(false, "slot kind mismatch at branch slot: {other:?}"),
         }
     }
 
     /// Records a `__syncthreads()`-style barrier.
-    #[inline]
+    #[inline(always)]
     pub fn record_sync(&mut self, loc: &'static Location<'static>) {
         let site = loc as *const _ as usize;
-        match self.locate(site) {
-            Ok(ix) => match &mut self.slots[ix].kind {
-                SlotKind::Sync { lanes } => *lanes += 1,
-                other => debug_assert!(false, "slot kind mismatch at sync slot: {other:?}"),
-            },
-            Err((dense, occ)) => self.slots.push(Slot {
-                site,
-                dense,
-                occ,
-                kind: SlotKind::Sync { lanes: 1 },
-            }),
+        let ix = match self.hit(site) {
+            Some(ix) => ix,
+            None => self.locate_slow(site, SlotKind::Sync { lanes: 0 }),
+        };
+        match &mut self.slots[ix].kind {
+            SlotKind::Sync { lanes } => *lanes += 1,
+            other => debug_assert!(false, "slot kind mismatch at sync slot: {other:?}"),
         }
     }
 
@@ -460,10 +555,12 @@ impl WarpAccumulator {
         if self.bank_counts.len() < cfg.shared_banks as usize {
             self.bank_counts.resize(cfg.shared_banks as usize, 0);
         }
-        // Move the slot list out so the scratch fields stay borrowable;
-        // it is drained (capacity retained) and swapped back below.
-        let mut slots = std::mem::take(&mut self.slots);
-        for slot in &mut slots {
+        // Visit the touched slots in first-touch order — the order a
+        // fresh table would have created them in, which the stateful L2
+        // model and the f64 sums depend on. Untouched template slots hold
+        // an earlier warp's counters and add nothing.
+        for &ix in &self.touched {
+            let slot = &mut self.slots[ix as usize];
             // Per-slot contribution, also attributed to the slot's source
             // site when profiling is on.
             let mut delta = SiteStats {
@@ -638,19 +735,20 @@ impl WarpAccumulator {
                 }
             }
         }
-        stats.warp_slots += slots.len() as u64;
+        stats.warp_slots += self.touched.len() as u64;
         stats.warps += 1;
         stats.lanes += self.lanes_seen as u64;
-        // Reset the occurrence → slot table and recycle key vectors.
-        for slot in slots.drain(..) {
-            self.slot_of[slot.dense as usize][slot.occ as usize] = u32::MAX;
-            if let SlotKind::Mem { mut keys, .. } = slot.kind {
-                keys.clear();
-                self.key_pool.push(keys);
-            }
-        }
-        self.slots = slots;
+        self.touched.clear();
         self.lanes_seen = 0;
+        // Open the next warp's epoch. On wrap-around every slot is marked
+        // untouched so no stale stamp can equal a future epoch.
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == NEVER {
+            for slot in &mut self.slots {
+                slot.epoch = NEVER;
+            }
+            self.epoch = NEVER + 1;
+        }
     }
 }
 
@@ -673,6 +771,7 @@ impl Default for WarpAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheModel;
     use crate::trace::Site;
 
     fn cfg() -> GpuConfig {
@@ -680,23 +779,38 @@ mod tests {
     }
 
     /// Helper: run `f(lane, acc)` for `n` lanes and flush.
-    fn run_warp(n: u32, mut f: impl FnMut(u32, &mut WarpAccumulator)) -> KernelStats {
-        let mut acc = WarpAccumulator::new();
+    fn run_warp(n: u32, f: impl FnMut(u32, &mut WarpAccumulator)) -> KernelStats {
+        warp_on(&mut WarpAccumulator::new(), n, f, None)
+    }
+
+    /// Runs one warp of `n` lanes of `f` on `acc` and returns its stats.
+    fn warp_on(
+        acc: &mut WarpAccumulator,
+        n: u32,
+        mut f: impl FnMut(u32, &mut WarpAccumulator),
+        cache: Option<&mut CacheModel>,
+    ) -> KernelStats {
         let mut stats = KernelStats::default();
         for lane in 0..n {
             acc.begin_lane();
-            f(lane, &mut acc);
+            f(lane, acc);
         }
-        acc.end_warp(&cfg(), &mut stats);
+        acc.end_warp_cached(&cfg(), &mut stats, cache);
         stats
     }
 
-    // Two distinct real call sites: the typed `record_*` API requires
+    // Distinct real call sites: the typed `record_*` API requires
     // genuine `Location`s (their addresses are the site keys).
     fn site_a() -> &'static Location<'static> {
         Location::caller()
     }
     fn site_b() -> &'static Location<'static> {
+        Location::caller()
+    }
+    fn site_c() -> &'static Location<'static> {
+        Location::caller()
+    }
+    fn site_d() -> &'static Location<'static> {
         Location::caller()
     }
 
@@ -969,5 +1083,183 @@ mod tests {
         assert_eq!(first.global_load_tx, second.global_store_tx);
         assert_eq!(first.branch_slots, 1);
         assert_eq!(second.divergent_branch_slots, 1);
+    }
+
+    // ---- the slot template across warps ----
+
+    /// Lane program of a warp whose halves take different paths, in
+    /// different first-touch orders.
+    fn split_paths(lane: u32, acc: &mut WarpAccumulator) {
+        let l = lane as u64;
+        if lane < 16 {
+            acc.record_op(site_a(), OpClass::F32, lane % 5 + 1);
+            acc.record_mem(site_b(), Space::Global, false, l * 8, 8);
+            acc.record_branch(site_c(), lane.is_multiple_of(2));
+        } else {
+            acc.record_branch(site_c(), lane.is_multiple_of(3));
+            acc.record_mem(site_b(), Space::Global, false, l * 72, 8);
+            acc.record_op(site_a(), OpClass::F32, 2);
+        }
+    }
+
+    /// The next warp: the paths swap roles, revisit `site_a` twice and
+    /// touch a site the first warp never did.
+    fn swapped_paths(lane: u32, acc: &mut WarpAccumulator) {
+        let l = lane as u64;
+        if lane >= 8 {
+            acc.record_mem(site_b(), Space::Global, true, l * 72, 8);
+            acc.record_op(site_d(), OpClass::F64, 3);
+        } else {
+            acc.record_op(site_d(), OpClass::F64, lane);
+            acc.record_op(site_a(), OpClass::F32, 1);
+            acc.record_op(site_a(), OpClass::F32, lane + 2);
+        }
+    }
+
+    #[test]
+    fn warps_with_different_first_touch_orders_fold_like_fresh_accumulators() {
+        let mut acc = WarpAccumulator::new();
+        let programs: [fn(u32, &mut WarpAccumulator); 4] =
+            [split_paths, swapped_paths, split_paths, swapped_paths];
+        for program in programs {
+            let reused = warp_on(&mut acc, 32, program, None);
+            let fresh = warp_on(&mut WarpAccumulator::new(), 32, program, None);
+            assert_eq!(reused, fresh);
+        }
+        // The template kept every slot: a0, b0, c0, plus d0 and a1.
+        assert_eq!(acc.slots.len(), 5);
+    }
+
+    #[test]
+    fn untouched_template_slots_add_nothing() {
+        let mut acc = WarpAccumulator::new();
+        let first = warp_on(&mut acc, 32, split_paths, None);
+        assert_eq!(first.warp_slots, 3);
+        let only_a = |lane: u32, acc: &mut WarpAccumulator| {
+            acc.record_op(site_a(), OpClass::Int, lane);
+        };
+        let reused = warp_on(&mut acc, 32, only_a, None);
+        let fresh = warp_on(&mut WarpAccumulator::new(), 32, only_a, None);
+        assert_eq!(reused, fresh);
+        assert_eq!(reused.warp_slots, 1);
+        assert_eq!(reused.global_load_tx + reused.branch_slots, 0);
+        assert_eq!(acc.slots.len(), 3, "the template keeps the untouched slots");
+        // A warp that records nothing folds nothing.
+        let empty = warp_on(&mut acc, 32, |_, _| {}, None);
+        assert_eq!(empty.warp_slots, 0);
+        assert_eq!(empty.issue_cycles, 0.0);
+        assert_eq!(empty.lanes, 32);
+    }
+
+    /// A one-line L2 makes the fold order visible: the second warp
+    /// touches `site_b`'s segment first, so it hits the line the first
+    /// warp left behind; visiting the slots in template order would
+    /// evict it first and miss twice.
+    #[test]
+    fn cached_fold_follows_this_warps_first_touch_order() {
+        let first = |_: u32, acc: &mut WarpAccumulator| {
+            acc.record_mem(site_a(), Space::Global, false, 0, 8);
+            acc.record_mem(site_b(), Space::Global, false, 128, 8);
+        };
+        let second = |_: u32, acc: &mut WarpAccumulator| {
+            acc.record_mem(site_b(), Space::Global, false, 128, 8);
+            acc.record_mem(site_a(), Space::Global, false, 0, 8);
+        };
+        let one_line = || CacheModel::new(128, 1, 128);
+        let (mut acc, mut cache) = (WarpAccumulator::new(), one_line());
+        let (mut fresh_cache, mut reused) = (one_line(), Vec::new());
+        for program in [first, second] {
+            let stats = warp_on(&mut acc, 32, program, Some(&mut cache));
+            let fresh = warp_on(
+                &mut WarpAccumulator::new(),
+                32,
+                program,
+                Some(&mut fresh_cache),
+            );
+            assert_eq!(stats, fresh);
+            reused.push(stats);
+        }
+        assert_eq!((reused[0].l2_hits, reused[0].l2_misses), (0, 2));
+        assert_eq!((reused[1].l2_hits, reused[1].l2_misses), (1, 1));
+    }
+
+    #[test]
+    fn reset_between_kernels_matches_a_fresh_accumulator() {
+        let second_kernel = |lane: u32, acc: &mut WarpAccumulator| {
+            for i in 0..lane % 3 {
+                acc.record_mem(site_d(), Space::Shared, false, (lane * 8 + i) as u64, 4);
+            }
+            acc.record_sync(site_c());
+            acc.record_op(site_a(), OpClass::Int, lane);
+        };
+        let mut acc = WarpAccumulator::with_site_profile();
+        for _ in 0..2 {
+            warp_on(&mut acc, 32, split_paths, None);
+            warp_on(&mut acc, 32, swapped_paths, None);
+        }
+        acc.take_site_profile();
+        acc.reset_template();
+        assert!(acc.slots.is_empty());
+        let mut fresh = WarpAccumulator::with_site_profile();
+        for _ in 0..3 {
+            let reused = warp_on(&mut acc, 32, second_kernel, None);
+            assert_eq!(reused, warp_on(&mut fresh, 32, second_kernel, None));
+        }
+        let (reused, fresh) = (
+            acc.take_site_profile().unwrap(),
+            fresh.take_site_profile().unwrap(),
+        );
+        assert_eq!(reused.len(), 3);
+        for (site, stats) in fresh.iter() {
+            assert_eq!(reused.get(site), Some(stats));
+        }
+        // d0, d1, c0, a0: only the second kernel's slots.
+        assert_eq!(acc.slots.len(), 4);
+    }
+
+    /// Lane 1 starts off the template's order, lands the cursor on
+    /// `site_a`'s second slot while its own next `site_a` event is the
+    /// first occurrence, and later rejoins the cursor path at `site_c`.
+    #[test]
+    fn lane_that_leaves_order_and_rejoins_folds_exactly() {
+        type SiteFn = fn() -> &'static Location<'static>;
+        let lanes: [[(SiteFn, u32); 4]; 3] = [
+            [(site_a, 1), (site_b, 10), (site_a, 100), (site_c, 1000)],
+            [(site_b, 20), (site_a, 200), (site_a, 2), (site_c, 2000)],
+            [(site_a, 3), (site_b, 30), (site_a, 300), (site_c, 3000)],
+        ];
+        let mut acc = WarpAccumulator::new();
+        for _ in 0..2 {
+            let stats = warp_on(
+                &mut acc,
+                3,
+                |lane, acc| {
+                    for (site, count) in lanes[lane as usize] {
+                        acc.record_op(site(), OpClass::F32, count);
+                    }
+                },
+                None,
+            );
+            // Slots a0 = max(1, 200, 3), b0 = 30, a1 = 300, c0 = 3000.
+            assert_eq!(stats.warp_slots, 4);
+            assert_eq!(stats.issue_cycles, 3530.0);
+            assert_eq!(stats.flops_f32, 3 * 3530);
+        }
+    }
+
+    /// When the epoch counter wraps, no slot stamped long ago may pass
+    /// as touched by the new warp.
+    #[test]
+    fn epoch_wrap_keeps_warps_apart() {
+        let mut acc = WarpAccumulator::new();
+        acc.epoch = u32::MAX - 1;
+        for program in [split_paths, swapped_paths, split_paths, swapped_paths] {
+            let reused = warp_on(&mut acc, 32, program, None);
+            assert_eq!(
+                reused,
+                warp_on(&mut WarpAccumulator::new(), 32, program, None)
+            );
+        }
+        assert_eq!(acc.epoch, 3);
     }
 }

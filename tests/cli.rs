@@ -649,6 +649,40 @@ fn hostile_flags_are_errors_that_name_the_flag() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Regression: a Y4M header declaring 2^32 x 2^32 pixels overflowed the
+/// pixel count (a panic in debug builds, a frame of 0 bytes in release
+/// ones), and `W0` gave frames with no pixels. `run` now exits 1 with
+/// the reader's format error, panics on none and writes nothing.
+#[test]
+fn run_rejects_hostile_y4m_headers() {
+    let dir = temp_dir("hostile_y4m");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    for (header, needle) in [
+        (
+            "W4294967296 H4294967296 Cmono",
+            "exceeds the 67108864-pixel limit",
+        ),
+        ("W0 H5 C420", "has no pixels"),
+    ] {
+        let input = dir.join("bad.y4m");
+        std::fs::write(&input, format!("YUV4MPEG2 {header}\nFRAME\n")).unwrap();
+        let out = mogpu_in(&dir, &["run", "--input", input.to_str().unwrap()]);
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(1), "{header}: {err}");
+        assert!(
+            err.contains("format error") && err.contains(needle),
+            "{header}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{header}: {err}");
+        assert!(out.stdout.is_empty(), "{header}: {}", stdout(&out));
+        std::fs::remove_file(&input).unwrap();
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(left.is_empty(), "{header}: run wrote {left:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Regression: `--window-ms` far below the run length used to make one
 /// snapshot per window with no bound (12,990 windows and a 27.8 MB
 /// document for this command line). The window is widened so the report

@@ -11,7 +11,12 @@
 //! [`mogpu::sim::warp::WarpAccumulator`] and the frozen
 //! [`warp_reference::ReferenceAccumulator`] with identical
 //! random event streams and asserts the folded [`KernelStats`] agree
-//! exactly, covering slot shapes no real kernel happens to produce.
+//! exactly, covering slot shapes no real kernel happens to produce. The
+//! streams mix free events with lanes that run one of a few fixed
+//! branchy programs, so successive warps touch the production
+//! accumulator's retained slot template in different orders and leave
+//! parts of it untouched, and their addresses cluster on a few segments
+//! and bank-sharing shared words, so slots revisit keys non-adjacently.
 
 use mogpu::bench::harness::{default_params, run_level, standard_frames, SIM_RESOLUTION};
 use mogpu::core::{AdaptiveGpuMog, GpuMog, OptLevel, RunReport};
@@ -192,6 +197,12 @@ enum Ev {
     Sync {
         site: usize,
     },
+    /// `begin_lane`, then the events of lane program `path` with its
+    /// counts, outcomes and addresses drawn from `data`.
+    Path {
+        path: u8,
+        data: u64,
+    },
 }
 
 /// Distinct static source locations standing in for kernel call sites.
@@ -212,28 +223,100 @@ fn site_pool() -> [&'static Location<'static>; 8] {
 }
 
 fn arb_event() -> impl Strategy<Value = Ev> {
-    (0u8..=6, 0usize..8, any::<u64>(), any::<u8>(), any::<bool>()).prop_map(
+    (0u8..16, 0usize..8, any::<u64>(), any::<u8>(), any::<bool>()).prop_map(
         |(kind, site, a, b, flag)| match kind {
-            0 => Ev::Lane,
-            1 => Ev::Warp,
-            2 => Ev::Op {
+            0 => Ev::Warp,
+            1 => Ev::Lane,
+            2 | 3 => Ev::Op {
                 site,
                 class: b % 3,
                 count: (a % 65) as u32,
             },
-            3 | 4 => Ev::Mem {
+            4..=6 => Ev::Mem {
                 site,
                 space: b % 3,
                 write: flag,
-                // Keep addresses below 2^40 so `addr + width` cannot
-                // overflow in either implementation.
-                addr: a % (1 << 40),
+                addr: clustered_addr(a),
                 width: (b % 8) + 1,
             },
-            5 => Ev::Branch { site, taken: flag },
-            _ => Ev::Sync { site },
+            7 => Ev::Branch { site, taken: flag },
+            8 => Ev::Sync { site },
+            _ => Ev::Path {
+                path: b % 4,
+                data: a,
+            },
         },
     )
+}
+
+/// An access address: mostly within four 128-byte segments (an access
+/// may run into the next one) or on shared words 0-3, 32-35 and 64-67,
+/// which fall on the same four banks, so one slot's lanes come back to a
+/// segment or word after touching others; now and then anywhere below
+/// 2^40, which keeps `addr + width` from overflowing in either
+/// implementation.
+fn clustered_addr(a: u64) -> u64 {
+    let r = a >> 3;
+    match a % 8 {
+        0 => r % (1 << 40),
+        1..=4 => r % 4 * 128 + (r >> 2) % 136,
+        _ => (r % 3 * 32 + (r >> 2) % 4) * 4 + (r >> 4) % 4,
+    }
+}
+
+/// The events of one lane running program `path`: each starts alike
+/// and branches, then the programs touch the shared sites in different
+/// orders and counts, like the arms of a divergent kernel.
+fn path_events(path: u8, data: u64) -> Vec<Ev> {
+    let word = |i: u32| data.rotate_left(11 * i);
+    let op = |site: usize, i: u32| Ev::Op {
+        site,
+        class: site as u8 % 3,
+        count: (word(i) % 9) as u32,
+    };
+    let global = |i: u32, write: bool| Ev::Mem {
+        site: 0,
+        space: 1,
+        write,
+        addr: clustered_addr(word(i)),
+        width: 1 << ((word(i) >> 60) % 4),
+    };
+    let shared = |i: u32| Ev::Mem {
+        site: 1,
+        space: 0,
+        write: false,
+        addr: clustered_addr(word(i)),
+        width: 4,
+    };
+    let branch = Ev::Branch {
+        site: 0,
+        taken: data & 1 == 1,
+    };
+    let mut events = vec![Ev::Lane];
+    match path {
+        0 => events.extend([
+            op(0, 1),
+            branch,
+            global(2, false),
+            op(1, 3),
+            global(4, true),
+        ]),
+        1 => events.extend([op(0, 1), branch, op(2, 2), op(2, 3), shared(4), op(1, 5)]),
+        2 => events.extend([
+            shared(1),
+            op(0, 2),
+            op(3, 3),
+            branch,
+            op(0, 4),
+            global(5, false),
+        ]),
+        _ => {
+            events.extend([op(0, 1), branch, Ev::Sync { site: 0 }]);
+            events.extend((0..1 + data % 3).map(|i| op(1, 2 + i as u32)));
+            events.push(global(6, false));
+        }
+    }
+    events
 }
 
 fn space_of(ix: u8) -> Space {
@@ -270,8 +353,12 @@ proptest! {
         let mut ref_stats = KernelStats::default();
         soa.begin_lane();
         reference.begin_lane();
-        for ev in &events {
-            match *ev {
+        let expanded = events.iter().flat_map(|ev| match *ev {
+            Ev::Path { path, data } => path_events(path, data),
+            ref other => vec![other.clone()],
+        });
+        for ev in expanded {
+            match ev {
                 Ev::Lane => {
                     soa.begin_lane();
                     reference.begin_lane();
@@ -302,6 +389,7 @@ proptest! {
                     soa.record_sync(sites[7]);
                     reference.record_sync(sites[7]);
                 }
+                Ev::Path { .. } => unreachable!("paths are expanded above"),
             }
         }
         soa.end_warp(&cfg, &mut soa_stats);
