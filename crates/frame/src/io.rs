@@ -111,9 +111,31 @@ pub fn read_pgm<R: Read>(r: R) -> Result<Frame<u8>, IoError> {
         )));
     }
     let res = header_resolution(width, height)?;
-    let mut data = vec![0u8; res.pixels()];
-    r.read_exact(&mut data)?;
+    let data = read_payload(&mut r, res.pixels())?;
     Ok(Frame::from_vec(res, data)?)
+}
+
+/// Bytes a payload buffer first grows to.
+const FIRST_PAYLOAD_CHUNK: usize = 64 * 1024;
+
+/// Reads exactly `len` payload bytes. The buffer doubles as bytes
+/// arrive, from [`FIRST_PAYLOAD_CHUNK`] up to exactly `len`, so a header
+/// that declares more than the input holds allocates about twice what is
+/// present, not what it declares.
+///
+/// # Errors
+/// An [`io::ErrorKind::UnexpectedEof`] I/O error if the input ends
+/// first, as from `read_exact`.
+fn read_payload<R: Read>(r: &mut R, len: usize) -> Result<Vec<u8>, IoError> {
+    let mut data = Vec::new();
+    while data.len() < len {
+        let filled = data.len();
+        let target = (2 * filled).max(FIRST_PAYLOAD_CHUNK).min(len);
+        data.reserve_exact(target - filled);
+        data.resize(target, 0);
+        r.read_exact(&mut data[filled..])?;
+    }
+    Ok(data)
 }
 
 /// Reads a PGM file.
@@ -241,11 +263,9 @@ pub fn read_y4m<R: Read>(r: R) -> Result<FrameSequence<u8>, IoError> {
                 "expected FRAME, got {frame_line:?}"
             )));
         }
-        let mut luma = vec![0u8; res.pixels()];
-        r.read_exact(&mut luma)?;
+        let luma = read_payload(&mut r, res.pixels())?;
         if let Some(chroma_len) = res.pixels().checked_div(chroma_div) {
-            let mut chroma = vec![0u8; chroma_len * 2];
-            r.read_exact(&mut chroma)?;
+            read_payload(&mut r, chroma_len * 2)?; // chroma, unused
         }
         seq.push(Frame::from_vec(res, luma)?)?;
     }
@@ -298,6 +318,29 @@ mod tests {
     fn pgm_rejects_16_bit() {
         let data = b"P5\n2 2\n65535\n";
         assert!(matches!(read_pgm(&data[..]), Err(IoError::Format(_))));
+    }
+
+    /// A payload read in growing chunks still fills the frame exactly,
+    /// with no spare capacity, and a short one is an I/O error.
+    #[test]
+    fn payloads_past_the_first_chunk_read_exactly() {
+        let res = Resolution::new(400, 300);
+        assert!(res.pixels() > FIRST_PAYLOAD_CHUNK);
+        let data: Vec<u8> = (0..res.pixels()).map(|i| (i * 7 % 251) as u8).collect();
+        let f = Frame::from_vec(res, data).unwrap();
+        let mut buf = Vec::new();
+        write_pgm(&f, &mut buf).unwrap();
+        let g = read_pgm(buf.as_slice()).unwrap();
+        assert_eq!(f, g);
+        assert_eq!(g.into_vec().capacity(), res.pixels());
+        buf.pop();
+        assert!(matches!(read_pgm(buf.as_slice()), Err(IoError::Io(_))));
+    }
+
+    #[test]
+    fn y4m_truncated_chroma_fails() {
+        let data = b"YUV4MPEG2 W2 H2 C420\nFRAME\n\x01\x02\x03\x04\x80";
+        assert!(matches!(read_y4m(&data[..]), Err(IoError::Io(_))));
     }
 
     #[test]

@@ -38,9 +38,9 @@
 //!
 //! Blocks execute in parallel (rayon); lanes within a block execute
 //! sequentially to completion. Global stores issued during a launch are
-//! visible to *the issuing block only* (read-your-writes via a
-//! byte-granular write overlay, so a store read back at any width sees
-//! the stored bytes), and are published to device memory in block order
+//! visible to *the issuing block only* (read-your-writes via a write
+//! overlay of 512-byte pages with per-byte masks, so a store read back
+//! at any width sees the stored bytes), and are published to device memory in block order
 //! when the launch completes — mirroring CUDA's lack of cross-block
 //! coherence guarantees. Cross-*block* communication within one launch
 //! therefore still does not work; cross-*lane* communication through

@@ -622,9 +622,19 @@ impl ServingReport {
 /// bound.
 pub const MAX_SNAPSHOTS: usize = 256;
 
+/// Most snapshot streams one serving report holds, summed over its
+/// snapshots. Every snapshot carries each stream's cumulative state, two
+/// latency histograms included (about 2 KB of JSON per stream), so the
+/// report grows as windows x streams: a run of `n` streams keeps at most
+/// `MAX_STREAM_SNAPSHOTS / n` windows (at least one, at most
+/// [`MAX_SNAPSHOTS`]). Up to 8 streams keep every one of the
+/// [`MAX_SNAPSHOTS`] windows, and up to 256 keep the default 8.
+pub const MAX_STREAM_SNAPSHOTS: usize = 2048;
+
 /// How the run is windowed. `window_s == 0` auto-sizes to
 /// `makespan / 8` (at least one window); any window is widened so the
-/// run has at most [`MAX_SNAPSHOTS`] of them.
+/// run has at most [`MAX_SNAPSHOTS`] of them, and at most
+/// [`MAX_STREAM_SNAPSHOTS`] snapshot streams in all.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServingWindowConfig {
     /// Window length on the schedule clock (seconds; 0 = auto).
@@ -663,10 +673,12 @@ pub fn serving_report(
         "one arrival period per stream"
     );
     let makespan = schedule.makespan();
+    let max_windows =
+        (MAX_STREAM_SNAPSHOTS / schedule.streams.len().max(1)).clamp(1, MAX_SNAPSHOTS);
     let window_s = if window.window_s > 0.0 {
-        window.window_s.max(makespan / MAX_SNAPSHOTS as f64)
+        window.window_s.max(makespan / max_windows as f64)
     } else if makespan > 0.0 {
-        makespan / 8.0
+        makespan / max_windows.min(8) as f64
     } else {
         1.0
     };
@@ -744,7 +756,7 @@ pub fn serving_report(
     let mut cumulative: Vec<StreamServing> = (0..n_streams).map(StreamServing::new).collect();
     let n_windows = if makespan > 0.0 {
         // The clamp absorbs rounding in the widened window's quotient.
-        ((makespan / window_s).ceil().max(1.0) as usize).min(MAX_SNAPSHOTS)
+        ((makespan / window_s).ceil().max(1.0) as usize).min(max_windows)
     } else {
         1
     };
@@ -1226,6 +1238,43 @@ mod tests {
         let r = report(&window(makespan / 10.0));
         assert_eq!(r.window_s, makespan / 10.0);
         assert!(r.snapshots.len() <= 11);
+    }
+
+    /// Snapshots copy every stream's cumulative state, so many streams
+    /// get fewer windows: windows x streams stays within
+    /// `MAX_STREAM_SNAPSHOTS`, for tiny and default windows alike, while
+    /// a run the cap allows keeps the default 8 windows.
+    #[test]
+    fn many_streams_bound_windows_times_streams() {
+        let report = |n_streams: usize, window_s: f64| {
+            let (sched, periods) = schedule_of(n_streams, 2, 0.0);
+            serving_report(
+                &sched,
+                &periods,
+                "d",
+                "level F",
+                &SloConfig::default(),
+                &ServingWindowConfig { window_s },
+                None,
+            )
+        };
+        for (n_streams, window_s, want) in [
+            (64, 1e-8, MAX_STREAM_SNAPSHOTS / 64),
+            (300, 0.0, MAX_STREAM_SNAPSHOTS / 300),
+            (256, 0.0, 8),
+            (5000, 1e-8, 1),
+            (5000, 0.0, 1),
+        ] {
+            let r = report(n_streams, window_s);
+            assert_eq!(
+                r.snapshots.len(),
+                want,
+                "{n_streams} streams, window {window_s}"
+            );
+            assert!(r.snapshots.len() * n_streams <= MAX_STREAM_SNAPSHOTS.max(n_streams));
+            assert!((r.snapshots.last().unwrap().t_s - r.makespan_s).abs() < 1e-12);
+            assert_eq!(r.snapshots.last().unwrap().streams, r.streams);
+        }
     }
 
     #[test]

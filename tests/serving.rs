@@ -229,3 +229,42 @@ fn live_scrape_matches_report_json_and_event_log() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A tiny window over many streams is widened until windows x streams
+/// fits `MAX_STREAM_SNAPSHOTS`: this command line printed 256 snapshots
+/// of 64 streams, a 33.3 MB document, before the bound. Each snapshot
+/// stream is about 2 KB of JSON, so the document stays under 6 MB.
+#[test]
+fn many_stream_serving_report_stays_bounded() {
+    let out = Command::new(env!("CARGO_BIN_EXE_mogpu"))
+        .args([
+            "streams",
+            "--streams",
+            "64",
+            "--frames",
+            "2",
+            "--window-ms",
+            "1e-5",
+            "--json",
+        ])
+        .output()
+        .expect("spawn mogpu");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        out.stdout.len() < 6_000_000,
+        "report is {} bytes",
+        out.stdout.len()
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    let doc: mogpu::json::Value = mogpu::json::from_str(text.trim()).unwrap();
+    let snapshots = doc["serving"]["snapshots"].as_array().unwrap();
+    let cap = mogpu::sim::serving::MAX_STREAM_SNAPSHOTS;
+    assert_eq!(snapshots.len(), cap / 64);
+    for snap in snapshots {
+        assert_eq!(snap["streams"].as_array().unwrap().len(), 64);
+    }
+}
