@@ -3,7 +3,9 @@
 
 use super::{update_branchy, update_predicated, FramePass};
 use crate::device::DeviceReal;
-use mogpu_sim::{Kernel, KernelResources, ThreadCtx};
+use mogpu_sim::{
+    blend, lanes, lanes_of, mask_of, uniform, KernelResources, WarpCtx, WarpKernel, WARP_LANES,
+};
 
 /// The unconditional-scan MoG kernel (Algorithm 3), configurable through
 /// the two algorithm-specific optimizations of Table III:
@@ -25,51 +27,59 @@ pub struct ScanKernel<T: DeviceReal> {
     pub recompute_diff: bool,
 }
 
-impl<T: DeviceReal> Kernel for ScanKernel<T> {
+impl<T: DeviceReal> WarpKernel for ScanKernel<T> {
     fn resources(&self) -> KernelResources {
         self.pass.resources
     }
 
-    fn run(&self, ctx: &mut ThreadCtx<'_>) {
+    fn run_warp(&self, w: &mut WarpCtx<'_>) {
         let pass = &self.pass;
-        let i = ctx.global_thread_id();
-        ctx.int_op(2);
-        if !ctx.branch(i < pass.pixels) {
+        let i = w.global_thread_id();
+        w.int_op(2);
+        let inside = w.branch(mask_of(|l| i[l] < pass.pixels));
+        if !w.keep(inside) {
             return;
         }
         let prm = &pass.prm;
         let k = prm.k;
-        let p = T::from_u8(ctx.ld_u8(pass.frame, i));
-        ctx.int_op(1);
+        let p = lanes_of(w.ld_u8(pass.frame, &i), T::from_u8);
+        w.int_op(1);
 
-        let (w, m, sd, diff, _matched) = if self.predicated {
-            update_predicated(ctx, &pass.model, i, p, prm)
+        let c = if self.predicated {
+            update_predicated(w, &pass.model, &i, &p, prm)
         } else {
-            update_branchy(ctx, &pass.model, i, p, prm)
+            update_branchy(w, &pass.model, &i, &p, prm)
         };
 
         // Unconditional scan of all components in index order (no rank,
         // no sort). The early exit of Algorithm 3 line 4 remains — it is
         // cheap and its divergence is minor compared to the sort's.
-        let mut fgv = 1u8;
+        let mut fgv = [1u8; WARP_LANES];
+        let mut live = w.active();
         for ki in 0..k {
-            ctx.int_op(1);
-            ctx.branch(ki < k); // uniform loop branch
-            let d = if self.recompute_diff {
-                // Level F: |m - p| recomputed against the updated mean.
-                let d = (m[ki] - p).abs();
-                T::flop(ctx, 2);
-                d
-            } else {
-                diff[ki]
-            };
-            let bg = w[ki] >= prm.bg_weight && d / sd[ki] < prm.bg_sigma_ratio;
-            T::flop(ctx, 6);
-            if ctx.branch(bg) {
-                fgv = 0;
+            w.when(live, |w| {
+                w.int_op(1);
+                w.branch(uniform(ki < k)); // uniform loop branch
+                let d = if self.recompute_diff {
+                    // Level F: |m - p| recomputed against the updated mean.
+                    let d = lanes(|l| (c.m[ki][l] - p[l]).abs());
+                    T::flop_warp(w, 2);
+                    d
+                } else {
+                    c.diff[ki]
+                };
+                let bg = mask_of(|l| {
+                    c.w[ki][l] >= prm.bg_weight && d[l] / c.sd[ki][l] < prm.bg_sigma_ratio
+                });
+                T::flop_warp(w, 6);
+                let hit = w.branch(bg);
+                blend(hit, &mut fgv, &[0; WARP_LANES]);
+                live &= !hit;
+            });
+            if live == 0 {
                 break;
             }
         }
-        ctx.st_u8(pass.fg, i, if fgv == 1 { 255 } else { 0 });
+        w.st_u8(pass.fg, &i, &lanes(|l| if fgv[l] == 1 { 255 } else { 0 }));
     }
 }

@@ -17,7 +17,11 @@
 
 use super::{virtual_replace_shared, FramePass};
 use crate::device::DeviceReal;
-use mogpu_sim::{Buffer, Kernel, KernelResources, ThreadCtx};
+use mogpu_mog::update::MAX_K;
+use mogpu_sim::{
+    blend, lanes, lanes_of, mask_of, uniform, Buffer, KernelResources, Lanes, Mask, WarpCtx,
+    WarpKernel, WARP_LANES,
+};
 
 /// Windowed MoG kernel processing `frames.len()` frames per launch.
 #[derive(Debug, Clone)]
@@ -38,6 +42,141 @@ pub struct TiledKernel<T: DeviceReal> {
     pub record_stride: Option<usize>,
 }
 
+impl<T: DeviceReal> WarpKernel for TiledKernel<T> {
+    fn resources(&self) -> KernelResources {
+        self.pass.resources
+    }
+
+    fn run_warp(&self, w: &mut WarpCtx<'_>) {
+        let pass = &self.pass;
+        let i = w.global_thread_id();
+        let t = w.thread_idx();
+        w.int_op(2);
+        let inside = w.branch(mask_of(|l| i[l] < pass.pixels));
+        if !w.keep(inside) {
+            return;
+        }
+        let prm = pass.prm;
+        let k = prm.k;
+        // Each lane's shared byte offset of parameter `param` of component
+        // `ki`: thread `t`'s record starts `t * stride` elements in, so the
+        // lanes of one access stride the banks as the module docs
+        // describe.
+        let off =
+            |ki: usize, param: usize| -> Lanes<usize> { lanes(|l| self.sh_off(t[l], ki, param)) };
+
+        // Stage this thread's components into shared memory.
+        for ki in 0..k {
+            let kis = [ki; WARP_LANES];
+            w.int_op(1);
+            w.branch(uniform(ki < k)); // uniform loop branch
+            let wv = pass.model.ld_w_warp(w, &i, &kis);
+            let m = pass.model.ld_m_warp(w, &i, &kis);
+            let sd = pass.model.ld_sd_warp(w, &i, &kis);
+            T::sh_st_warp(w, &off(ki, 0), &wv);
+            T::sh_st_warp(w, &off(ki, 1), &m);
+            T::sh_st_warp(w, &off(ki, 2), &sd);
+        }
+        w.sync();
+
+        // Process every frame of the group against the staged model.
+        // Per-frame math is the level-F formulation (predicated update +
+        // recomputed diff) operating on shared memory.
+        for (f, (frame, fg)) in self.frames.iter().zip(&self.fgs).enumerate() {
+            w.int_op(1);
+            w.branch(uniform(f < self.frames.len())); // uniform group-loop branch
+            let p = lanes_of(w.ld_u8(*frame, &i), T::from_u8);
+            w.int_op(1);
+
+            let mut matched: Mask = 0;
+            let mut w_reg = [[T::zero(); WARP_LANES]; MAX_K];
+            for ki in 0..k {
+                w.int_op(1);
+                w.branch(uniform(ki < k)); // uniform loop branch
+                let mut wv = T::sh_ld_warp(w, &off(ki, 0));
+                let mut m = T::sh_ld_warp(w, &off(ki, 1));
+                let mut sd = T::sh_ld_warp(w, &off(ki, 2));
+                let d: Lanes<T> = lanes(|l| (m[l] - p[l]).abs());
+                T::flop_warp(w, 2);
+                let is_match = mask_of(|l| d[l] < prm.match_threshold);
+                T::flop_warp(w, 1);
+                matched |= is_match;
+                w.int_op(1);
+                let mk: Lanes<T> = lanes(|l| {
+                    if is_match >> l & 1 != 0 {
+                        T::one()
+                    } else {
+                        T::zero()
+                    }
+                });
+                T::flop_warp(w, 1);
+                wv = lanes(|l| prm.alpha * wv[l] + mk[l] * prm.one_minus_alpha);
+                T::flop_warp(w, 3);
+                let tmp: Lanes<T> = lanes(|l| prm.one_minus_alpha / wv[l].max(T::from_f64(1e-30)));
+                T::flop_warp(w, 5);
+                let m_new: Lanes<T> = lanes(|l| m[l] + tmp[l] * (p[l] - m[l]));
+                T::flop_warp(w, 3);
+                m = lanes(|l| (T::one() - mk[l]) * m[l] + mk[l] * m_new[l]);
+                T::flop_warp(w, 4);
+                let dm: Lanes<T> = lanes(|l| p[l] - m[l]);
+                T::flop_warp(w, 1);
+                let var: Lanes<T> =
+                    lanes(|l| sd[l] * sd[l] + tmp[l] * (dm[l] * dm[l] - sd[l] * sd[l]));
+                T::flop_warp(w, 5);
+                let sd_new = lanes(|l| var[l].max(prm.min_var).sqrt());
+                T::flop_warp(w, 5);
+                sd = lanes(|l| (T::one() - mk[l]) * sd[l] + mk[l] * sd_new[l]);
+                T::flop_warp(w, 4);
+                T::sh_st_warp(w, &off(ki, 0), &wv);
+                T::sh_st_warp(w, &off(ki, 1), &m);
+                T::sh_st_warp(w, &off(ki, 2), &sd);
+                w_reg[ki] = wv;
+            }
+            let replace = w.branch(!matched);
+            w.when(replace, |w| virtual_replace_shared(w, self, &t, &p, &w_reg));
+
+            // Classification (level-F style, from shared memory).
+            let mut fgv = [1u8; WARP_LANES];
+            let mut live = w.active();
+            for ki in 0..k {
+                w.when(live, |w| {
+                    w.int_op(1);
+                    w.branch(uniform(ki < k)); // uniform loop branch
+                    let wv = T::sh_ld_warp(w, &off(ki, 0));
+                    let m = T::sh_ld_warp(w, &off(ki, 1));
+                    let sd = T::sh_ld_warp(w, &off(ki, 2));
+                    let d: Lanes<T> = lanes(|l| (m[l] - p[l]).abs());
+                    T::flop_warp(w, 2);
+                    let bg =
+                        mask_of(|l| wv[l] >= prm.bg_weight && d[l] / sd[l] < prm.bg_sigma_ratio);
+                    T::flop_warp(w, 6);
+                    let hit = w.branch(bg);
+                    blend(hit, &mut fgv, &[0; WARP_LANES]);
+                    live &= !hit;
+                });
+                if live == 0 {
+                    break;
+                }
+            }
+            w.st_u8(*fg, &i, &lanes(|l| if fgv[l] == 1 { 255 } else { 0 }));
+        }
+        w.sync();
+
+        // Write the tile's parameters back to global memory.
+        for ki in 0..k {
+            let kis = [ki; WARP_LANES];
+            w.int_op(1);
+            w.branch(uniform(ki < k)); // uniform loop branch
+            let wv = T::sh_ld_warp(w, &off(ki, 0));
+            let m = T::sh_ld_warp(w, &off(ki, 1));
+            let sd = T::sh_ld_warp(w, &off(ki, 2));
+            pass.model.st_w_warp(w, &i, &kis, &wv);
+            pass.model.st_m_warp(w, &i, &kis, &m);
+            pass.model.st_sd_warp(w, &i, &kis, &sd);
+        }
+    }
+}
+
 impl<T: DeviceReal> TiledKernel<T> {
     /// Effective record stride in elements.
     pub fn stride(&self) -> usize {
@@ -47,119 +186,5 @@ impl<T: DeviceReal> TiledKernel<T> {
     #[inline]
     pub(crate) fn sh_off(&self, t: usize, ki: usize, param: usize) -> usize {
         (t * self.stride() + ki * 3 + param) * T::BYTES
-    }
-}
-
-impl<T: DeviceReal> Kernel for TiledKernel<T> {
-    fn resources(&self) -> KernelResources {
-        self.pass.resources
-    }
-
-    fn run(&self, ctx: &mut ThreadCtx<'_>) {
-        let pass = &self.pass;
-        let i = ctx.global_thread_id();
-        let t = ctx.thread_idx();
-        ctx.int_op(2);
-        if !ctx.branch(i < pass.pixels) {
-            return;
-        }
-        let prm = pass.prm;
-        let k = prm.k;
-
-        // Stage this thread's components into shared memory.
-        for ki in 0..k {
-            ctx.int_op(1);
-            ctx.branch(ki < k); // uniform loop branch
-            let w = pass.model.ld_w(ctx, i, ki);
-            let m = pass.model.ld_m(ctx, i, ki);
-            let sd = pass.model.ld_sd(ctx, i, ki);
-            T::sh_st(ctx, self.sh_off(t, ki, 0), w);
-            T::sh_st(ctx, self.sh_off(t, ki, 1), m);
-            T::sh_st(ctx, self.sh_off(t, ki, 2), sd);
-        }
-        ctx.sync();
-
-        // Process every frame of the group against the staged model.
-        // Per-frame math is the level-F formulation (predicated update +
-        // recomputed diff) operating on shared memory.
-        for (f, (frame, fg)) in self.frames.iter().zip(&self.fgs).enumerate() {
-            ctx.int_op(1);
-            ctx.branch(f < self.frames.len()); // uniform group-loop branch
-            let p = T::from_u8(ctx.ld_u8(*frame, i));
-            ctx.int_op(1);
-
-            let mut matched = false;
-            let mut w_reg = [T::zero(); mogpu_mog::update::MAX_K];
-            for ki in 0..k {
-                ctx.int_op(1);
-                ctx.branch(ki < k); // uniform loop branch
-                let mut w = T::sh_ld(ctx, self.sh_off(t, ki, 0));
-                let mut m = T::sh_ld(ctx, self.sh_off(t, ki, 1));
-                let mut sd = T::sh_ld(ctx, self.sh_off(t, ki, 2));
-                let d = (m - p).abs();
-                T::flop(ctx, 2);
-                let is_match = d < prm.match_threshold;
-                T::flop(ctx, 1);
-                matched |= is_match;
-                ctx.int_op(1);
-                let mk = if is_match { T::one() } else { T::zero() };
-                T::flop(ctx, 1);
-                w = prm.alpha * w + mk * prm.one_minus_alpha;
-                T::flop(ctx, 3);
-                let tmp = prm.one_minus_alpha / w.max(T::from_f64(1e-30));
-                T::flop(ctx, 5);
-                let m_new = m + tmp * (p - m);
-                T::flop(ctx, 3);
-                m = (T::one() - mk) * m + mk * m_new;
-                T::flop(ctx, 4);
-                let dm = p - m;
-                T::flop(ctx, 1);
-                let var = sd * sd + tmp * (dm * dm - sd * sd);
-                T::flop(ctx, 5);
-                let sd_new = var.max(prm.min_var).sqrt();
-                T::flop(ctx, 5);
-                sd = (T::one() - mk) * sd + mk * sd_new;
-                T::flop(ctx, 4);
-                T::sh_st(ctx, self.sh_off(t, ki, 0), w);
-                T::sh_st(ctx, self.sh_off(t, ki, 1), m);
-                T::sh_st(ctx, self.sh_off(t, ki, 2), sd);
-                w_reg[ki] = w;
-            }
-            if ctx.branch(!matched) {
-                virtual_replace_shared(ctx, self, t, p, &w_reg);
-            }
-
-            // Classification (level-F style, from shared memory).
-            let mut fgv = 1u8;
-            for ki in 0..k {
-                ctx.int_op(1);
-                ctx.branch(ki < k); // uniform loop branch
-                let w = T::sh_ld(ctx, self.sh_off(t, ki, 0));
-                let m = T::sh_ld(ctx, self.sh_off(t, ki, 1));
-                let sd = T::sh_ld(ctx, self.sh_off(t, ki, 2));
-                let d = (m - p).abs();
-                T::flop(ctx, 2);
-                let bg = w >= prm.bg_weight && d / sd < prm.bg_sigma_ratio;
-                T::flop(ctx, 6);
-                if ctx.branch(bg) {
-                    fgv = 0;
-                    break;
-                }
-            }
-            ctx.st_u8(*fg, i, if fgv == 1 { 255 } else { 0 });
-        }
-        ctx.sync();
-
-        // Write the tile's parameters back to global memory.
-        for ki in 0..k {
-            ctx.int_op(1);
-            ctx.branch(ki < k); // uniform loop branch
-            let w = T::sh_ld(ctx, self.sh_off(t, ki, 0));
-            let m = T::sh_ld(ctx, self.sh_off(t, ki, 1));
-            let sd = T::sh_ld(ctx, self.sh_off(t, ki, 2));
-            pass.model.st_w(ctx, i, ki, w);
-            pass.model.st_m(ctx, i, ki, m);
-            pass.model.st_sd(ctx, i, ki, sd);
-        }
     }
 }

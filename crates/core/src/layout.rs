@@ -13,7 +13,9 @@
 
 use crate::device::DeviceReal;
 use mogpu_mog::HostModel;
-use mogpu_sim::{Buffer, DeviceMemory, MemoryError, ThreadCtx};
+use mogpu_sim::{
+    lanes, lanes_in, Buffer, DeviceMemory, Lanes, Mask, MemoryError, ThreadCtx, WarpCtx,
+};
 
 /// Gaussian parameter memory layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,6 +175,123 @@ impl<T: DeviceReal> DeviceModel<T> {
     pub fn st_sd(&self, ctx: &mut ThreadCtx<'_>, pixel: usize, ki: usize, v: T) {
         let (b, i) = self.index(pixel, ki, 2);
         T::st(ctx, b, i, v);
+    }
+
+    /// [`DeviceModel::index`] per lane: the buffer of `param` and each
+    /// lane's element of `(pixel[l], ki[l])`. Inactive lanes may hold
+    /// any pixel (threads past the problem size); only `active` ones are
+    /// checked, and the accessors touch only those.
+    #[inline]
+    fn index_lanes(
+        &self,
+        active: Mask,
+        pixel: &Lanes<usize>,
+        ki: &Lanes<usize>,
+        param: usize,
+    ) -> (Buffer, Lanes<usize>) {
+        debug_assert!(lanes_in(active).all(|l| pixel[l] < self.pixels && ki[l] < self.k));
+        match self.layout {
+            Layout::Aos => (
+                self.buf_w,
+                lanes(|l| {
+                    (pixel[l].wrapping_mul(self.k).wrapping_add(ki[l]))
+                        .wrapping_mul(3)
+                        .wrapping_add(param)
+                }),
+            ),
+            Layout::Soa => {
+                let buf = match param {
+                    0 => self.buf_w,
+                    1 => self.buf_m,
+                    _ => self.buf_sd,
+                };
+                (
+                    buf,
+                    lanes(|l| ki[l].wrapping_mul(self.pixels).wrapping_add(pixel[l])),
+                )
+            }
+        }
+    }
+
+    /// Loads each active lane's component weight.
+    #[track_caller]
+    #[inline]
+    pub fn ld_w_warp(
+        &self,
+        w: &mut WarpCtx<'_>,
+        pixel: &Lanes<usize>,
+        ki: &Lanes<usize>,
+    ) -> Lanes<T> {
+        let (b, i) = self.index_lanes(w.active(), pixel, ki, 0);
+        T::ld_warp(w, b, &i)
+    }
+
+    /// Loads each active lane's component mean.
+    #[track_caller]
+    #[inline]
+    pub fn ld_m_warp(
+        &self,
+        w: &mut WarpCtx<'_>,
+        pixel: &Lanes<usize>,
+        ki: &Lanes<usize>,
+    ) -> Lanes<T> {
+        let (b, i) = self.index_lanes(w.active(), pixel, ki, 1);
+        T::ld_warp(w, b, &i)
+    }
+
+    /// Loads each active lane's component standard deviation.
+    #[track_caller]
+    #[inline]
+    pub fn ld_sd_warp(
+        &self,
+        w: &mut WarpCtx<'_>,
+        pixel: &Lanes<usize>,
+        ki: &Lanes<usize>,
+    ) -> Lanes<T> {
+        let (b, i) = self.index_lanes(w.active(), pixel, ki, 2);
+        T::ld_warp(w, b, &i)
+    }
+
+    /// Stores each active lane's component weight.
+    #[track_caller]
+    #[inline]
+    pub fn st_w_warp(
+        &self,
+        w: &mut WarpCtx<'_>,
+        pixel: &Lanes<usize>,
+        ki: &Lanes<usize>,
+        v: &Lanes<T>,
+    ) {
+        let (b, i) = self.index_lanes(w.active(), pixel, ki, 0);
+        T::st_warp(w, b, &i, v);
+    }
+
+    /// Stores each active lane's component mean.
+    #[track_caller]
+    #[inline]
+    pub fn st_m_warp(
+        &self,
+        w: &mut WarpCtx<'_>,
+        pixel: &Lanes<usize>,
+        ki: &Lanes<usize>,
+        v: &Lanes<T>,
+    ) {
+        let (b, i) = self.index_lanes(w.active(), pixel, ki, 1);
+        T::st_warp(w, b, &i, v);
+    }
+
+    /// Stores each active lane's component standard deviation.
+    #[track_caller]
+    #[inline]
+    pub fn st_sd_warp(
+        &self,
+        w: &mut WarpCtx<'_>,
+        pixel: &Lanes<usize>,
+        ki: &Lanes<usize>,
+        v: &Lanes<T>,
+    ) {
+        let (b, i) = self.index_lanes(w.active(), pixel, ki, 2);
+        T::st_warp(w, b, &i, v);
     }
 
     // ---- host-side transfer (untimed; model parameters live on the

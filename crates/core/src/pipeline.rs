@@ -29,9 +29,10 @@ use mogpu_mog::{HostModel, MogParams, ResolvedParams};
 use mogpu_sim::dma::{pipeline_schedule, timing_of, transfer_time, OverlapMode, PipelineTiming};
 use mogpu_sim::telemetry::{sample_schedule, PipelineTelemetry, TelemetryConfig};
 use mogpu_sim::{
-    BatchLauncher, Buffer, DataflowGraph, DataflowRecorder, DerivedMetrics, DeviceMemory,
-    GpuConfig, IntervalSet, Kernel, KernelResources, KernelStats, LaunchConfig, LaunchError,
-    LaunchOptions, LaunchReport, MemoryError, Occupancy, SanReport, SiteProfile,
+    BatchLauncher, BoxedKernel, Buffer, DataflowGraph, DataflowRecorder, DerivedMetrics,
+    DeviceMemory, GpuConfig, IntervalSet, KernelRef, KernelResources, KernelStats, LaunchConfig,
+    LaunchError, LaunchOptions, LaunchReport, MemoryError, Occupancy, SanReport, SiteProfile,
+    WarpKernel,
 };
 
 /// Threads per block, as the paper selects.
@@ -156,7 +157,7 @@ pub trait KernelPlan: std::fmt::Debug {
         pass: FramePass<T>,
         frames: &[Buffer],
         fgs: &[Buffer],
-    ) -> Box<dyn Kernel>;
+    ) -> BoxedKernel;
 }
 
 /// The optimization ladder: one kernel per level (paper Tables II–III).
@@ -186,15 +187,15 @@ impl KernelPlan for OptLevel {
         pass: FramePass<T>,
         frames: &[Buffer],
         fgs: &[Buffer],
-    ) -> Box<dyn Kernel> {
-        let scan = |predicated, recompute_diff| -> Box<dyn Kernel> {
+    ) -> BoxedKernel {
+        let scan = |predicated, recompute_diff| -> Box<dyn WarpKernel> {
             Box::new(ScanKernel {
                 pass,
                 predicated,
                 recompute_diff,
             })
         };
-        match self {
+        BoxedKernel::Warp(match self {
             OptLevel::A | OptLevel::B | OptLevel::C => Box::new(SortedKernel { pass }),
             OptLevel::D => scan(false, false),
             OptLevel::E => scan(true, false),
@@ -205,7 +206,7 @@ impl KernelPlan for OptLevel {
                 fgs: fgs.to_vec(),
                 record_stride: None,
             }),
-        }
+        })
     }
 }
 
@@ -247,16 +248,11 @@ impl KernelPlan for AdaptivePlan {
         std::slice::from_ref(&self.active)
     }
 
-    fn kernel<T: DeviceReal>(
-        &self,
-        pass: FramePass<T>,
-        _: &[Buffer],
-        _: &[Buffer],
-    ) -> Box<dyn Kernel> {
-        Box::new(AdaptiveKernel {
+    fn kernel<T: DeviceReal>(&self, pass: FramePass<T>, _: &[Buffer], _: &[Buffer]) -> BoxedKernel {
+        BoxedKernel::Lane(Box::new(AdaptiveKernel {
             pass,
             active: self.active,
-        })
+        }))
     }
 }
 
@@ -494,7 +490,7 @@ impl<T: DeviceReal, P: KernelPlan> Pipeline<T, P> {
     fn step(
         &mut self,
         launcher: BatchLauncher,
-        kernel: &dyn Kernel,
+        kernel: KernelRef<'_>,
         node: &str,
         frame: usize,
         opts: LaunchOptions,
@@ -548,7 +544,13 @@ impl<T: DeviceReal, P: KernelPlan> Pipeline<T, P> {
         let kernel = self.plan.kernel(pass, frames, fgs);
         // A grouped (level-W) launch covers the whole chunk; attribute it
         // to the group's first frame.
-        let report = self.step(launchers.plan, &*kernel, self.plan.node(), base, opts);
+        let report = self.step(
+            launchers.plan,
+            (&kernel).into(),
+            self.plan.node(),
+            base,
+            opts,
+        );
 
         let mut outs = self.fg_bufs[..n].to_vec();
         if let Some(opening) = launchers.opening {
@@ -565,7 +567,7 @@ impl<T: DeviceReal, P: KernelPlan> Pipeline<T, P> {
                         height: self.resolution.height,
                         op,
                     };
-                    self.step(opening, &k, "morphology", base + slot, opts);
+                    self.step(opening, (&k).into(), "morphology", base + slot, opts);
                 }
                 *out = opened;
             }

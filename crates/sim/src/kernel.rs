@@ -1,21 +1,27 @@
-//! Kernel trait, per-lane execution context, and the launch machinery.
+//! Kernel traits, the per-lane execution context, and the launch machinery.
 //!
-//! Kernels are Rust types implementing [`Kernel`]; their `run` method is
-//! the CUDA `__global__` body, executed once per thread with a
-//! [`ThreadCtx`] standing in for the hardware: it performs *functional*
-//! loads/stores against simulated device memory while recording the events
-//! that drive the architectural analysis (see [`crate::warp`]).
+//! A kernel is a Rust type implementing [`Kernel`] or [`WarpKernel`], and
+//! the trait picks the executor. [`Kernel::run`] is the CUDA `__global__`
+//! body, executed once per thread with a [`ThreadCtx`] standing in for
+//! the hardware (the *lane executor*); `WarpKernel::run_warp` runs once
+//! per warp over 32-lane values (the *warp executor*,
+//! [`crate::lockstep`]). Either way the context performs *functional*
+//! loads/stores against simulated device memory while recording the
+//! events that drive the architectural analysis (see [`crate::warp`]).
 //!
-//! Like a CUDA kernel, `run` is invoked for every thread of every block of
-//! the launch grid; threads past the problem size must guard themselves
-//! (`if ctx.global_thread_id() >= n { return; }`).
+//! Like a CUDA kernel, the body is invoked for every thread of every
+//! block of the launch grid; threads past the problem size must guard
+//! themselves (`if ctx.global_thread_id() >= n { return; }`).
 
 use crate::config::GpuConfig;
 use crate::dataflow::{IntervalCollector, IntervalSet, LaunchAccess};
+use crate::lockstep::{
+    lanes_in, Lanes, LockstepRecorder, Mask, ReadLog, WarpCtx, WarpKernel, WARP_LANES,
+};
 use crate::memory::{Buffer, DeviceMemory, InitMask, LINE_BYTES, PAGE_BYTES, PAGE_LINES};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::profile::SiteProfile;
-use crate::sancheck::{BlockSan, SanReport};
+use crate::sancheck::{BlockSan, SanReport, WarpSanLog};
 use crate::stats::KernelStats;
 use crate::timing::{kernel_time, KernelTiming};
 use crate::trace::{OpClass, Space};
@@ -70,12 +76,72 @@ impl LaunchConfig {
     }
 }
 
-/// A GPU kernel.
+/// A GPU kernel whose body runs once per thread (the lane executor).
 pub trait Kernel: Sync {
     /// Declared resource footprint (registers / shared memory / spill).
     fn resources(&self) -> KernelResources;
     /// Per-thread body.
     fn run(&self, ctx: &mut ThreadCtx<'_>);
+}
+
+/// A kernel to launch. The variant follows from the kernel's type: a
+/// [`Kernel`] runs on the lane executor, a [`WarpKernel`] on the warp
+/// executor. Launch entry points take `impl Into<KernelRef>`, so a
+/// `&K` for any `K: Kernel` and a `&dyn Kernel` or `&dyn WarpKernel`
+/// convert implicitly.
+#[derive(Clone, Copy)]
+pub enum KernelRef<'k> {
+    /// A per-thread kernel.
+    Lane(&'k dyn Kernel),
+    /// A per-warp kernel.
+    Warp(&'k dyn WarpKernel),
+}
+
+impl KernelRef<'_> {
+    /// The kernel's declared resource footprint.
+    pub fn resources(&self) -> KernelResources {
+        match self {
+            KernelRef::Lane(k) => k.resources(),
+            KernelRef::Warp(k) => k.resources(),
+        }
+    }
+}
+
+/// An owned kernel of either executor, for code that builds kernels of
+/// both kinds (a pipeline's per-level plan); `&BoxedKernel` converts into
+/// a [`KernelRef`].
+pub enum BoxedKernel {
+    /// A per-thread kernel.
+    Lane(Box<dyn Kernel>),
+    /// A per-warp kernel.
+    Warp(Box<dyn WarpKernel>),
+}
+
+impl<'k> From<&'k BoxedKernel> for KernelRef<'k> {
+    fn from(k: &'k BoxedKernel) -> Self {
+        match k {
+            BoxedKernel::Lane(k) => KernelRef::Lane(&**k),
+            BoxedKernel::Warp(k) => KernelRef::Warp(&**k),
+        }
+    }
+}
+
+impl<'k, K: Kernel> From<&'k K> for KernelRef<'k> {
+    fn from(k: &'k K) -> Self {
+        KernelRef::Lane(k)
+    }
+}
+
+impl<'k> From<&'k dyn Kernel> for KernelRef<'k> {
+    fn from(k: &'k dyn Kernel) -> Self {
+        KernelRef::Lane(k)
+    }
+}
+
+impl<'k> From<&'k dyn WarpKernel> for KernelRef<'k> {
+    fn from(k: &'k dyn WarpKernel) -> Self {
+        KernelRef::Warp(k)
+    }
 }
 
 /// Errors rejecting a launch, mirroring CUDA launch failures.
@@ -191,7 +257,7 @@ struct OverlayPage {
 
 /// Mask of the low `n` bits, `1 <= n <= 64`.
 #[inline]
-fn low_bits(n: usize) -> u64 {
+pub(crate) fn low_bits(n: usize) -> u64 {
     u64::MAX >> (64 - n)
 }
 
@@ -391,6 +457,61 @@ impl WriteOverlay {
         }
     }
 
+    /// [`WriteOverlay::load`] for the lanes of `valid` of one warp
+    /// instruction, into `out[l]`. Neighbouring lanes mostly hit the
+    /// same page, so the page lookup is repeated only when it changes.
+    #[inline]
+    pub(crate) fn load_lanes<const W: usize>(
+        &self,
+        snapshot: &[u8],
+        valid: Mask,
+        addrs: &Lanes<u64>,
+        out: &mut Lanes<[u8; W]>,
+    ) {
+        let mut cached: (u64, Option<usize>) = (EMPTY_KEY, None);
+        for l in lanes_in(valid) {
+            let a = addrs[l] as usize;
+            out[l].copy_from_slice(&snapshot[a..a + W]);
+            if self.pages.is_empty() {
+                continue;
+            }
+            let (page, off, n) = Self::split(addrs[l], W);
+            if n == W {
+                if page != cached.0 {
+                    cached = (page, self.find(page));
+                }
+                if let Some(ix) = cached.1 {
+                    self.pages[ix].patch(off, &mut out[l]);
+                }
+            } else {
+                self.patch_straddling(page, &mut out[l], n);
+            }
+        }
+    }
+
+    /// [`WriteOverlay::store`] for the lanes of `valid`, in lane order,
+    /// with the page lookup repeated only when the page changes.
+    #[inline]
+    pub(crate) fn store_lanes<const W: usize>(
+        &mut self,
+        valid: Mask,
+        addrs: &Lanes<u64>,
+        vals: &Lanes<[u8; W]>,
+    ) {
+        let mut cached = (EMPTY_KEY, 0usize);
+        for l in lanes_in(valid) {
+            let (page, off, n) = Self::split(addrs[l], W);
+            if n == W {
+                if page != cached.0 {
+                    cached = (page, self.find_or_insert(page));
+                }
+                self.pages[cached.1].write(off, &vals[l]);
+            } else {
+                self.store_straddling(page, &vals[l], n);
+            }
+        }
+    }
+
     /// Which of the `width <= 64` bytes at `addr` this block has stored
     /// (bit `i` = byte `addr + i`). Initcheck treats block-local stores
     /// as defining; dataflow counts only the other bytes as external
@@ -415,9 +536,11 @@ impl WriteOverlay {
     /// Takes the block's pages for publication (in first-store order,
     /// which is deterministic) and resets the table so the overlay is
     /// ready for the next block. The replacement vector comes from the
-    /// publish-side recycling pool, so on the launching thread the page
-    /// storage never re-grows from zero; elsewhere it is sized like this
-    /// block's pages, since a grid's blocks store alike.
+    /// publish-side recycling pool when that pool is this thread's: on
+    /// the launching thread, which publishes, the page storage round-trips
+    /// across blocks and launches. Elsewhere the pool is empty and the
+    /// vector is sized like this block's pages, since a grid's blocks
+    /// store alike.
     fn take_pages(&mut self) -> Vec<OverlayPage> {
         self.keys.fill(EMPTY_KEY);
         let fresh = PAGE_POOL
@@ -429,23 +552,31 @@ impl WriteOverlay {
 
 thread_local! {
     /// Emptied overlay page vectors, recycled from the publish loop back
-    /// to `take_pages`. Both run on the launching thread when the block
-    /// fan-out is sequential (the common case on small machines), so the
-    /// per-block page storage round-trips instead of reallocating.
+    /// to `take_pages`. Only the launching thread refills it: the block
+    /// fan-out runs its other workers on threads spawned for that launch
+    /// (`vendor/rayon` scopes fresh threads on every call), whose pools
+    /// start empty and die with them. The vectors therefore round-trip
+    /// only for the blocks the launching thread runs itself.
     static PAGE_POOL: std::cell::RefCell<Vec<Vec<OverlayPage>>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Per-block interpreter scratch, pooled per rayon worker so the overlay
-/// table, the shared/local arenas, and — most importantly — the warp
-/// accumulator's interner and slot tables keep their capacity across
-/// blocks *and* launches instead of being re-allocated per block.
+/// Per-block interpreter scratch, taken once per launch worker so the
+/// overlay table, the shared/local arenas and the executors' interners
+/// and slot tables keep their capacity across the blocks a worker runs.
+/// Across launches it survives only on the launching thread: the block
+/// fan-out spawns its other workers afresh for every launch (see
+/// `PAGE_POOL`), so their scratch starts empty each time, and nothing in
+/// it may be needed for more than warm capacity.
 #[derive(Default)]
 struct BlockScratch {
     writes: WriteOverlay,
     shared: Vec<u8>,
     local: Vec<f64>,
     acc: WarpAccumulator,
+    lock: LockstepRecorder,
+    san_log: WarpSanLog,
+    read_log: ReadLog,
     reads: IntervalCollector,
 }
 
@@ -454,8 +585,8 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// RAII handle returning its scratch to the worker-local pool when the
-/// rayon split that borrowed it ends.
+/// RAII handle returning its scratch to the thread-local pool when the
+/// worker that borrowed it finishes its share of the launch.
 struct PooledScratch(BlockScratch);
 
 impl PooledScratch {
@@ -486,7 +617,20 @@ impl Drop for PooledScratch {
 
 /// Virtual base address of the per-thread local (spill) space; far above
 /// any global allocation so segment sets never collide.
-const LOCAL_BASE: u64 = 1 << 40;
+pub(crate) const LOCAL_BASE: u64 = 1 << 40;
+
+/// The message of an out-of-bounds global access, shared by both
+/// executors.
+pub(crate) fn global_oob_detail(buf: Buffer, idx: usize, width: usize, store: bool) -> String {
+    let dir = if store { "store" } else { "load" };
+    format!(
+        "global {dir} of {width} B at element {idx} is out of bounds for buffer @0x{:x} \
+         (+{} B, {} elements)",
+        buf.addr(),
+        buf.len(),
+        buf.len() / width.max(1)
+    )
+}
 
 /// Per-thread execution context: thread identity, memory access, and event
 /// recording.
@@ -579,8 +723,10 @@ impl ThreadCtx<'_> {
 
     /// Records a block barrier (`__syncthreads()`).
     ///
-    /// Lanes execute sequentially to completion, so functionally the
-    /// barrier is a no-op — but it is *semantically* load-bearing: it
+    /// The lane executor runs a block's lanes sequentially, each to
+    /// completion, so functionally the barrier is a no-op there (the warp
+    /// executor's [`WarpCtx::sync`] orders a warp's own lanes, but not
+    /// against later warps) — but it is *semantically* load-bearing: it
     /// separates the sync epochs the sanitizer's racecheck orders
     /// shared-memory accesses by, and it is the event synccheck audits
     /// for barrier divergence. Kernels with cross-lane data flow through
@@ -619,15 +765,8 @@ impl ThreadCtx<'_> {
         if end <= buf.len() {
             return Some(buf.addr() + (idx * width) as u64);
         }
-        let dir = if store { "store" } else { "load" };
         let loc = Location::caller();
-        let detail = format!(
-            "global {dir} of {width} B at element {idx} is out of bounds for buffer @0x{:x} \
-             (+{} B, {} elements)",
-            buf.addr(),
-            buf.len(),
-            buf.len() / width.max(1)
-        );
+        let detail = global_oob_detail(buf, idx, width, store);
         match self.san.as_deref_mut() {
             Some(san) => {
                 let addr = buf
@@ -959,11 +1098,11 @@ impl ThreadCtx<'_> {
 /// # Errors
 /// [`LaunchError::InvalidConfig`] for malformed grids,
 /// [`LaunchError::ResourcesExceeded`] when no block can be resident.
-pub fn launch(
+pub fn launch<'k>(
     mem: &mut DeviceMemory,
     cfg: &GpuConfig,
     lc: LaunchConfig,
-    kernel: &dyn Kernel,
+    kernel: impl Into<KernelRef<'k>>,
 ) -> Result<LaunchReport, LaunchError> {
     launch_with(mem, cfg, lc, kernel, LaunchOptions::default())
 }
@@ -973,13 +1112,14 @@ pub fn launch(
 ///
 /// # Errors
 /// Same as [`launch`].
-pub fn launch_with(
+pub fn launch_with<'k>(
     mem: &mut DeviceMemory,
     cfg: &GpuConfig,
     lc: LaunchConfig,
-    kernel: &dyn Kernel,
+    kernel: impl Into<KernelRef<'k>>,
     opts: LaunchOptions,
 ) -> Result<LaunchReport, LaunchError> {
+    let kernel = kernel.into();
     Ok(BatchLauncher::new(cfg, lc, kernel.resources())?.launch(mem, cfg, kernel, opts))
 }
 
@@ -1061,13 +1201,14 @@ impl BatchLauncher {
 
     /// Runs one pre-validated launch. `kernel` must declare the same
     /// [`KernelResources`] the plan was built with.
-    pub fn launch(
+    pub fn launch<'k>(
         &self,
         mem: &mut DeviceMemory,
         cfg: &GpuConfig,
-        kernel: &dyn Kernel,
+        kernel: impl Into<KernelRef<'k>>,
         opts: LaunchOptions,
     ) -> LaunchReport {
+        let kernel = kernel.into();
         debug_assert_eq!(
             kernel.resources(),
             self.res,
@@ -1077,115 +1218,38 @@ impl BatchLauncher {
     }
 }
 
+/// What one block hands back to the launch: its overlay pages, counters
+/// and observer outputs.
+type BlockResult = (
+    Vec<OverlayPage>,
+    KernelStats,
+    Option<SiteProfile>,
+    Option<SanReport>,
+    Option<IntervalSet>,
+);
+
 /// Shared launch body: executes the grid described by a validated plan.
 fn launch_prepared(
     mem: &mut DeviceMemory,
     cfg: &GpuConfig,
     plan: &BatchLauncher,
-    kernel: &dyn Kernel,
+    kernel: KernelRef<'_>,
     opts: LaunchOptions,
 ) -> LaunchReport {
     let lc = plan.lc;
-    let res = plan.res;
     let occ = plan.occ;
-    let local_slots = plan.local_slots;
-
-    let tpb = lc.threads_per_block;
-    let warps_per_block = tpb.div_ceil(cfg.warp_size) as u64;
-    let local_arena = res.local_f64_slots * cfg.warp_size as usize;
+    if let KernelRef::Warp(_) = kernel {
+        assert_eq!(
+            cfg.warp_size as usize, WARP_LANES,
+            "the warp executor runs {WARP_LANES}-lane warps"
+        );
+    }
     let snapshot: &[u8] = mem.raw();
     let init: &InitMask = mem.init_mask();
-
-    type BlockResult = (
-        Vec<OverlayPage>,
-        KernelStats,
-        Option<SiteProfile>,
-        Option<SanReport>,
-        Option<IntervalSet>,
-    );
     let results: Vec<BlockResult> = (0..lc.blocks)
         .into_par_iter()
         .map_init(PooledScratch::take, |scratch, b| {
-            let BlockScratch {
-                writes,
-                shared,
-                local,
-                acc,
-                reads,
-            } = &mut scratch.0;
-            shared.clear();
-            shared.resize(res.shared_bytes_per_block, 0);
-            if opts.dataflow {
-                reads.clear();
-            }
-            acc.set_profiling(opts.profile_sites);
-            acc.set_geometry(cfg);
-            let mut stats = KernelStats::default();
-            let mut san = opts
-                .sanitize
-                .then(|| BlockSan::new(b, tpb, res.shared_bytes_per_block));
-            // Optional L2: each block simulates a private slice of the
-            // shared cache (see crate::cache for the approximation).
-            let mut cache = if cfg.l2_bytes > 0 {
-                let resident = (cfg.num_sms * occ.resident_blocks).max(1) as usize;
-                Some(crate::cache::CacheModel::new(
-                    cfg.l2_bytes / resident,
-                    cfg.l2_assoc,
-                    cfg.segment_bytes,
-                ))
-            } else {
-                None
-            };
-            let mut w = 0u32;
-            while w * cfg.warp_size < tpb {
-                let first = w * cfg.warp_size;
-                let last = (first + cfg.warp_size).min(tpb);
-                // The warp's whole spill arena is zeroed once here instead
-                // of per lane; lanes index it slot-major via `local_ix`.
-                local.clear();
-                local.resize(local_arena, 0.0);
-                for t in first..last {
-                    acc.begin_lane();
-                    if let Some(s) = san.as_mut() {
-                        s.begin_thread(t);
-                    }
-                    let mut ctx = ThreadCtx {
-                        block_idx: b,
-                        thread_idx: t,
-                        threads_per_block: tpb,
-                        blocks: lc.blocks,
-                        lane: t - first,
-                        warp_lanes: cfg.warp_size,
-                        local_slots,
-                        global_warp_id: b as u64 * warps_per_block + w as u64,
-                        snapshot,
-                        init,
-                        writes: &mut *writes,
-                        shared: shared.as_mut_slice(),
-                        local: local.as_mut_slice(),
-                        acc: &mut *acc,
-                        san: san.as_mut(),
-                        reads: if opts.dataflow {
-                            Some(&mut *reads)
-                        } else {
-                            None
-                        },
-                    };
-                    kernel.run(&mut ctx);
-                }
-                acc.end_warp_cached(cfg, &mut stats, cache.as_mut());
-                w += 1;
-            }
-            stats.blocks = 1;
-            let sites = acc.take_site_profile();
-            let block_reads = opts.dataflow.then(|| reads.take_set());
-            (
-                writes.take_pages(),
-                stats,
-                sites,
-                san.map(BlockSan::into_report),
-                block_reads,
-            )
+            run_block(&mut scratch.0, cfg, plan, kernel, opts, snapshot, init, b)
         })
         .collect();
 
@@ -1201,39 +1265,38 @@ fn launch_prepared(
             total.merge(block);
         }
     }
-    // Publish in block order: pages are disjoint within a block, and
-    // cross-block collisions resolve last-block-wins byte by byte,
-    // deterministically. Emptied page vectors go back to the pool for
-    // the next block's `take_pages`. The dataflow write set is read off
-    // the same mask words, so it is exactly the published bytes.
-    let mut access_cols = opts
-        .dataflow
-        .then(|| (IntervalCollector::default(), IntervalCollector::default()));
-    for (mut pages, _, _, _, block_reads) in results {
-        if let Some((rcol, wcol)) = access_cols.as_mut() {
-            if let Some(r) = &block_reads {
+    // The dataflow write set is read off the same mask words that
+    // publication applies, so it is exactly the published bytes.
+    let access = opts.dataflow.then(|| {
+        let (mut rcol, mut wcol) = (IntervalCollector::default(), IntervalCollector::default());
+        for (pages, _, _, _, block_reads) in &results {
+            if let Some(r) = block_reads {
                 rcol.extend_set(r);
             }
-            for p in &pages {
+            for p in pages {
                 for (l, &m) in p.mask.iter().enumerate() {
                     wcol.record_mask(p.base + (l * LINE_BYTES) as u64, m);
                 }
             }
         }
-        for p in &pages {
-            mem.apply_page(p.base, &p.mask, &p.bytes);
+        LaunchAccess {
+            reads: rcol.take_set(),
+            writes: wcol.take_set(),
         }
-        pages.clear();
-        PAGE_POOL.with(|p| {
-            let mut pool = p.borrow_mut();
-            if pool.len() < 16 {
-                pool.push(pages);
+    });
+    let pages: Vec<Vec<OverlayPage>> = results.into_iter().map(|r| r.0).collect();
+    publish(mem, &pages);
+    // Emptied page vectors go back to the pool for the next block's
+    // `take_pages` on this thread.
+    PAGE_POOL.with(|p| {
+        let mut pool = p.borrow_mut();
+        for mut block in pages {
+            if pool.len() >= 16 {
+                break;
             }
-        });
-    }
-    let access = access_cols.map(|(mut rcol, mut wcol)| LaunchAccess {
-        reads: rcol.take_set(),
-        writes: wcol.take_set(),
+            block.clear();
+            pool.push(block);
+        }
     });
 
     let timing = kernel_time(&stats, &occ, cfg);
@@ -1245,6 +1308,192 @@ fn launch_prepared(
         sanitizer,
         access,
     }
+}
+
+/// Runs block `b` of the launch on one worker's scratch: warp after
+/// warp, on the executor the kernel's type picks.
+#[allow(clippy::too_many_arguments)]
+fn run_block(
+    scratch: &mut BlockScratch,
+    cfg: &GpuConfig,
+    plan: &BatchLauncher,
+    kernel: KernelRef<'_>,
+    opts: LaunchOptions,
+    snapshot: &[u8],
+    init: &InitMask,
+    b: u32,
+) -> BlockResult {
+    let (lc, res, occ) = (plan.lc, plan.res, plan.occ);
+    let tpb = lc.threads_per_block;
+    let warps_per_block = tpb.div_ceil(cfg.warp_size) as u64;
+    let local_arena = res.local_f64_slots * cfg.warp_size as usize;
+    let BlockScratch {
+        writes,
+        shared,
+        local,
+        acc,
+        lock,
+        san_log,
+        read_log,
+        reads,
+    } = scratch;
+    shared.clear();
+    shared.resize(res.shared_bytes_per_block, 0);
+    if opts.dataflow {
+        reads.clear();
+    }
+    match kernel {
+        KernelRef::Lane(_) => {
+            acc.set_profiling(opts.profile_sites);
+            acc.set_geometry(cfg);
+        }
+        KernelRef::Warp(_) => {
+            lock.set_profiling(opts.profile_sites);
+            lock.set_geometry(cfg);
+        }
+    }
+    let mut stats = KernelStats::default();
+    let mut san = opts
+        .sanitize
+        .then(|| BlockSan::new(b, tpb, res.shared_bytes_per_block));
+    // Optional L2: each block simulates a private slice of the shared
+    // cache (see crate::cache for the approximation).
+    let mut cache = if cfg.l2_bytes > 0 {
+        let resident = (cfg.num_sms * occ.resident_blocks).max(1) as usize;
+        Some(crate::cache::CacheModel::new(
+            cfg.l2_bytes / resident,
+            cfg.l2_assoc,
+            cfg.segment_bytes,
+        ))
+    } else {
+        None
+    };
+    let mut w = 0u32;
+    while w * cfg.warp_size < tpb {
+        let first = w * cfg.warp_size;
+        let last = (first + cfg.warp_size).min(tpb);
+        let global_warp_id = b as u64 * warps_per_block + w as u64;
+        // The warp's whole spill arena is zeroed once here instead of
+        // per lane; lanes index it slot-major.
+        local.clear();
+        local.resize(local_arena, 0.0);
+        match kernel {
+            KernelRef::Lane(k) => {
+                for t in first..last {
+                    acc.begin_lane();
+                    if let Some(s) = san.as_mut() {
+                        s.begin_thread(t);
+                    }
+                    let mut ctx = ThreadCtx {
+                        block_idx: b,
+                        thread_idx: t,
+                        threads_per_block: tpb,
+                        blocks: lc.blocks,
+                        lane: t - first,
+                        warp_lanes: cfg.warp_size,
+                        local_slots: plan.local_slots,
+                        global_warp_id,
+                        snapshot,
+                        init,
+                        writes: &mut *writes,
+                        shared: shared.as_mut_slice(),
+                        local: local.as_mut_slice(),
+                        acc: &mut *acc,
+                        san: san.as_mut(),
+                        reads: opts.dataflow.then_some(&mut *reads),
+                    };
+                    k.run(&mut ctx);
+                }
+                acc.end_warp_cached(cfg, &mut stats, cache.as_mut());
+            }
+            KernelRef::Warp(k) => {
+                let lanes = last - first;
+                let mut ctx = WarpCtx {
+                    block_idx: b,
+                    first_thread: first,
+                    threads_per_block: tpb,
+                    blocks: lc.blocks,
+                    local_slots: plan.local_slots,
+                    global_warp_id,
+                    active: low_bits(lanes as usize) as Mask,
+                    snapshot,
+                    init,
+                    writes: &mut *writes,
+                    shared: shared.as_mut_slice(),
+                    local: local.as_mut_slice(),
+                    rec: &mut *lock,
+                    san: san.is_some().then_some(&mut *san_log),
+                    reads: opts.dataflow.then_some(&mut *read_log),
+                };
+                k.run_warp(&mut ctx);
+                lock.end_warp(cfg, &mut stats, cache.as_mut(), lanes);
+                if let Some(s) = san.as_mut() {
+                    san_log.replay(s, first, lanes);
+                }
+                if opts.dataflow {
+                    read_log.replay(reads);
+                }
+            }
+        }
+        w += 1;
+    }
+    stats.blocks = 1;
+    let sites = match kernel {
+        KernelRef::Lane(_) => acc.take_site_profile(),
+        KernelRef::Warp(_) => lock.take_site_profile(),
+    };
+    let block_reads = opts.dataflow.then(|| reads.take_set());
+    (
+        writes.take_pages(),
+        stats,
+        sites,
+        san.map(BlockSan::into_report),
+        block_reads,
+    )
+}
+
+/// Launches below this many pages publish on the calling thread: a
+/// helper thread costs more than copying them.
+const PARALLEL_PUBLISH_PAGES: usize = 256;
+
+/// Publishes the blocks' overlay pages to device memory. Pages are
+/// disjoint within a block, and cross-block collisions resolve
+/// last-block-wins byte by byte. Device memory is cut into page-aligned
+/// address ranges, one per core, and each worker applies the pages of
+/// its range in block order, so every byte ends as the serial block-order
+/// publish leaves it.
+fn publish(mem: &mut DeviceMemory, blocks: &[Vec<OverlayPage>]) {
+    let total: usize = blocks.iter().map(Vec::len).sum();
+    let workers = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1);
+    if workers <= 1 || total < PARALLEL_PUBLISH_PAGES {
+        let mut whole = mem.publish_range(0..usize::MAX);
+        for p in blocks.iter().flatten() {
+            whole.apply_page(p.base, &p.mask, &p.bytes);
+        }
+        return;
+    }
+    let ranges = mem.split_for_publish(workers, PAGE_BYTES);
+    let ranges: Vec<std::sync::Mutex<Option<crate::memory::PublishRange<'_>>>> = ranges
+        .into_iter()
+        .map(|r| std::sync::Mutex::new(Some(r)))
+        .collect();
+    (0..ranges.len())
+        .into_par_iter()
+        .map(|i| {
+            let mut range = ranges[i]
+                .lock()
+                .expect("publish range lock")
+                .take()
+                .expect("each range is published once");
+            for p in blocks.iter().flatten() {
+                if range.contains(p.base) {
+                    range.apply_page(p.base, &p.mask, &p.bytes);
+                }
+            }
+        })
+        .collect::<Vec<()>>();
 }
 
 #[cfg(test)]

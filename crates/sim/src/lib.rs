@@ -9,7 +9,8 @@
 //! analytic**:
 //!
 //! * **Functional**: kernels are ordinary Rust code written against the
-//!   [`kernel::ThreadCtx`] API. Every lane of every warp executes for real —
+//!   per-lane [`kernel::ThreadCtx`] or the per-warp [`lockstep::WarpCtx`]
+//!   API. Every lane of every warp executes for real —
 //!   loads return real data, stores mutate simulated device memory — so
 //!   algorithm output (the foreground masks whose quality Table IV of the
 //!   paper measures) is exact, not approximated.
@@ -36,8 +37,12 @@
 //!
 //! ## Execution semantics and limits
 //!
-//! Blocks execute in parallel (rayon); lanes within a block execute
-//! sequentially to completion. Global stores issued during a launch are
+//! Blocks execute in parallel (rayon); the warps of a block execute one
+//! after another. Within a warp, a [`kernel::Kernel`] runs on the *lane
+//! executor* — each lane to completion before the next starts — and a
+//! [`lockstep::WarpKernel`] runs on the *warp executor*, all lanes in
+//! lockstep under an active mask; both record the same warp slots (see
+//! [`lockstep`]). Global stores issued during a launch are
 //! visible to *the issuing block only* (read-your-writes via a write
 //! overlay of 512-byte pages with per-byte masks, so a store read back
 //! at any width sees the stored bytes), and are published to device memory in block order
@@ -45,14 +50,15 @@
 //! coherence guarantees. Cross-*block* communication within one launch
 //! therefore still does not work; cross-*lane* communication through
 //! shared memory works when it is barrier-ordered *forward* (a lane reads
-//! what a lower-indexed epoch wrote), and the opt-in sanitizer
-//! ([`sancheck`], enabled via [`kernel::LaunchOptions::sanitize`]) detects
-//! the patterns the sequential-lane model cannot reproduce — same-epoch
-//! races and backward barrier-ordered dataflow — instead of silently
-//! returning stale values. All kernel-facing accessors are bounds-checked
-//! against their [`memory::Buffer`] or the block's shared/local
-//! allocation: out-of-range accesses panic with the kernel's `file:line`,
-//! or are absorbed and reported as findings under the sanitizer.
+//! what a lower-indexed lane or an earlier warp wrote), and the opt-in
+//! sanitizer ([`sancheck`], enabled via [`kernel::LaunchOptions::sanitize`])
+//! detects the patterns the sequential execution cannot reproduce —
+//! same-epoch races and backward barrier-ordered dataflow — instead of
+//! silently returning stale values. All kernel-facing accessors are
+//! bounds-checked against their [`memory::Buffer`] or the block's
+//! shared/local allocation: out-of-range accesses panic with the
+//! kernel's `file:line`, or are absorbed and reported as findings under
+//! the sanitizer.
 
 pub mod advisor;
 pub mod cache;
@@ -65,6 +71,7 @@ pub mod dma;
 pub(crate) mod exposition;
 pub mod fleet;
 pub mod kernel;
+pub mod lockstep;
 pub mod memory;
 pub mod occupancy;
 pub mod profile;
@@ -95,8 +102,12 @@ pub use fleet::{
     ShedStream, StreamPlacement, FLEET_SCHEMA,
 };
 pub use kernel::{
-    launch, launch_with, BatchLauncher, Kernel, KernelResources, LaunchConfig, LaunchError,
-    LaunchOptions, LaunchReport, ThreadCtx,
+    launch, launch_with, BatchLauncher, BoxedKernel, Kernel, KernelRef, KernelResources,
+    LaunchConfig, LaunchError, LaunchOptions, LaunchReport, ThreadCtx,
+};
+pub use lockstep::{
+    blend, lanes, lanes_in, lanes_of, mask_of, uniform, Lanes, Mask, WarpCtx, WarpKernel,
+    WARP_LANES,
 };
 pub use memory::{Buffer, DeviceMemory, MemoryError};
 pub use occupancy::{occupancy, Occupancy};

@@ -160,16 +160,6 @@ impl InitMask {
         }
     }
 
-    /// Marks the bytes of the 64-byte line `line` (byte `64 * line + i`
-    /// for each set bit `i` of `bits`) as initialized: one word OR.
-    #[inline]
-    fn mark_line(&mut self, line: usize, bits: u64) {
-        if self.bits.len() <= line {
-            self.bits.resize(line + 1, 0);
-        }
-        self.bits[line] |= bits;
-    }
-
     /// Whether `byte` has ever been initialized.
     #[inline]
     pub(crate) fn is_init(&self, byte: usize) -> bool {
@@ -181,6 +171,60 @@ impl InitMask {
     /// Forgets all marks (keeps the backing storage).
     pub(crate) fn clear(&mut self) {
         self.bits.iter_mut().for_each(|w| *w = 0);
+    }
+}
+
+/// A contiguous piece of device memory that kernel-store publication
+/// writes: its bytes and their [`InitMask`] words.
+#[derive(Debug)]
+pub(crate) struct PublishRange<'a> {
+    /// Device address of `data[0]`; a multiple of 64.
+    start: usize,
+    data: &'a mut [u8],
+    /// Initialization word `i` covers `data[64 * i..64 * i + 64]`.
+    init: &'a mut [u64],
+}
+
+impl PublishRange<'_> {
+    /// Whether device address `addr` falls in the range.
+    pub(crate) fn contains(&self, addr: u64) -> bool {
+        (self.start as u64..(self.start + self.data.len()) as u64).contains(&addr)
+    }
+
+    /// Applies one write-overlay page at [`PAGE_BYTES`]-aligned `base`:
+    /// byte `64 * l + i` of `bytes` is written where bit `i` of
+    /// `mask[l]` is set, and exactly those bytes are marked initialized.
+    /// A fully written line is one 64-byte copy; any other line is
+    /// copied byte by byte under its mask, so bytes this page did not
+    /// store keep whatever an earlier page wrote. Only masked bytes are
+    /// touched, so a page reaching past the end of the backing store is
+    /// safe as long as its masked bytes came from bounds-checked kernel
+    /// stores, and the range must hold every masked byte.
+    pub(crate) fn apply_page(
+        &mut self,
+        base: u64,
+        mask: &[u64; PAGE_LINES],
+        bytes: &[u8; PAGE_BYTES],
+    ) {
+        debug_assert_eq!(base as usize % PAGE_BYTES, 0, "unaligned overlay page");
+        let base = base as usize - self.start;
+        for (l, (&m, src)) in mask.iter().zip(bytes.chunks_exact(LINE_BYTES)).enumerate() {
+            if m == 0 {
+                continue;
+            }
+            let at = base + l * LINE_BYTES;
+            if m == !0 {
+                self.data[at..at + LINE_BYTES].copy_from_slice(src);
+            } else {
+                let mut rest = m;
+                while rest != 0 {
+                    let j = rest.trailing_zeros() as usize;
+                    self.data[at + j] = src[j];
+                    rest &= rest - 1;
+                }
+            }
+            self.init[at / LINE_BYTES] |= m;
+        }
     }
 }
 
@@ -278,40 +322,68 @@ impl DeviceMemory {
         &self.init
     }
 
-    /// Applies one write-overlay page at [`PAGE_BYTES`]-aligned `base`:
-    /// byte `64 * l + i` of `bytes` is written where bit `i` of
-    /// `mask[l]` is set, and exactly those bytes are marked initialized.
-    /// A fully written line is one 64-byte copy; any other line is
-    /// copied byte by byte under its mask, so bytes this page did not
-    /// store keep whatever an earlier page wrote. Only masked bytes are
-    /// touched, so a page reaching past the end of the backing store is
-    /// safe as long as its masked bytes came from bounds-checked kernel
-    /// stores.
+    /// Applies one write-overlay page at [`PAGE_BYTES`]-aligned `base`;
+    /// see [`PublishRange::apply_page`].
+    #[cfg(test)]
     pub(crate) fn apply_page(
         &mut self,
         base: u64,
         mask: &[u64; PAGE_LINES],
         bytes: &[u8; PAGE_BYTES],
     ) {
-        let base = base as usize;
-        debug_assert_eq!(base % PAGE_BYTES, 0, "unaligned overlay page");
-        for (l, (&m, src)) in mask.iter().zip(bytes.chunks_exact(LINE_BYTES)).enumerate() {
-            if m == 0 {
-                continue;
-            }
-            let at = base + l * LINE_BYTES;
-            if m == !0 {
-                self.data[at..at + LINE_BYTES].copy_from_slice(src);
-            } else {
-                let mut rest = m;
-                while rest != 0 {
-                    let j = rest.trailing_zeros() as usize;
-                    self.data[at + j] = src[j];
-                    rest &= rest - 1;
-                }
-            }
-            self.init.mark_line(at / LINE_BYTES, m);
+        self.publish_range(0..usize::MAX)
+            .apply_page(base, mask, bytes);
+    }
+
+    /// The bytes of `range` (clamped to the backing store) and their
+    /// initialization words, for publishing kernel stores. `range.start`
+    /// must be a multiple of 64.
+    pub(crate) fn publish_range(&mut self, range: std::ops::Range<usize>) -> PublishRange<'_> {
+        let end = range.end.min(self.data.len());
+        let start = range.start.min(end);
+        debug_assert_eq!(start % LINE_BYTES, 0, "unaligned publish range");
+        let words = self.data.len().div_ceil(LINE_BYTES);
+        if self.init.bits.len() < words {
+            self.init.bits.resize(words, 0);
         }
+        PublishRange {
+            start,
+            data: &mut self.data[start..end],
+            init: &mut self.init.bits[start / LINE_BYTES..end.div_ceil(LINE_BYTES)],
+        }
+    }
+
+    /// Cuts the backing store into at most `parts` disjoint ranges whose
+    /// starts are multiples of `align` (itself a multiple of 64), so that
+    /// each `align`-aligned page falls in exactly one of them.
+    pub(crate) fn split_for_publish(
+        &mut self,
+        parts: usize,
+        align: usize,
+    ) -> Vec<PublishRange<'_>> {
+        debug_assert_eq!(align % LINE_BYTES, 0, "publish ranges split mid-line");
+        let len = self.data.len();
+        let words = len.div_ceil(LINE_BYTES);
+        if self.init.bits.len() < words {
+            self.init.bits.resize(words, 0);
+        }
+        let step = len.div_ceil(parts.max(1)).div_ceil(align).max(1) * align;
+        let mut out = Vec::with_capacity(parts);
+        let (mut data, mut init) = (&mut self.data[..], &mut self.init.bits[..words]);
+        let mut start = 0;
+        while start < len {
+            let n = step.min(len - start);
+            let (head, tail) = data.split_at_mut(n);
+            let (ihead, itail) = init.split_at_mut(n.div_ceil(LINE_BYTES));
+            out.push(PublishRange {
+                start,
+                data: head,
+                init: ihead,
+            });
+            (data, init) = (tail, itail);
+            start += n;
+        }
+        out
     }
 
     // ---- host-side typed access (untimed, untraced) ----

@@ -580,6 +580,89 @@ impl BlockSan {
     }
 }
 
+/// One sanitizer hook call of one lane, as the warp executor issues it.
+#[derive(Debug)]
+pub(crate) enum LaneCheck {
+    /// [`BlockSan::oob`].
+    Oob {
+        loc: &'static Location<'static>,
+        space: Space,
+        addr: u64,
+        width: usize,
+        message: String,
+    },
+    /// [`BlockSan::uninit_global`].
+    UninitGlobal {
+        loc: &'static Location<'static>,
+        buf: Buffer,
+        addr: u64,
+        width: usize,
+    },
+    /// [`BlockSan::on_sync`].
+    Sync { loc: &'static Location<'static> },
+    /// [`BlockSan::shared_read`].
+    SharedRead {
+        loc: &'static Location<'static>,
+        off: usize,
+        width: usize,
+    },
+    /// [`BlockSan::shared_write`].
+    SharedWrite {
+        loc: &'static Location<'static>,
+        off: usize,
+        width: usize,
+    },
+}
+
+/// The sanitizer hook calls of one warp of the warp executor, kept per
+/// lane and replayed into the block's [`BlockSan`] lane after lane at
+/// the end of the warp: the shadow state, sync epochs and first
+/// occurrences then see exactly the call sequence the lane executor
+/// makes.
+#[derive(Debug, Default)]
+pub(crate) struct WarpSanLog {
+    calls: Vec<(u32, LaneCheck)>,
+}
+
+impl WarpSanLog {
+    /// Buffers a call of lane `lane`.
+    pub(crate) fn push(&mut self, lane: u32, check: LaneCheck) {
+        self.calls.push((lane, check));
+    }
+
+    /// Replays the buffered calls into `san`: thread `first_thread + l`
+    /// for `l` in `0..lanes`, each lane's calls in the order it made
+    /// them.
+    pub(crate) fn replay(&mut self, san: &mut BlockSan, first_thread: u32, lanes: u32) {
+        // Stable: each lane keeps its own call order.
+        self.calls.sort_by_key(|&(lane, _)| lane);
+        let mut calls = self.calls.drain(..).peekable();
+        for lane in 0..lanes {
+            san.begin_thread(first_thread + lane);
+            while let Some((_, check)) = calls.next_if(|&(l, _)| l == lane) {
+                match check {
+                    LaneCheck::Oob {
+                        loc,
+                        space,
+                        addr,
+                        width,
+                        message,
+                    } => san.oob(loc, space, addr, width, message),
+                    LaneCheck::UninitGlobal {
+                        loc,
+                        buf,
+                        addr,
+                        width,
+                    } => san.uninit_global(loc, buf, addr, width),
+                    LaneCheck::Sync { loc } => san.on_sync(loc),
+                    LaneCheck::SharedRead { loc, off, width } => san.shared_read(loc, off, width),
+                    LaneCheck::SharedWrite { loc, off, width } => san.shared_write(loc, off, width),
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -50,7 +50,7 @@ struct Slot {
 }
 
 #[derive(Debug)]
-enum SlotKind {
+pub(crate) enum SlotKind {
     Op {
         class: OpClass,
         max_count: u32,
@@ -113,27 +113,12 @@ pub struct WarpAccumulator {
     /// prefix and clears the flag.
     in_order: bool,
     lanes_seen: u32,
-    /// Whether per-site attribution is on (off by default).
-    profiling: bool,
-    /// Per dense site: batched attribution accumulator. Indexed by
-    /// `Slot::dense`, so the profiled warp-end path is a plain vector
-    /// add instead of a per-slot hash probe; materialized into a
-    /// [`SiteProfile`] only in [`WarpAccumulator::take_site_profile`].
-    site_acc: Vec<SiteStats>,
-    /// Per dense site: whether the site was already registered with the
-    /// global source-location registry (registration is idempotent, the
-    /// flag just avoids re-taking the registry lock per warp).
-    site_registered: Vec<bool>,
     /// Recycled key vectors for `SlotKind::Mem`, refilled when a slot
     /// changes kind or the template is dropped, so steady-state
     /// recording never allocates.
     key_pool: Vec<Vec<u64>>,
-    /// Segment size the keys of global/local slots are recorded in.
-    segment: SegmentGeometry,
-    /// Warp-end scratch: first-touch-ordered segment list of one slot.
-    segments: Vec<u64>,
-    /// Warp-end scratch: distinct-word counts per shared bank.
-    bank_counts: Vec<u32>,
+    /// The warp-end fold, shared with the lockstep executor.
+    fold: SlotFold,
 }
 
 /// Epoch value no warp has: the stamp of a slot not yet touched.
@@ -150,7 +135,7 @@ const DEFAULT_SEGMENT_BYTES: u64 = 128;
 /// Address → segment index for one segment size: a shift when the size
 /// is a power of two, a division otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SegmentGeometry {
+pub(crate) struct SegmentGeometry {
     bytes: u64,
     /// `log2(bytes)`, or `None` when `bytes` is not a power of two.
     shift: Option<u32>,
@@ -165,11 +150,15 @@ impl SegmentGeometry {
         }
     }
 
-    #[inline]
-    fn index(self, addr: u64) -> u64 {
-        match self.shift {
-            Some(s) => addr >> s,
-            None => addr / self.bytes,
+    /// The first and last key an access of `width` bytes at `addr` in
+    /// `space` touches.
+    #[inline(always)]
+    pub(crate) fn key_range(self, space: Space, addr: u64, width: u8) -> (u64, u64) {
+        let end = addr + width.max(1) as u64 - 1;
+        match (space, self.shift) {
+            (Space::Shared, _) => (addr / BANK_WORD_BYTES, end / BANK_WORD_BYTES),
+            (_, Some(s)) => (addr >> s, end >> s),
+            (_, None) => (addr / self.bytes, end / self.bytes),
         }
     }
 
@@ -178,11 +167,7 @@ impl SegmentGeometry {
     /// skipping each key equal to the last one pushed.
     #[inline(always)]
     fn push_keys(self, space: Space, addr: u64, width: u8, keys: &mut Vec<u64>) {
-        let end = addr + width.max(1) as u64 - 1;
-        let (first, last) = match space {
-            Space::Shared => (addr / BANK_WORD_BYTES, end / BANK_WORD_BYTES),
-            Space::Global | Space::Local => (self.index(addr), self.index(end)),
-        };
+        let (first, last) = self.key_range(space, addr, width);
         for k in first..=last {
             if keys.last() != Some(&k) {
                 keys.push(k);
@@ -204,23 +189,17 @@ impl WarpAccumulator {
             cursor: 0,
             in_order: true,
             lanes_seen: 0,
-            profiling: false,
-            site_acc: Vec::new(),
-            site_registered: Vec::new(),
             key_pool: Vec::new(),
-            segment: SegmentGeometry::new(DEFAULT_SEGMENT_BYTES),
-            segments: Vec::with_capacity(64),
-            bank_counts: Vec::new(),
+            fold: SlotFold::new(),
         }
     }
 
     /// Creates an accumulator that additionally attributes every slot's
     /// counters to its source site.
     pub fn with_site_profile() -> Self {
-        WarpAccumulator {
-            profiling: true,
-            ..Self::new()
-        }
+        let mut acc = Self::new();
+        acc.fold.set_profiling(true);
+        acc
     }
 
     /// Takes the accumulated per-site profile (if site profiling was
@@ -229,29 +208,14 @@ impl WarpAccumulator {
     /// This is where the dense per-site accumulator is materialized into
     /// a keyed [`SiteProfile`] — once per block, not once per warp slot.
     pub fn take_site_profile(&mut self) -> Option<SiteProfile> {
-        if !self.profiling {
-            return None;
-        }
-        let mut profile = SiteProfile::new();
-        for (dense, acc) in self.site_acc.iter_mut().enumerate() {
-            // Sites the profiled warps never touched keep the default
-            // all-zero entry; every touched site has `warp_slots >= 1`.
-            if acc.warp_slots > 0 {
-                profile.add(self.interner.site(dense as u32), acc);
-                *acc = SiteStats::default();
-            }
-        }
-        Some(profile)
+        self.fold.take_site_profile(&self.interner)
     }
 
     /// Switches site profiling on or off — used when a pooled accumulator
     /// is reused by a launch with different [`crate::kernel::LaunchOptions`].
     /// Turning it on starts from an empty profile.
     pub fn set_profiling(&mut self, on: bool) {
-        if on && !self.profiling {
-            self.site_acc.fill_with(SiteStats::default);
-        }
-        self.profiling = on;
+        self.fold.set_profiling(on);
     }
 
     /// Records global/local accesses in `cfg`'s segment size from the
@@ -259,9 +223,7 @@ impl WarpAccumulator {
     /// config. Call it between warps, never with slots pending.
     pub fn set_geometry(&mut self, cfg: &GpuConfig) {
         debug_assert!(self.touched.is_empty(), "geometry changed mid-warp");
-        if self.segment.bytes != cfg.segment_bytes {
-            self.segment = SegmentGeometry::new(cfg.segment_bytes);
-        }
+        self.fold.set_geometry(cfg);
     }
 
     /// Drops the slot template, so the next warp builds one from its own
@@ -439,7 +401,7 @@ impl WarpAccumulator {
         width: u8,
     ) {
         let site = loc as *const _ as usize;
-        let segment = self.segment;
+        let segment = self.fold.segment;
         let ix = match self.hit(site) {
             Some(ix) => ix,
             None => self.locate_slow(
@@ -531,7 +493,7 @@ impl WarpAccumulator {
     ) {
         // Monomorphize so the common unprofiled path carries no
         // per-slot attribution work at all.
-        if self.profiling {
+        if self.fold.profiling {
             self.end_warp_impl::<true>(cfg, stats, cache);
         } else {
             self.end_warp_impl::<false>(cfg, stats, cache);
@@ -544,195 +506,44 @@ impl WarpAccumulator {
         stats: &mut KernelStats,
         mut cache: Option<&mut crate::cache::CacheModel>,
     ) {
-        assert_eq!(
-            cfg.segment_bytes, self.segment.bytes,
-            "warp folded under a {} B segment config but recorded in {} B segments; \
-             call set_geometry before the warp",
-            cfg.segment_bytes, self.segment.bytes
-        );
-        let banks = cfg.shared_banks as u64;
-        let bank_mask = banks.is_power_of_two().then(|| banks - 1);
-        if self.bank_counts.len() < cfg.shared_banks as usize {
-            self.bank_counts.resize(cfg.shared_banks as usize, 0);
-        }
+        self.fold.begin(cfg);
         // Visit the touched slots in first-touch order — the order a
         // fresh table would have created them in, which the stateful L2
         // model and the f64 sums depend on. Untouched template slots hold
         // an earlier warp's counters and add nothing.
         for &ix in &self.touched {
             let slot = &mut self.slots[ix as usize];
-            // Per-slot contribution, also attributed to the slot's source
-            // site when profiling is on.
-            let mut delta = SiteStats {
-                warp_slots: 1,
-                ..Default::default()
-            };
-            match &mut slot.kind {
+            let delta = match &mut slot.kind {
                 SlotKind::Op {
                     class,
                     max_count,
                     lanes,
-                } => {
-                    let cost = match class {
-                        OpClass::F64 => cfg.f64_issue_cost,
-                        _ => 1.0,
-                    };
-                    stats.issue_cycles += *max_count as f64 * cost;
-                    let scalar = *max_count as u64 * *lanes as u64;
-                    if PROFILE {
-                        delta.issue_cycles = *max_count as f64 * cost;
-                        delta.scalar_ops = scalar;
-                    }
-                    match class {
-                        OpClass::Int => stats.int_ops += scalar,
-                        OpClass::F32 => stats.flops_f32 += scalar,
-                        OpClass::F64 => stats.flops_f64 += scalar,
-                    }
-                }
+                } => SlotFold::op::<PROFILE>(cfg, stats, *class, *max_count, *lanes),
                 SlotKind::Mem {
                     space,
                     write,
                     bytes_requested,
                     accesses,
                     keys,
-                } => {
-                    stats.issue_cycles += 1.0;
-                    if PROFILE {
-                        delta.issue_cycles = 1.0;
-                    }
-                    match space {
-                        Space::Shared => {
-                            // Bank conflicts: replays = max number of
-                            // *distinct 4-byte words* mapping to one bank.
-                            // A word lives on exactly one bank, so global
-                            // sort+dedup then per-bank counting gives the
-                            // same per-bank distinct-word sets as the
-                            // per-bank lists the reference kept.
-                            sort_distinct(keys);
-                            let bank = |w: u64| match bank_mask {
-                                Some(m) => (w & m) as usize,
-                                None => (w % banks) as usize,
-                            };
-                            let mut degree = 1u64;
-                            for &w in keys.iter() {
-                                let b = bank(w);
-                                self.bank_counts[b] += 1;
-                                degree = degree.max(self.bank_counts[b] as u64);
-                            }
-                            for &w in keys.iter() {
-                                self.bank_counts[bank(w)] = 0;
-                            }
-                            stats.shared_accesses += *accesses as u64;
-                            stats.shared_replays += degree - 1;
-                            // Each replay is an extra issue of this slot.
-                            stats.issue_cycles += (degree - 1) as f64;
-                            if PROFILE {
-                                delta.shared_replays = degree - 1;
-                                delta.issue_cycles += (degree - 1) as f64;
-                            }
-                        }
-                        Space::Global | Space::Local => {
-                            let tx = match cache.as_deref_mut() {
-                                Some(c) => {
-                                    // First-touch segment order is
-                                    // preserved: the L2 model is stateful,
-                                    // so the sequence of `access_segment`
-                                    // calls is semantics.
-                                    self.segments.clear();
-                                    for &s in keys.iter() {
-                                        if !self.segments.contains(&s) {
-                                            self.segments.push(s);
-                                        }
-                                    }
-                                    let mut misses = 0u64;
-                                    for &s in self.segments.iter() {
-                                        if c.access_segment(s) {
-                                            stats.l2_hits += 1;
-                                        } else {
-                                            stats.l2_misses += 1;
-                                            misses += 1;
-                                        }
-                                    }
-                                    misses
-                                }
-                                None => {
-                                    // Without a cache only the *count* of
-                                    // distinct segments matters.
-                                    sort_distinct(keys);
-                                    keys.len() as u64
-                                }
-                            };
-                            stats.mem_slots += 1;
-                            stats.lane_mem_accesses += *accesses as u64;
-                            if PROFILE {
-                                delta.transactions = tx;
-                                delta.bytes_requested = *bytes_requested;
-                            }
-                            match (*space, *write) {
-                                (Space::Global, false) => {
-                                    stats.global_load_tx += tx;
-                                    stats.global_load_bytes_requested += *bytes_requested;
-                                }
-                                (Space::Global, true) => {
-                                    stats.global_store_tx += tx;
-                                    stats.global_store_bytes_requested += *bytes_requested;
-                                }
-                                (Space::Local, false) => {
-                                    stats.local_load_tx += tx;
-                                    stats.local_load_bytes_requested += *bytes_requested;
-                                }
-                                (Space::Local, true) => {
-                                    stats.local_store_tx += tx;
-                                    stats.local_store_bytes_requested += *bytes_requested;
-                                }
-                                (Space::Shared, _) => unreachable!(),
-                            }
-                        }
-                    }
-                }
+                } => self.fold.mem::<PROFILE>(
+                    cfg,
+                    stats,
+                    cache.as_deref_mut(),
+                    MemSlot {
+                        space: *space,
+                        write: *write,
+                        bytes_requested: *bytes_requested,
+                        accesses: *accesses,
+                    },
+                    keys,
+                ),
                 SlotKind::Branch { taken, not_taken } => {
-                    stats.issue_cycles += 1.0;
-                    stats.branch_slots += 1;
-                    stats.lane_branches += (*taken + *not_taken) as u64;
-                    if PROFILE {
-                        delta.issue_cycles = 1.0;
-                        delta.branch_slots = 1;
-                    }
-                    if *taken > 0 && *not_taken > 0 {
-                        stats.divergent_branch_slots += 1;
-                        if PROFILE {
-                            delta.divergent_branch_slots = 1;
-                        }
-                    }
+                    SlotFold::branch::<PROFILE>(stats, *taken, *not_taken)
                 }
-                SlotKind::Sync { .. } => {
-                    stats.issue_cycles += 1.0;
-                    stats.sync_slots += 1;
-                    if PROFILE {
-                        delta.issue_cycles = 1.0;
-                        delta.sync_slots = 1;
-                    }
-                }
-            }
+                SlotKind::Sync { .. } => SlotFold::sync::<PROFILE>(stats),
+            };
             if PROFILE {
-                // Batched attribution: fold the slot's delta into the
-                // dense per-site row; the keyed profile is materialized
-                // once per block in `take_site_profile`.
-                let dense = slot.dense as usize;
-                if dense >= self.site_acc.len() {
-                    self.site_acc.resize_with(dense + 1, SiteStats::default);
-                    self.site_registered.resize(dense + 1, false);
-                }
-                self.site_acc[dense].merge(&delta);
-                if !self.site_registered[dense] {
-                    self.site_registered[dense] = true;
-                    // First sighting of this site in the profile:
-                    // resolve its source position. Sound cast: sites
-                    // only enter `slots` through `record_*`, which
-                    // takes `&'static Location`.
-                    let loc = unsafe { &*(slot.site as *const Location<'static>) };
-                    crate::trace::register_site(slot.site, loc);
-                }
+                self.fold.attribute(slot.site, slot.dense, &delta);
             }
         }
         stats.warp_slots += self.touched.len() as u64;
@@ -750,6 +561,329 @@ impl WarpAccumulator {
             self.epoch = NEVER + 1;
         }
     }
+}
+
+/// The scalar fields of a memory slot the fold reads besides its keys.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MemSlot {
+    pub(crate) space: Space,
+    pub(crate) write: bool,
+    pub(crate) bytes_requested: u64,
+    pub(crate) accesses: u32,
+}
+
+/// The warp-end fold of merged slots into [`KernelStats`] and the
+/// per-site profile. Both executors own one: the lane accumulator feeds
+/// it the template slots a warp touched, the lockstep recorder
+/// ([`crate::lockstep`]) the slots its warp instructions built. Callers
+/// visit slots in per-lane first-touch order; this type never reorders.
+#[derive(Debug)]
+pub(crate) struct SlotFold {
+    /// Whether per-site attribution is on (off by default).
+    profiling: bool,
+    /// Per dense site: batched attribution accumulator. Indexed by the
+    /// owner's dense site index, so the profiled warp-end path is a plain
+    /// vector add instead of a per-slot hash probe; materialized into a
+    /// [`SiteProfile`] only in [`SlotFold::take_site_profile`].
+    site_acc: Vec<SiteStats>,
+    /// Per dense site: whether the site was already registered with the
+    /// global source-location registry (registration is idempotent, the
+    /// flag just avoids re-taking the registry lock per warp).
+    site_registered: Vec<bool>,
+    /// Segment size the keys of global/local slots are recorded in.
+    pub(crate) segment: SegmentGeometry,
+    /// Scratch: first-touch-ordered segment list of one slot.
+    segments: Vec<u64>,
+    /// Scratch: distinct-word counts per shared bank.
+    bank_counts: Vec<u32>,
+}
+
+impl SlotFold {
+    pub(crate) fn new() -> Self {
+        SlotFold {
+            profiling: false,
+            site_acc: Vec::new(),
+            site_registered: Vec::new(),
+            segment: SegmentGeometry::new(DEFAULT_SEGMENT_BYTES),
+            segments: Vec::with_capacity(64),
+            bank_counts: Vec::new(),
+        }
+    }
+
+    pub(crate) fn profiling(&self) -> bool {
+        self.profiling
+    }
+
+    /// See [`WarpAccumulator::set_profiling`].
+    pub(crate) fn set_profiling(&mut self, on: bool) {
+        if on && !self.profiling {
+            self.site_acc.fill_with(SiteStats::default);
+        }
+        self.profiling = on;
+    }
+
+    /// See [`WarpAccumulator::set_geometry`].
+    pub(crate) fn set_geometry(&mut self, cfg: &GpuConfig) {
+        if self.segment.bytes != cfg.segment_bytes {
+            self.segment = SegmentGeometry::new(cfg.segment_bytes);
+        }
+    }
+
+    /// See [`WarpAccumulator::take_site_profile`]; `interner` maps the
+    /// owner's dense site indices back to sites.
+    pub(crate) fn take_site_profile(&mut self, interner: &SiteInterner) -> Option<SiteProfile> {
+        if !self.profiling {
+            return None;
+        }
+        let mut profile = SiteProfile::new();
+        for (dense, acc) in self.site_acc.iter_mut().enumerate() {
+            // Sites the profiled warps never touched keep the default
+            // all-zero entry; every touched site has `warp_slots >= 1`.
+            if acc.warp_slots > 0 {
+                profile.add(interner.site(dense as u32), acc);
+                *acc = SiteStats::default();
+            }
+        }
+        Some(profile)
+    }
+
+    /// Checks `cfg` against the recorded geometry and sizes the bank
+    /// scratch; call once per warp before its slots.
+    pub(crate) fn begin(&mut self, cfg: &GpuConfig) {
+        assert_eq!(
+            cfg.segment_bytes, self.segment.bytes,
+            "warp folded under a {} B segment config but recorded in {} B segments; \
+             call set_geometry before the warp",
+            cfg.segment_bytes, self.segment.bytes
+        );
+        if self.bank_counts.len() < cfg.shared_banks as usize {
+            self.bank_counts.resize(cfg.shared_banks as usize, 0);
+        }
+    }
+
+    /// Folds an arithmetic slot; returns its per-site contribution.
+    #[inline]
+    pub(crate) fn op<const PROFILE: bool>(
+        cfg: &GpuConfig,
+        stats: &mut KernelStats,
+        class: OpClass,
+        max_count: u32,
+        lanes: u32,
+    ) -> SiteStats {
+        let mut delta = SiteStats {
+            warp_slots: 1,
+            ..Default::default()
+        };
+        let cost = match class {
+            OpClass::F64 => cfg.f64_issue_cost,
+            _ => 1.0,
+        };
+        stats.issue_cycles += max_count as f64 * cost;
+        let scalar = max_count as u64 * lanes as u64;
+        if PROFILE {
+            delta.issue_cycles = max_count as f64 * cost;
+            delta.scalar_ops = scalar;
+        }
+        match class {
+            OpClass::Int => stats.int_ops += scalar,
+            OpClass::F32 => stats.flops_f32 += scalar,
+            OpClass::F64 => stats.flops_f64 += scalar,
+        }
+        delta
+    }
+
+    /// Folds a memory slot whose `keys` are its lanes' segments (or
+    /// shared bank words) in lane order, consecutive repeats dropped.
+    pub(crate) fn mem<const PROFILE: bool>(
+        &mut self,
+        cfg: &GpuConfig,
+        stats: &mut KernelStats,
+        cache: Option<&mut crate::cache::CacheModel>,
+        slot: MemSlot,
+        keys: &mut Vec<u64>,
+    ) -> SiteStats {
+        let mut delta = SiteStats {
+            warp_slots: 1,
+            ..Default::default()
+        };
+        stats.issue_cycles += 1.0;
+        if PROFILE {
+            delta.issue_cycles = 1.0;
+        }
+        match slot.space {
+            Space::Shared => {
+                // Bank conflicts: replays = max number of *distinct
+                // 4-byte words* mapping to one bank. A word lives on
+                // exactly one bank, so global sort+dedup then per-bank
+                // counting gives the same per-bank distinct-word sets as
+                // the per-bank lists the reference kept.
+                sort_distinct(keys);
+                let banks = cfg.shared_banks as u64;
+                let bank_mask = banks.is_power_of_two().then(|| banks - 1);
+                let bank = |w: u64| match bank_mask {
+                    Some(m) => (w & m) as usize,
+                    None => (w % banks) as usize,
+                };
+                let mut degree = 1u64;
+                let counts = &mut self.bank_counts[..banks as usize];
+                for &w in keys.iter() {
+                    let c = &mut counts[bank(w)];
+                    *c += 1;
+                    degree = degree.max(*c as u64);
+                }
+                counts.fill(0);
+                stats.shared_accesses += slot.accesses as u64;
+                stats.shared_replays += degree - 1;
+                // Each replay is an extra issue of this slot.
+                stats.issue_cycles += (degree - 1) as f64;
+                if PROFILE {
+                    delta.shared_replays = degree - 1;
+                    delta.issue_cycles += (degree - 1) as f64;
+                }
+            }
+            Space::Global | Space::Local => {
+                let tx = match cache {
+                    Some(c) => {
+                        // First-touch segment order is preserved: the L2
+                        // model is stateful, so the sequence of
+                        // `access_segment` calls is semantics.
+                        self.segments.clear();
+                        for &s in keys.iter() {
+                            if !self.segments.contains(&s) {
+                                self.segments.push(s);
+                            }
+                        }
+                        let mut misses = 0u64;
+                        for &s in self.segments.iter() {
+                            if c.access_segment(s) {
+                                stats.l2_hits += 1;
+                            } else {
+                                stats.l2_misses += 1;
+                                misses += 1;
+                            }
+                        }
+                        misses
+                    }
+                    // Without a cache only the *count* of distinct
+                    // segments matters.
+                    None => distinct_count(keys),
+                };
+                stats.mem_slots += 1;
+                stats.lane_mem_accesses += slot.accesses as u64;
+                if PROFILE {
+                    delta.transactions = tx;
+                    delta.bytes_requested = slot.bytes_requested;
+                }
+                let bytes = slot.bytes_requested;
+                match (slot.space, slot.write) {
+                    (Space::Global, false) => {
+                        stats.global_load_tx += tx;
+                        stats.global_load_bytes_requested += bytes;
+                    }
+                    (Space::Global, true) => {
+                        stats.global_store_tx += tx;
+                        stats.global_store_bytes_requested += bytes;
+                    }
+                    (Space::Local, false) => {
+                        stats.local_load_tx += tx;
+                        stats.local_load_bytes_requested += bytes;
+                    }
+                    (Space::Local, true) => {
+                        stats.local_store_tx += tx;
+                        stats.local_store_bytes_requested += bytes;
+                    }
+                    (Space::Shared, _) => unreachable!(),
+                }
+            }
+        }
+        delta
+    }
+
+    /// Folds a branch slot.
+    #[inline]
+    pub(crate) fn branch<const PROFILE: bool>(
+        stats: &mut KernelStats,
+        taken: u32,
+        not_taken: u32,
+    ) -> SiteStats {
+        let mut delta = SiteStats {
+            warp_slots: 1,
+            ..Default::default()
+        };
+        stats.issue_cycles += 1.0;
+        stats.branch_slots += 1;
+        stats.lane_branches += (taken + not_taken) as u64;
+        if PROFILE {
+            delta.issue_cycles = 1.0;
+            delta.branch_slots = 1;
+        }
+        if taken > 0 && not_taken > 0 {
+            stats.divergent_branch_slots += 1;
+            if PROFILE {
+                delta.divergent_branch_slots = 1;
+            }
+        }
+        delta
+    }
+
+    /// Folds a barrier slot.
+    #[inline]
+    pub(crate) fn sync<const PROFILE: bool>(stats: &mut KernelStats) -> SiteStats {
+        stats.issue_cycles += 1.0;
+        stats.sync_slots += 1;
+        let mut delta = SiteStats {
+            warp_slots: 1,
+            ..Default::default()
+        };
+        if PROFILE {
+            delta.issue_cycles = 1.0;
+            delta.sync_slots = 1;
+        }
+        delta
+    }
+
+    /// Batched attribution: folds a slot's `delta` into the dense
+    /// per-site row of `site`; the keyed profile is materialized once per
+    /// block in [`SlotFold::take_site_profile`].
+    pub(crate) fn attribute(&mut self, site: Site, dense: u32, delta: &SiteStats) {
+        let dense = dense as usize;
+        if dense >= self.site_acc.len() {
+            self.site_acc.resize_with(dense + 1, SiteStats::default);
+            self.site_registered.resize(dense + 1, false);
+        }
+        self.site_acc[dense].merge(delta);
+        if !self.site_registered[dense] {
+            self.site_registered[dense] = true;
+            // First sighting of this site in the profile: resolve its
+            // source position. Sound cast: sites only enter a fold
+            // through `record_*` or a lockstep instruction, both of which
+            // take `&'static Location`.
+            let loc = unsafe { &*(site as *const Location<'static>) };
+            crate::trace::register_site(site, loc);
+        }
+    }
+}
+
+/// The number of distinct values in `keys`, which holds no two equal
+/// neighbours. A sorted list is therefore distinct; a list spanning
+/// fewer than 512 values is counted in a bitset; anything else is
+/// sorted.
+fn distinct_count(keys: &mut Vec<u64>) -> u64 {
+    if keys.is_sorted() {
+        return keys.len() as u64;
+    }
+    let min = keys.iter().copied().min().unwrap_or(0);
+    let max = keys.iter().copied().max().unwrap_or(0);
+    if max - min < 512 {
+        let mut seen = [0u64; 8];
+        for &k in keys.iter() {
+            let d = (k - min) as usize;
+            seen[d / 64] |= 1 << (d % 64);
+        }
+        return seen.iter().map(|w| w.count_ones() as u64).sum();
+    }
+    sort_distinct(keys);
+    keys.len() as u64
 }
 
 /// Sorts `keys` into its distinct values. Record-time folding already

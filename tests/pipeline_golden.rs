@@ -7,7 +7,12 @@
 //! plus a digest of the downloaded masks. It was captured before the two
 //! pipeline structs were folded into one frame loop and is never
 //! regenerated: any drift in what the loop launches, records or
-//! assembles shows up here.
+//! assembles shows up here. The one sanctioned difference is the kernel
+//! source lines that moved when the ladder kernels were ported to warp
+//! form; the golden is read through `site_moves::apply`.
+
+#[path = "support/site_moves.rs"]
+mod site_moves;
 
 use mogpu::core::AdaptiveGpuMog;
 use mogpu::json::Value;
@@ -132,17 +137,90 @@ fn document() -> String {
 #[test]
 fn pipeline_outputs_are_byte_identical_to_the_golden() {
     let got = document();
-    if got != GOLDEN {
+    let want = site_moves::apply(GOLDEN);
+    if got != want {
         let line = got
             .lines()
-            .zip(GOLDEN.lines())
+            .zip(want.lines())
             .position(|(g, w)| g != w)
-            .unwrap_or_else(|| got.lines().count().min(GOLDEN.lines().count()));
+            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
         panic!(
             "pipeline output drifted from tests/data/pipeline_golden.json at line {}:\n  got:  {}\n  want: {}",
             line + 1,
             got.lines().nth(line).unwrap_or("<end>"),
-            GOLDEN.lines().nth(line).unwrap_or("<end>"),
+            want.lines().nth(line).unwrap_or("<end>"),
         );
     }
+}
+
+/// The move table is a renaming the goldens can be read through: no two
+/// sites of a file move to one line, every entry names a site a golden
+/// pins, no site moves onto a line an unmoved pinned site still holds,
+/// and the sites of each file keep their `file:line` string order (the
+/// tie-break of ranked rows).
+#[test]
+fn site_moves_rename_pinned_sites_consistently() {
+    const EXPOSITION: &str = include_str!("data/exposition_golden.json");
+    let mut pinned = pinned_sites(GOLDEN);
+    pinned.extend(pinned_sites(EXPOSITION));
+    pinned.sort();
+    pinned.dedup();
+    for &(file, moves) in site_moves::SITE_MOVES {
+        let mut olds: Vec<u32> = moves.iter().map(|m| m.0).collect();
+        let mut news: Vec<u32> = moves.iter().map(|m| m.1).collect();
+        olds.sort();
+        olds.dedup();
+        news.sort();
+        news.dedup();
+        assert_eq!(olds.len(), moves.len(), "{file}: an old line moves twice");
+        assert_eq!(
+            news.len(),
+            moves.len(),
+            "{file}: two sites share a new line"
+        );
+        for &(old, new) in moves {
+            assert_ne!(old, new, "{file}:{old} is listed but did not move");
+            assert!(
+                pinned.contains(&(file.to_string(), old)),
+                "{file}:{old} is in no golden"
+            );
+            let unmoved = pinned
+                .iter()
+                .any(|(f, l)| f == file && *l == new && site_moves::moved(f, *l).is_none());
+            assert!(
+                !unmoved,
+                "{file}:{old} moves onto unmoved site {file}:{new}"
+            );
+        }
+    }
+    let line = |f: &str, l: u32| site_moves::moved(f, l).unwrap_or(l).to_string();
+    for (fa, la) in &pinned {
+        for (fb, lb) in pinned.iter().filter(|(fb, _)| fb == fa) {
+            assert_eq!(
+                la.to_string().cmp(&lb.to_string()),
+                line(fa, *la).cmp(&line(fb, *lb)),
+                "{fa}: sites {la} and {lb} swap their string order"
+            );
+        }
+    }
+}
+
+/// Every `(file, line)` site named in `text`.
+fn pinned_sites(text: &str) -> Vec<(String, u32)> {
+    const PREFIX: &str = "crates/core/src/kernels/";
+    let mut out = Vec::new();
+    for (at, _) in text.match_indices(PREFIX) {
+        let tail = &text[at + PREFIX.len()..];
+        let Some((file, after)) = tail.split_once(".rs:") else {
+            continue;
+        };
+        if !file.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+            continue;
+        }
+        let digits = after.len() - after.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+        if let Ok(line) = after[..digits].parse() {
+            out.push((file.to_string(), line));
+        }
+    }
+    out
 }
