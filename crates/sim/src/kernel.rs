@@ -1412,7 +1412,6 @@ fn run_block(
                     block_idx: b,
                     first_thread: first,
                     threads_per_block: tpb,
-                    blocks: lc.blocks,
                     local_slots: plan.local_slots,
                     global_warp_id,
                     active: low_bits(lanes as usize) as Mask,

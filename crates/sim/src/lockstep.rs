@@ -140,7 +140,6 @@ pub struct WarpCtx<'a> {
     pub(crate) block_idx: u32,
     pub(crate) first_thread: u32,
     pub(crate) threads_per_block: u32,
-    pub(crate) blocks: u32,
     pub(crate) local_slots: u32,
     pub(crate) global_warp_id: u64,
     pub(crate) active: Mask,
@@ -180,21 +179,6 @@ impl WarpCtx<'_> {
     /// The lanes executing the current instruction.
     pub fn active(&self) -> Mask {
         self.active
-    }
-
-    /// Index of this warp's block in the grid.
-    pub fn block_idx(&self) -> usize {
-        self.block_idx as usize
-    }
-
-    /// Block size (`blockDim.x`).
-    pub fn block_dim(&self) -> usize {
-        self.threads_per_block as usize
-    }
-
-    /// Grid size in blocks (`gridDim.x`).
-    pub fn grid_dim(&self) -> usize {
-        self.blocks as usize
     }
 
     /// Each lane's thread index within the block (`threadIdx.x`).
@@ -707,14 +691,6 @@ impl WarpCtx<'_> {
     pub fn sh_st_f32(&mut self, off: &Lanes<usize>, v: &Lanes<f32>) {
         let bytes = lanes(|l| v[l].to_le_bytes());
         self.sh_st(Location::caller(), off, &bytes);
-    }
-
-    /// Loads a `u8` per active lane from shared memory.
-    #[track_caller]
-    #[inline]
-    pub fn sh_ld_u8(&mut self, off: &Lanes<usize>) -> Lanes<u8> {
-        let raw = self.sh_ld::<1>(Location::caller(), off);
-        lanes(|l| raw[l][0])
     }
 
     /// Stores a `u8` per active lane to shared memory.
