@@ -5,9 +5,10 @@
 //! the paper's default double precision and the single-precision study of
 //! Section V-C.
 //!
-//! Each access exists for both executors: the `ThreadCtx` forms for
-//! per-thread kernels and the `*_warp` forms, over [`Lanes`] of operands,
-//! for per-warp ones.
+//! Global loads, stores and flops exist for both executors: the
+//! `ThreadCtx` forms for per-thread kernels and the `*_warp` forms, over
+//! [`Lanes`] of operands, for per-warp ones. Shared-memory access exists
+//! only in warp form: level W, its one user, runs on the warp executor.
 //!
 //! All methods are `#[track_caller]` so the simulator's slot analysis
 //! attributes each access to the *kernel* source line, keeping warp-slot
@@ -25,14 +26,6 @@ pub trait DeviceReal: Real {
     /// Stores element `idx` of `buf` to global memory.
     #[track_caller]
     fn st(ctx: &mut ThreadCtx<'_>, buf: Buffer, idx: usize, v: Self);
-
-    /// Loads from block shared memory at byte offset `off`.
-    #[track_caller]
-    fn sh_ld(ctx: &mut ThreadCtx<'_>, off: usize) -> Self;
-
-    /// Stores to block shared memory at byte offset `off`.
-    #[track_caller]
-    fn sh_st(ctx: &mut ThreadCtx<'_>, off: usize, v: Self);
 
     /// Charges `n` floating-point operations at this type's precision.
     #[track_caller]
@@ -110,18 +103,6 @@ impl DeviceReal for f64 {
 
     #[track_caller]
     #[inline]
-    fn sh_ld(ctx: &mut ThreadCtx<'_>, off: usize) -> Self {
-        ctx.sh_ld_f64(off)
-    }
-
-    #[track_caller]
-    #[inline]
-    fn sh_st(ctx: &mut ThreadCtx<'_>, off: usize, v: Self) {
-        ctx.sh_st_f64(off, v)
-    }
-
-    #[track_caller]
-    #[inline]
     fn flop(ctx: &mut ThreadCtx<'_>, n: u32) {
         ctx.flop64(n)
     }
@@ -140,18 +121,6 @@ impl DeviceReal for f32 {
     #[inline]
     fn st(ctx: &mut ThreadCtx<'_>, buf: Buffer, idx: usize, v: Self) {
         ctx.st_f32(buf, idx, v)
-    }
-
-    #[track_caller]
-    #[inline]
-    fn sh_ld(ctx: &mut ThreadCtx<'_>, off: usize) -> Self {
-        ctx.sh_ld_f32(off)
-    }
-
-    #[track_caller]
-    #[inline]
-    fn sh_st(ctx: &mut ThreadCtx<'_>, off: usize, v: Self) {
-        ctx.sh_st_f32(off, v)
     }
 
     #[track_caller]

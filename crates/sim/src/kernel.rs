@@ -18,7 +18,9 @@ use crate::dataflow::{IntervalCollector, IntervalSet, LaunchAccess};
 use crate::lockstep::{
     lanes_in, Lanes, LockstepRecorder, Mask, ReadLog, WarpCtx, WarpKernel, WARP_LANES,
 };
-use crate::memory::{Buffer, DeviceMemory, InitMask, LINE_BYTES, PAGE_BYTES, PAGE_LINES};
+use crate::memory::{
+    Buffer, DeviceMemory, InitMask, PublishRange, LINE_BYTES, PAGE_BYTES, PAGE_LINES,
+};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::profile::SiteProfile;
 use crate::sancheck::{BlockSan, SanReport, WarpSanLog};
@@ -1451,48 +1453,51 @@ fn run_block(
     )
 }
 
-/// Launches below this many pages publish on the calling thread: a
-/// helper thread costs more than copying them.
-const PARALLEL_PUBLISH_PAGES: usize = 256;
+/// Overlay pages each publish worker gets at least. A helper thread
+/// costs 80–120 µs to spawn on a 2-vCPU Xeon VM: timed around the
+/// publish of the perfbench workloads there, 150-page morphology
+/// launches took 41–67 µs on the calling thread and 117–185 µs split in
+/// two, while 2850-, 3900- and 11 400-page kernel launches took the same
+/// or up to 15 % less split in two.
+const PUBLISH_PAGES_PER_WORKER: usize = 1024;
 
 /// Publishes the blocks' overlay pages to device memory. Pages are
 /// disjoint within a block, and cross-block collisions resolve
 /// last-block-wins byte by byte. Device memory is cut into page-aligned
-/// address ranges, one per core, and each worker applies the pages of
-/// its range in block order, so every byte ends as the serial block-order
-/// publish leaves it.
+/// address ranges, one per core but no more than
+/// [`PUBLISH_PAGES_PER_WORKER`] allows, and each worker applies the
+/// pages of its range in block order, so every byte ends as the serial
+/// block-order publish leaves it.
 fn publish(mem: &mut DeviceMemory, blocks: &[Vec<OverlayPage>]) {
     let total: usize = blocks.iter().map(Vec::len).sum();
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    if workers <= 1 || total < PARALLEL_PUBLISH_PAGES {
-        let mut whole = mem.publish_range(0..usize::MAX);
+    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+    publish_split(
+        mem,
+        blocks,
+        (total / PUBLISH_PAGES_PER_WORKER).clamp(1, workers),
+    );
+}
+
+/// [`publish`] over `parts` address ranges: the first on the calling
+/// thread, each other one on a scoped helper.
+fn publish_split(mem: &mut DeviceMemory, blocks: &[Vec<OverlayPage>], parts: usize) {
+    let apply = |range: &mut PublishRange<'_>| {
         for p in blocks.iter().flatten() {
-            whole.apply_page(p.base, &p.mask, &p.bytes);
-        }
-        return;
-    }
-    let ranges = mem.split_for_publish(workers, PAGE_BYTES);
-    let ranges: Vec<std::sync::Mutex<Option<crate::memory::PublishRange<'_>>>> = ranges
-        .into_iter()
-        .map(|r| std::sync::Mutex::new(Some(r)))
-        .collect();
-    (0..ranges.len())
-        .into_par_iter()
-        .map(|i| {
-            let mut range = ranges[i]
-                .lock()
-                .expect("publish range lock")
-                .take()
-                .expect("each range is published once");
-            for p in blocks.iter().flatten() {
-                if range.contains(p.base) {
-                    range.apply_page(p.base, &p.mask, &p.bytes);
-                }
+            if range.contains(p.base) {
+                range.apply_page(p.base, &p.mask, &p.bytes);
             }
-        })
-        .collect::<Vec<()>>();
+        }
+    };
+    let mut ranges = mem.split_for_publish(parts, PAGE_BYTES);
+    let Some((first, rest)) = ranges.split_first_mut() else {
+        return;
+    };
+    std::thread::scope(|s| {
+        for range in rest {
+            s.spawn(|| apply(range));
+        }
+        apply(first);
+    });
 }
 
 #[cfg(test)]
@@ -2463,6 +2468,60 @@ mod overlay_tests {
             }
         }
         assert_eq!(mem.download(buf), want);
+    }
+
+    /// Publishing over any number of address ranges leaves every byte
+    /// and initialization mark as applying the blocks' pages one after
+    /// another does, colliding pages included (last block wins).
+    #[test]
+    fn split_publish_matches_block_order() {
+        const PAGES: usize = 16;
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            seed >> 11
+        };
+        let blocks: Vec<Vec<OverlayPage>> = (0..4)
+            .map(|_| {
+                let mut pages: Vec<usize> = (0..PAGES).filter(|_| next() % 3 == 0).collect();
+                pages.dedup();
+                pages
+                    .into_iter()
+                    .map(|page| OverlayPage {
+                        base: (page * PAGE_BYTES) as u64,
+                        mask: std::array::from_fn(|_| match next() % 3 {
+                            0 => 0,
+                            1 => !0,
+                            _ => next(),
+                        }),
+                        bytes: std::array::from_fn(|_| next() as u8),
+                    })
+                    .collect()
+            })
+            .collect();
+        let fresh = || {
+            let mut mem = DeviceMemory::new(PAGES * PAGE_BYTES);
+            let buf = mem.alloc(PAGES * PAGE_BYTES).unwrap();
+            let half = PAGES * PAGE_BYTES / 2;
+            mem.upload(buf.slice(0, half), &vec![7; half]);
+            (mem, buf)
+        };
+        let (mut want, buf) = fresh();
+        for p in blocks.iter().flatten() {
+            want.apply_page(p.base, &p.mask, &p.bytes);
+        }
+        for parts in 1..=5 {
+            let (mut mem, _) = fresh();
+            publish_split(&mut mem, &blocks, parts);
+            assert_eq!(mem.download(buf), want.download(buf), "{parts} ranges");
+            for a in 0..PAGES * PAGE_BYTES {
+                assert_eq!(
+                    mem.init_mask().is_init(a),
+                    want.init_mask().is_init(a),
+                    "{parts} ranges, init {a}"
+                );
+            }
+        }
     }
 
     /// Publication marks exactly the bytes a launch stored in the

@@ -331,25 +331,8 @@ impl DeviceMemory {
         mask: &[u64; PAGE_LINES],
         bytes: &[u8; PAGE_BYTES],
     ) {
-        self.publish_range(0..usize::MAX)
-            .apply_page(base, mask, bytes);
-    }
-
-    /// The bytes of `range` (clamped to the backing store) and their
-    /// initialization words, for publishing kernel stores. `range.start`
-    /// must be a multiple of 64.
-    pub(crate) fn publish_range(&mut self, range: std::ops::Range<usize>) -> PublishRange<'_> {
-        let end = range.end.min(self.data.len());
-        let start = range.start.min(end);
-        debug_assert_eq!(start % LINE_BYTES, 0, "unaligned publish range");
-        let words = self.data.len().div_ceil(LINE_BYTES);
-        if self.init.bits.len() < words {
-            self.init.bits.resize(words, 0);
-        }
-        PublishRange {
-            start,
-            data: &mut self.data[start..end],
-            init: &mut self.init.bits[start / LINE_BYTES..end.div_ceil(LINE_BYTES)],
+        for mut whole in self.split_for_publish(1, PAGE_BYTES) {
+            whole.apply_page(base, mask, bytes);
         }
     }
 

@@ -766,7 +766,10 @@ impl SlotFold {
                     }
                     // Without a cache only the *count* of distinct
                     // segments matters.
-                    None => distinct_count(keys),
+                    None => {
+                        sort_distinct(keys);
+                        keys.len() as u64
+                    }
                 };
                 stats.mem_slots += 1;
                 stats.lane_mem_accesses += slot.accesses as u64;
@@ -862,28 +865,6 @@ impl SlotFold {
             crate::trace::register_site(site, loc);
         }
     }
-}
-
-/// The number of distinct values in `keys`, which holds no two equal
-/// neighbours. A sorted list is therefore distinct; a list spanning
-/// fewer than 512 values is counted in a bitset; anything else is
-/// sorted.
-fn distinct_count(keys: &mut Vec<u64>) -> u64 {
-    if keys.is_sorted() {
-        return keys.len() as u64;
-    }
-    let min = keys.iter().copied().min().unwrap_or(0);
-    let max = keys.iter().copied().max().unwrap_or(0);
-    if max - min < 512 {
-        let mut seen = [0u64; 8];
-        for &k in keys.iter() {
-            let d = (k - min) as usize;
-            seen[d / 64] |= 1 << (d % 64);
-        }
-        return seen.iter().map(|w| w.count_ones() as u64).sum();
-    }
-    sort_distinct(keys);
-    keys.len() as u64
 }
 
 /// Sorts `keys` into its distinct values. Record-time folding already
