@@ -19,6 +19,8 @@
 //! of a neighbour's shared slot, reads of never-written global and
 //! shared bytes and, optionally, out-of-bounds stores.
 
+use mogpu::core::kernels::{gpu_morph_with, MorphOp};
+use mogpu::json::Value;
 use mogpu::prelude::*;
 use mogpu::sim::kernel::{launch_with, Kernel, KernelRef, KernelResources, LaunchConfig};
 use mogpu::sim::profile::SiteProfile;
@@ -366,4 +368,314 @@ proptest! {
         let n = trips.len().saturating_sub(cut).max(1);
         assert_forms_agree(&cfg, &trips, n, tpb, sanitize);
     }
+}
+
+// ---- the lane executor's answers, frozen ----
+
+/// `tests/data/lane_executor_golden.json`: what the lane executor
+/// reported for `Mixed` (the six fixed cases above plus seeded random
+/// trip-count vectors) and for the morphology kernel. Sites and findings
+/// are keyed by their order in the kernel's source file, so the file
+/// stays valid when the kernels' lines move.
+const GOLDEN: &str = include_str!("data/lane_executor_golden.json");
+
+/// FNV-1a 64-bit over `bytes`.
+fn digest(bytes: &[u8]) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// The lines of `file` named as `file:<line>` in `text`.
+fn lines_named(text: &str, file: &str) -> Vec<u32> {
+    let pat = format!("{file}:");
+    text.match_indices(&pat)
+        .filter_map(|(at, _)| {
+            let tail = &text[at + pat.len()..];
+            let digits = tail.len() - tail.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+            tail[..digits].parse().ok()
+        })
+        .collect()
+}
+
+/// Everything a launch reported, with each of `file`'s sites named by
+/// its rank among the lines the outcome mentions.
+fn outcome_value(o: &Outcome, file: &str) -> Value {
+    let san = mogpu::json::to_string_canonical(&o.san).unwrap();
+    let site_line = |site| {
+        let src = site_source(site).expect("resolved site");
+        assert!(src.file.ends_with(file), "site outside {file}: {src}");
+        src.line
+    };
+    let mut order: Vec<u32> = o.sites.iter().map(|(s, _)| site_line(s)).collect();
+    order.extend(lines_named(&san, file));
+    order.sort_unstable();
+    order.dedup();
+    let rank = |line: u32| order.binary_search(&line).unwrap();
+    let mut sites: Vec<(usize, Value)> = o
+        .sites
+        .iter()
+        .map(|(s, st)| (rank(site_line(s)), mogpu::json::to_value(st).unwrap()))
+        .collect();
+    sites.sort_by_key(|s| s.0);
+    // Longest line numbers first, so `:12` is not rewritten inside `:123`.
+    let mut named = san;
+    let mut by_len = order.clone();
+    by_len.sort_by_key(|l| std::cmp::Reverse(l.to_string().len()));
+    for line in by_len {
+        for end in ["\"", " ", ";", ","] {
+            named = named.replace(
+                &format!("{file}:{line}{end}"),
+                &format!("{file}:#{}{end}", rank(line)),
+            );
+        }
+    }
+    let runs = |set: &mogpu::sim::IntervalSet| {
+        Value::Array(
+            set.runs()
+                .iter()
+                .map(|&(s, e)| Value::Array(vec![Value::U64(s), Value::U64(e)]))
+                .collect(),
+        )
+    };
+    Value::Object(vec![
+        ("stats".into(), mogpu::json::to_value(&o.stats).unwrap()),
+        (
+            "sites".into(),
+            Value::Array(
+                sites
+                    .into_iter()
+                    .map(|(k, v)| Value::Array(vec![Value::U64(k as u64), v]))
+                    .collect(),
+            ),
+        ),
+        ("sanitizer".into(), mogpu::json::from_str(&named).unwrap()),
+        (
+            "access".into(),
+            Value::Object(vec![
+                ("reads".into(), runs(&o.access.reads)),
+                ("writes".into(), runs(&o.access.writes)),
+            ]),
+        ),
+        ("out".into(), Value::String(digest(&o.out))),
+    ])
+}
+
+/// One `Mixed` launch the golden pins.
+struct MixedCase {
+    name: String,
+    l2: bool,
+    trips: Vec<u8>,
+    n: usize,
+    tpb: u32,
+    sanitize: bool,
+}
+
+impl MixedCase {
+    /// The case's inputs, pinned beside its outcome.
+    fn input(&self) -> Value {
+        Value::Object(vec![
+            ("l2".into(), Value::Bool(self.l2)),
+            ("trips".into(), Value::String(digest(&self.trips))),
+            ("threads".into(), Value::U64(self.trips.len() as u64)),
+            ("n".into(), Value::U64(self.n as u64)),
+            ("tpb".into(), Value::U64(self.tpb as u64)),
+            ("sanitize".into(), Value::Bool(self.sanitize)),
+        ])
+    }
+
+    fn cfg(&self) -> GpuConfig {
+        if self.l2 {
+            GpuConfig::tesla_c2075_with_l2()
+        } else {
+            GpuConfig::tesla_c2075()
+        }
+    }
+}
+
+/// The six fixed cases of the tests above, then 48 seeded draws of the
+/// proptest's shape: 1..200 random control bytes, a problem size cut by
+/// 0..40 threads, one of four block sizes, with or without an L2 and
+/// the sanitizer.
+fn mixed_cases() -> Vec<MixedCase> {
+    let fixed = |name: &str, l2, threads, n, tpb, sanitize| MixedCase {
+        name: name.to_string(),
+        l2,
+        trips: spread(threads),
+        n,
+        tpb,
+        sanitize,
+    };
+    let mut cases = vec![
+        fixed("divergent", false, 256, 250, 128, false),
+        fixed("divergent_sanitized", false, 256, 250, 128, true),
+        fixed("partial_sanitized", false, 144, 140, 48, true),
+        fixed("partial", false, 96, 96, 48, false),
+        fixed("l2_sanitized", true, 320, 300, 64, true),
+        fixed("l2", true, 192, 192, 96, false),
+    ];
+    let mut state = 0x1CC_2014_u64;
+    let mut next = move |bound: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % bound
+    };
+    for seed in 0..48 {
+        let len = 1 + next(199) as usize;
+        let trips: Vec<u8> = (0..len).map(|_| next(256) as u8).collect();
+        let n = len.saturating_sub(next(40) as usize).max(1);
+        let tpb = [32, 48, 64, 96][next(4) as usize];
+        cases.push(MixedCase {
+            name: format!("seeded_{seed}"),
+            l2: next(2) == 1,
+            trips,
+            n,
+            tpb,
+            sanitize: next(2) == 1,
+        });
+    }
+    cases
+}
+
+/// One morphology launch the golden pins: a mask of `width x height`
+/// (both cover border pixels; 37 x 23 = 851 pixels end in a 19-lane
+/// warp) with profiling, the sanitizer and dataflow capture on.
+fn morph_outcome(width: usize, height: usize, op: MorphOp, l2: bool) -> (Value, Outcome) {
+    let res = Resolution::new(width, height);
+    let mask = if (width, height) == (37, 23) {
+        let mut state = 0x5EED_u64;
+        let bits: Vec<u8> = (0..res.pixels())
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                if (state >> 60) < 9 {
+                    255
+                } else {
+                    0
+                }
+            })
+            .collect();
+        Mask::from_vec(res, bits).unwrap()
+    } else {
+        SceneBuilder::new(res)
+            .seed(31)
+            .walkers(3)
+            .build()
+            .render(5)
+            .1
+    };
+    let cfg = if l2 {
+        GpuConfig::tesla_c2075_with_l2()
+    } else {
+        GpuConfig::tesla_c2075()
+    };
+    let opts = LaunchOptions {
+        profile_sites: true,
+        sanitize: true,
+        dataflow: true,
+    };
+    let (out, report) = gpu_morph_with(&mask, op, &cfg, opts).unwrap();
+    let input = Value::Object(vec![
+        ("mask".into(), Value::String(digest(mask.as_slice()))),
+        ("l2".into(), Value::Bool(l2)),
+    ]);
+    let outcome = Outcome {
+        stats: report.stats,
+        sites: report.sites.unwrap(),
+        san: report.sanitizer.unwrap(),
+        access: report.access.unwrap(),
+        out: out.as_slice().to_vec(),
+    };
+    (input, outcome)
+}
+
+/// The morphology cases: both operations, with and without an L2, on a
+/// random 37 x 23 mask and a rendered 64 x 48 one.
+fn morph_cases() -> Vec<(String, Value, Outcome)> {
+    let mut cases = Vec::new();
+    for (w, h) in [(37, 23), (64, 48)] {
+        for op in [MorphOp::Erode, MorphOp::Dilate] {
+            for l2 in [false, true] {
+                let name = format!("{op:?}_{w}x{h}{}", if l2 { "_l2" } else { "" });
+                let (input, outcome) = morph_outcome(w, h, op, l2);
+                cases.push((name, input, outcome));
+            }
+        }
+    }
+    cases
+}
+
+/// The golden entry `name` of `section`.
+fn golden_entry<'a>(golden: &'a Value, section: &str, name: &str) -> &'a Value {
+    let field = |v: &'a Value, key: &str| match v {
+        Value::Object(f) => f.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    };
+    field(golden, section)
+        .and_then(|s| field(s, name))
+        .unwrap_or_else(|| panic!("golden has no {section}.{name}"))
+}
+
+fn canonical(v: &Value) -> String {
+    mogpu::json::to_string_canonical(v).unwrap()
+}
+
+/// A golden entry: the inputs and what the launch reported.
+fn entry(input: Value, o: &Outcome, file: &str) -> Value {
+    Value::Object(vec![
+        ("input".into(), input),
+        ("outcome".into(), outcome_value(o, file)),
+    ])
+}
+
+/// Asserts that `o`, launched on `input`, is what the lane executor
+/// reported for `section.name`.
+fn assert_golden(golden: &Value, section: &str, name: &str, input: Value, o: &Outcome, file: &str) {
+    assert_eq!(
+        canonical(&entry(input, o, file)),
+        canonical(golden_entry(golden, section, name)),
+        "{section}.{name} differs from the lane executor's answer"
+    );
+}
+
+#[test]
+fn lane_executor_golden_pins_both_forms() {
+    let golden: Value = mogpu::json::from_str(GOLDEN).unwrap();
+    for c in mixed_cases() {
+        for warp in [false, true] {
+            let o = run(warp, &c.cfg(), &c.trips, c.n, c.tpb, c.sanitize);
+            assert_golden(&golden, "mixed", &c.name, c.input(), &o, "warp_lockstep.rs");
+        }
+    }
+    for (name, input, o) in morph_cases() {
+        assert_golden(&golden, "morph", &name, input, &o, "morph.rs");
+    }
+}
+
+#[test]
+#[ignore]
+fn write_lane_executor_golden() {
+    let mixed = mixed_cases()
+        .into_iter()
+        .map(|c| {
+            let o = run(false, &c.cfg(), &c.trips, c.n, c.tpb, c.sanitize);
+            (c.name.clone(), entry(c.input(), &o, "warp_lockstep.rs"))
+        })
+        .collect();
+    let morph = morph_cases()
+        .into_iter()
+        .map(|(name, input, o)| (name, entry(input, &o, "morph.rs")))
+        .collect();
+    let doc = Value::Object(vec![
+        ("mixed".into(), Value::Object(mixed)),
+        ("morph".into(), Value::Object(morph)),
+    ]);
+    let mut text = mogpu::json::to_string_canonical_pretty(&doc).unwrap();
+    text.push('\n');
+    std::fs::write("tests/data/lane_executor_golden.json", text).unwrap();
 }
