@@ -754,7 +754,7 @@ fn run_tiled_with_layout(
     use mogpu_core::kernels::FramePass;
     use mogpu_core::{DeviceModel, Layout};
     use mogpu_mog::HostModel;
-    use mogpu_sim::{launch, DeviceMemory, KernelRef, LaunchConfig};
+    use mogpu_sim::{launch, DeviceMemory, LaunchConfig};
 
     let cfg = GpuConfig::tesla_c2075();
     let params = default_params(3);
@@ -796,7 +796,7 @@ fn run_tiled_with_layout(
         &mut mem,
         &cfg,
         LaunchConfig::cover(pixels, THREADS_PER_BLOCK),
-        KernelRef::Warp(&kernel),
+        &kernel,
     )
     .unwrap();
     (

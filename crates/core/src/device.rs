@@ -1,36 +1,19 @@
 //! Precision-generic device memory access.
 //!
 //! [`DeviceReal`] extends the algorithm-side [`Real`] trait with typed
-//! loads/stores through a [`ThreadCtx`], so every kernel exists for both
-//! the paper's default double precision and the single-precision study of
-//! Section V-C.
-//!
-//! Global loads, stores and flops exist for both executors: the
-//! `ThreadCtx` forms for per-thread kernels and the `*_warp` forms, over
-//! [`Lanes`] of operands, for per-warp ones. Shared-memory access exists
-//! only in warp form: level W, its one user, runs on the warp executor.
+//! loads/stores through a [`WarpCtx`], over [`Lanes`] of operands, so
+//! every kernel exists for both the paper's default double precision and
+//! the single-precision study of Section V-C.
 //!
 //! All methods are `#[track_caller]` so the simulator's slot analysis
 //! attributes each access to the *kernel* source line, keeping warp-slot
 //! alignment correct through this dispatch layer.
 
 use mogpu_mog::Real;
-use mogpu_sim::{Buffer, Lanes, ThreadCtx, WarpCtx};
+use mogpu_sim::{Buffer, Lanes, WarpCtx};
 
 /// A [`Real`] that can be moved between device memory and registers.
 pub trait DeviceReal: Real {
-    /// Loads element `idx` of `buf` from global memory.
-    #[track_caller]
-    fn ld(ctx: &mut ThreadCtx<'_>, buf: Buffer, idx: usize) -> Self;
-
-    /// Stores element `idx` of `buf` to global memory.
-    #[track_caller]
-    fn st(ctx: &mut ThreadCtx<'_>, buf: Buffer, idx: usize, v: Self);
-
-    /// Charges `n` floating-point operations at this type's precision.
-    #[track_caller]
-    fn flop(ctx: &mut ThreadCtx<'_>, n: u32);
-
     /// Loads element `idx[l]` of `buf` on each active lane.
     #[track_caller]
     fn ld_warp(w: &mut WarpCtx<'_>, buf: Buffer, idx: &Lanes<usize>) -> Lanes<Self>;
@@ -47,13 +30,14 @@ pub trait DeviceReal: Real {
     #[track_caller]
     fn sh_st_warp(w: &mut WarpCtx<'_>, off: &Lanes<usize>, v: &Lanes<Self>);
 
-    /// Charges `n` floating-point operations on every active lane.
+    /// Charges `n` floating-point operations at this type's precision on
+    /// every active lane.
     #[track_caller]
     fn flop_warp(w: &mut WarpCtx<'_>, n: u32);
 }
 
-/// Implements the warp forms of [`DeviceReal`] through the
-/// [`WarpCtx`] accessors of one width.
+/// Implements [`DeviceReal`] through the [`WarpCtx`] accessors of one
+/// width.
 macro_rules! warp_forms {
     ($ld:ident, $st:ident, $sh_ld:ident, $sh_st:ident, $flop:ident) => {
         #[track_caller]
@@ -89,45 +73,9 @@ macro_rules! warp_forms {
 }
 
 impl DeviceReal for f64 {
-    #[track_caller]
-    #[inline]
-    fn ld(ctx: &mut ThreadCtx<'_>, buf: Buffer, idx: usize) -> Self {
-        ctx.ld_f64(buf, idx)
-    }
-
-    #[track_caller]
-    #[inline]
-    fn st(ctx: &mut ThreadCtx<'_>, buf: Buffer, idx: usize, v: Self) {
-        ctx.st_f64(buf, idx, v)
-    }
-
-    #[track_caller]
-    #[inline]
-    fn flop(ctx: &mut ThreadCtx<'_>, n: u32) {
-        ctx.flop64(n)
-    }
-
     warp_forms!(ld_f64, st_f64, sh_ld_f64, sh_st_f64, flop64);
 }
 
 impl DeviceReal for f32 {
-    #[track_caller]
-    #[inline]
-    fn ld(ctx: &mut ThreadCtx<'_>, buf: Buffer, idx: usize) -> Self {
-        ctx.ld_f32(buf, idx)
-    }
-
-    #[track_caller]
-    #[inline]
-    fn st(ctx: &mut ThreadCtx<'_>, buf: Buffer, idx: usize, v: Self) {
-        ctx.st_f32(buf, idx, v)
-    }
-
-    #[track_caller]
-    #[inline]
-    fn flop(ctx: &mut ThreadCtx<'_>, n: u32) {
-        ctx.flop32(n)
-    }
-
     warp_forms!(ld_f32, st_f32, sh_ld_f32, sh_st_f32, flop32);
 }

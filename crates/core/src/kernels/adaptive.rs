@@ -9,11 +9,11 @@
 //! lanes genuinely execute different trip counts — the slot model then
 //! charges the warp for the maximum, exactly as Fermi would.
 
-use super::FramePass;
+use super::{Components, FramePass};
 use crate::device::DeviceReal;
 use mogpu_mog::adaptive::PRUNE_WEIGHT;
-use mogpu_mog::update::MAX_K;
-use mogpu_sim::{Buffer, Kernel, KernelResources, ThreadCtx};
+use mogpu_sim::{lanes, lanes_in, lanes_of, mask_of, Buffer, KernelResources, Lanes, Mask};
+use mogpu_sim::{WarpCtx, WarpKernel, WARP_LANES};
 
 /// Adaptive-K MoG kernel (related-work comparator).
 #[derive(Debug, Clone, Copy)]
@@ -24,127 +24,159 @@ pub struct AdaptiveKernel<T: DeviceReal> {
     pub active: Buffer,
 }
 
-impl<T: DeviceReal> Kernel for AdaptiveKernel<T> {
+impl<T: DeviceReal> WarpKernel for AdaptiveKernel<T> {
     fn resources(&self) -> KernelResources {
         self.pass.resources
     }
 
-    fn run(&self, ctx: &mut ThreadCtx<'_>) {
-        let pass = &self.pass;
-        let i = ctx.global_thread_id();
-        ctx.int_op(2);
-        if !ctx.branch(i < pass.pixels) {
+    fn run_warp(&self, w: &mut WarpCtx<'_>) {
+        let (pass, prm) = (&self.pass, &self.pass.prm);
+        let i = w.global_thread_id();
+        w.int_op(2);
+        let inside = w.branch(mask_of(|l| i[l] < pass.pixels));
+        if !w.keep(inside) {
             return;
         }
-        let prm = &pass.prm;
         let k_max = prm.k;
-        let p = T::from_u8(ctx.ld_u8(pass.frame, i));
-        ctx.int_op(1);
-        let mut active = ctx.ld_u8(self.active, i) as usize;
-        ctx.int_op(1);
-
-        let mut w = [T::zero(); MAX_K];
-        let mut m = [T::zero(); MAX_K];
-        let mut sd = [T::zero(); MAX_K];
-        let mut diff = [T::zero(); MAX_K];
-        let mut matched = false;
+        let p = lanes_of(w.ld_u8(pass.frame, &i), T::from_u8);
+        w.int_op(1);
+        let mut active = lanes_of(w.ld_u8(self.active, &i), usize::from);
+        w.int_op(1);
+        let mut c = Components::<T>::new();
         // Data-dependent trip count: this is where warps diverge.
-        for ki in 0..active {
-            ctx.int_op(1);
-            ctx.branch(ki < active); // divergent loop branch across lanes
-            w[ki] = pass.model.ld_w(ctx, i, ki);
-            m[ki] = pass.model.ld_m(ctx, i, ki);
-            sd[ki] = pass.model.ld_sd(ctx, i, ki);
-            let d = (m[ki] - p).abs();
-            T::flop(ctx, 2);
-            diff[ki] = d;
-            T::flop(ctx, 1);
-            if ctx.branch(d < prm.match_threshold) {
-                w[ki] = prm.alpha * w[ki] + prm.one_minus_alpha;
-                T::flop(ctx, 2);
-                let tmp = prm.one_minus_alpha / w[ki];
-                T::flop(ctx, 4);
-                m[ki] = m[ki] + tmp * (p - m[ki]);
-                T::flop(ctx, 3);
-                let dm = p - m[ki];
-                T::flop(ctx, 1);
-                let var = sd[ki] * sd[ki] + tmp * (dm * dm - sd[ki] * sd[ki]);
-                T::flop(ctx, 5);
-                sd[ki] = var.max(prm.min_var).sqrt();
-                T::flop(ctx, 5);
-                matched = true;
-            } else {
-                w[ki] = prm.alpha * w[ki];
-                T::flop(ctx, 1);
-            }
-        }
+        per_lane_loop(w, &active, |w, ki, live| {
+            let kis = [ki; WARP_LANES];
+            w.int_op(1);
+            w.branch(live); // divergent loop branch across lanes
+            c.w[ki] = pass.model.ld_w_warp(w, &i, &kis);
+            c.m[ki] = pass.model.ld_m_warp(w, &i, &kis);
+            c.sd[ki] = pass.model.ld_sd_warp(w, &i, &kis);
+            let d: Lanes<T> = lanes(|l| (c.m[ki][l] - p[l]).abs());
+            T::flop_warp(w, 2);
+            c.diff[ki] = d;
+            T::flop_warp(w, 1);
+            let hit = w.branch(mask_of(|l| d[l] < prm.match_threshold));
+            w.when(hit, |w| {
+                update(hit, &mut c.w[ki], |_, x| {
+                    prm.alpha * x + prm.one_minus_alpha
+                });
+                T::flop_warp(w, 2);
+                let tmp: Lanes<T> = lanes(|l| prm.one_minus_alpha / c.w[ki][l]);
+                T::flop_warp(w, 4);
+                update(hit, &mut c.m[ki], |l, m| m + tmp[l] * (p[l] - m));
+                T::flop_warp(w, 3);
+                let dm: Lanes<T> = lanes(|l| p[l] - c.m[ki][l]);
+                T::flop_warp(w, 1);
+                let sd = c.sd[ki];
+                let var: Lanes<T> =
+                    lanes(|l| sd[l] * sd[l] + tmp[l] * (dm[l] * dm[l] - sd[l] * sd[l]));
+                T::flop_warp(w, 5);
+                update(hit, &mut c.sd[ki], |l, _| var[l].max(prm.min_var).sqrt());
+                T::flop_warp(w, 5);
+                c.matched |= hit;
+            });
+            w.when(live & !hit, |w| {
+                update(live & !hit, &mut c.w[ki], |_, x| prm.alpha * x);
+                T::flop_warp(w, 1);
+            });
+        });
 
-        if ctx.branch(!matched) {
-            if ctx.branch(active < k_max) {
+        let unmatched = w.branch(!c.matched);
+        w.when(unmatched, |w| {
+            let grow = w.branch(mask_of(|l| active[l] < k_max));
+            w.when(grow, |w| {
                 // Grow.
-                w[active] = prm.initial_weight;
-                m[active] = p;
-                sd[active] = prm.initial_sd;
-                diff[active] = T::zero();
-                active += 1;
-                ctx.int_op(1);
-            } else {
-                // Replace the weakest.
-                let mut weakest = 0usize;
-                for ki in 1..active {
-                    T::flop(ctx, 1);
-                    ctx.int_op(1);
-                    if w[ki] < w[weakest] {
-                        weakest = ki;
-                    }
+                for l in lanes_in(grow) {
+                    c.set(active[l], l, prm.initial_weight, p[l], prm.initial_sd);
+                    active[l] += 1;
                 }
-                w[weakest] = prm.initial_weight;
-                m[weakest] = p;
-                sd[weakest] = prm.initial_sd;
-                diff[weakest] = T::zero();
-            }
-        }
+                w.int_op(1);
+            });
+            w.when(unmatched & !grow, |w| {
+                // Replace the weakest.
+                let mut weakest = [0usize; WARP_LANES];
+                per_lane_loop(w, &lanes(|l| active[l].saturating_sub(1)), |w, j, _| {
+                    T::flop_warp(w, 1);
+                    w.int_op(1);
+                    let ki = j + 1;
+                    for l in lanes_in(w.active()) {
+                        if c.w[ki][l] < c.w[weakest[l]][l] {
+                            weakest[l] = ki;
+                        }
+                    }
+                });
+                for l in lanes_in(w.active()) {
+                    c.set(weakest[l], l, prm.initial_weight, p[l], prm.initial_sd);
+                }
+            });
+        });
 
         // Prune (mirrors the CPU: backwards swap-removal, keep >= 1).
         let prune = T::from_f64(PRUNE_WEIGHT);
-        let mut ki = active;
-        while ki > 0 {
-            ki -= 1;
-            ctx.int_op(1);
-            T::flop(ctx, 1);
-            if ctx.branch(active > 1 && w[ki] < prune) {
-                active -= 1;
-                w.swap(ki, active);
-                m.swap(ki, active);
-                sd.swap(ki, active);
-                diff.swap(ki, active);
-                ctx.int_op(4);
-            }
-        }
+        let trips = active;
+        per_lane_loop(w, &trips, |w, j, _| {
+            // Each lane walks its components from the last down.
+            let ki = lanes(|l| trips[l].saturating_sub(j + 1));
+            w.int_op(1);
+            T::flop_warp(w, 1);
+            let drop = w.branch(mask_of(|l| active[l] > 1 && c.w[ki[l]][l] < prune));
+            w.when(drop, |w| {
+                for l in lanes_in(drop) {
+                    active[l] -= 1;
+                    c.swap(ki[l], active[l], l);
+                }
+                w.int_op(4);
+            });
+        });
 
         // Store the active prefix and the new count. (Inactive slots keep
         // stale device values; the CPU reference's inactive slots differ —
         // only the active prefix is semantically meaningful.)
-        for ki in 0..active {
-            ctx.int_op(1);
-            ctx.branch(ki < active); // divergent loop branch
-            pass.model.st_w(ctx, i, ki, w[ki]);
-            pass.model.st_m(ctx, i, ki, m[ki]);
-            pass.model.st_sd(ctx, i, ki, sd[ki]);
-        }
-        ctx.st_u8(self.active, i, active as u8);
+        per_lane_loop(w, &active, |w, ki, live| {
+            let kis = [ki; WARP_LANES];
+            w.int_op(1);
+            w.branch(live); // divergent loop branch
+            pass.model.st_w_warp(w, &i, &kis, &c.w[ki]);
+            pass.model.st_m_warp(w, &i, &kis, &c.m[ki]);
+            pass.model.st_sd_warp(w, &i, &kis, &c.sd[ki]);
+        });
+        w.st_u8(self.active, &i, &lanes(|l| active[l] as u8));
 
         // Classify over the active components (no-sort decision).
-        let mut fgv = 1u8;
-        for ki in 0..active {
-            ctx.int_op(1);
-            ctx.branch(ki < active); // divergent loop branch
-            let bg = w[ki] >= prm.bg_weight && diff[ki] / sd[ki] < prm.bg_sigma_ratio;
-            T::flop(ctx, 6);
-            if bg {
-                fgv = 0;
-            }
+        let mut fg = w.active();
+        per_lane_loop(w, &active, |w, ki, live| {
+            w.int_op(1);
+            w.branch(live); // divergent loop branch
+            let (wk, dk, sdk) = (&c.w[ki], &c.diff[ki], &c.sd[ki]);
+            let bg = mask_of(|l| wk[l] >= prm.bg_weight && dk[l] / sdk[l] < prm.bg_sigma_ratio);
+            T::flop_warp(w, 6);
+            fg &= !(bg & live);
+        });
+        let out = lanes(|l| if fg >> l & 1 != 0 { 255 } else { 0 });
+        w.st_u8(pass.fg, &i, &out);
+    }
+}
+
+/// Runs `body(w, k, live)` for `k = 0, 1, …` while any lane is live,
+/// under `live`: the active lanes with `k < trips[l]`. A loop whose trip
+/// count differs per lane.
+fn per_lane_loop(
+    w: &mut WarpCtx<'_>,
+    trips: &Lanes<usize>,
+    mut body: impl FnMut(&mut WarpCtx<'_>, usize, Mask),
+) {
+    for k in 0.. {
+        let live = w.active() & mask_of(|l| k < trips[l]);
+        if live == 0 {
+            return;
         }
-        ctx.st_u8(pass.fg, i, if fgv == 1 { 255 } else { 0 });
+        w.when(live, |w| body(w, k, live));
+    }
+}
+
+/// `v[l] = f(l, v[l])` for the lanes of `mask`.
+fn update<T: Copy>(mask: Mask, v: &mut Lanes<T>, f: impl Fn(usize, T) -> T) {
+    for l in lanes_in(mask) {
+        v[l] = f(l, v[l]);
     }
 }

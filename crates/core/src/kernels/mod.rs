@@ -11,16 +11,16 @@
 //! data-dependent conditional goes through `branch`, which is what gives
 //! the simulator its branch-efficiency and issue-cycle counters.
 //!
-//! The ladder kernels (A–F and W) are written once, in warp form: their
-//! bodies run per warp on [`WarpCtx`] over [`Lanes`] of per-lane values,
+//! Every kernel is written in warp form: its body runs once per warp,
+//! on [`WarpCtx`] over [`Lanes`] of per-lane values,
 //! and a data-dependent `if`/`else` becomes two masked regions
 //! ([`WarpCtx::when`]) that the lanes taking each side execute. Registers
 //! are `[Lanes<T>; MAX_K]` arrays, component-major. A region computes all
 //! 32 lanes and [`blend`]s the results into the lanes that execute it, so
 //! the arithmetic is straight 32-wide loops. Values of lanes outside the
 //! active mask are computed but never stored, so they may be anything.
-//! The adaptive and morphology kernels stay in per-thread form on
-//! [`mogpu_sim::ThreadCtx`].
+//! The adaptive kernel's loops over a per-pixel component count run
+//! while any lane of the warp has components left.
 //!
 //! FLOP charging convention: add/sub/mul/compare/select = 1, division = 4,
 //! square root = 4 (SFU-assisted on Fermi).
@@ -257,6 +257,24 @@ impl<T: DeviceReal> Components<T> {
             sd: zero,
             diff: zero,
             matched: 0,
+        }
+    }
+
+    /// Lane `l`'s component `ki` becomes a fresh one of weight `w`, mean
+    /// `m` and deviation `sd`.
+    fn set(&mut self, ki: usize, l: usize, w: T, m: T, sd: T) {
+        self.w[ki][l] = w;
+        self.m[ki][l] = m;
+        self.sd[ki][l] = sd;
+        self.diff[ki][l] = T::zero();
+    }
+
+    /// Swaps lane `l`'s components `a` and `b`.
+    fn swap(&mut self, a: usize, b: usize, l: usize) {
+        for v in [&mut self.w, &mut self.m, &mut self.sd, &mut self.diff] {
+            let t = v[a][l];
+            v[a][l] = v[b][l];
+            v[b][l] = t;
         }
     }
 }

@@ -10,7 +10,7 @@
 //! on: rows collapse), making this kernel the simulator's spatial-stencil
 //! counterpoint to MoG's element-wise streams.
 
-use mogpu_sim::{Buffer, Kernel, KernelResources, ThreadCtx};
+use mogpu_sim::{lanes, mask_of, Buffer, KernelResources, Mask, WarpCtx, WarpKernel};
 
 /// Which 3x3 operation the kernel applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,48 +47,51 @@ impl MorphKernel {
     };
 }
 
-impl Kernel for MorphKernel {
+impl WarpKernel for MorphKernel {
     fn resources(&self) -> KernelResources {
         Self::RESOURCES
     }
 
-    fn run(&self, ctx: &mut ThreadCtx<'_>) {
-        let i = ctx.global_thread_id();
-        ctx.int_op(2);
+    fn run_warp(&self, w: &mut WarpCtx<'_>) {
+        let i = w.global_thread_id();
+        w.int_op(2);
         let n = self.width * self.height;
-        if !ctx.branch(i < n) {
+        let inside = w.branch(mask_of(|l| i[l] < n));
+        if !w.keep(inside) {
             return;
         }
-        let x = (i % self.width) as isize;
-        let y = (i / self.width) as isize;
-        ctx.int_op(2);
-        let (w, h) = (self.width as isize, self.height as isize);
+        let x = lanes(|l| (i[l] % self.width) as isize);
+        let y = lanes(|l| (i[l] / self.width) as isize);
+        w.int_op(2);
+        let (wd, h) = (self.width as isize, self.height as isize);
 
         // Predicated accumulation over the window: out-of-bounds pixels
         // count as background (erode fails, dilate ignores).
-        let mut all = true;
-        let mut any = false;
+        let mut all = w.active();
+        let mut any: Mask = 0;
         for dy in -1..=1isize {
             for dx in -1..=1isize {
-                ctx.int_op(2);
-                let (nx, ny) = (x + dx, y + dy);
-                let inside = nx >= 0 && ny >= 0 && nx < w && ny < h;
-                ctx.int_op(1);
-                if ctx.branch(inside) {
-                    let v = ctx.ld_u8(self.input, (ny * w + nx) as usize);
-                    ctx.int_op(2);
-                    all &= v != 0;
-                    any |= v != 0;
-                } else {
-                    all = false;
-                }
+                w.int_op(2);
+                let (nx, ny) = (lanes(|l| x[l] + dx), lanes(|l| y[l] + dy));
+                let inside = mask_of(|l| nx[l] >= 0 && ny[l] >= 0 && nx[l] < wd && ny[l] < h);
+                w.int_op(1);
+                let hit = w.branch(inside);
+                all &= hit;
+                w.when(hit, |w| {
+                    let v = w.ld_u8(self.input, &lanes(|l| (ny[l] * wd + nx[l]) as usize));
+                    w.int_op(2);
+                    let set = mask_of(|l| v[l] != 0);
+                    all &= set | !hit;
+                    any |= set & hit;
+                });
             }
         }
         let fg = match self.op {
             MorphOp::Erode => all,
             MorphOp::Dilate => any,
         };
-        ctx.st_u8(self.output, i, if fg { 255 } else { 0 });
+        let out = lanes(|l| if fg >> l & 1 != 0 { 255 } else { 0 });
+        w.st_u8(self.output, &i, &out);
     }
 }
 

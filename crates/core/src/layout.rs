@@ -13,9 +13,7 @@
 
 use crate::device::DeviceReal;
 use mogpu_mog::HostModel;
-use mogpu_sim::{
-    lanes, lanes_in, Buffer, DeviceMemory, Lanes, Mask, MemoryError, ThreadCtx, WarpCtx,
-};
+use mogpu_sim::{lanes, lanes_in, Buffer, DeviceMemory, Lanes, Mask, MemoryError, WarpCtx};
 
 /// Gaussian parameter memory layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,54 +126,6 @@ impl<T: DeviceReal> DeviceModel<T> {
     }
 
     // ---- kernel-side access (traced) ----
-
-    /// Loads a component weight.
-    #[track_caller]
-    #[inline]
-    pub fn ld_w(&self, ctx: &mut ThreadCtx<'_>, pixel: usize, ki: usize) -> T {
-        let (b, i) = self.index(pixel, ki, 0);
-        T::ld(ctx, b, i)
-    }
-
-    /// Loads a component mean.
-    #[track_caller]
-    #[inline]
-    pub fn ld_m(&self, ctx: &mut ThreadCtx<'_>, pixel: usize, ki: usize) -> T {
-        let (b, i) = self.index(pixel, ki, 1);
-        T::ld(ctx, b, i)
-    }
-
-    /// Loads a component standard deviation.
-    #[track_caller]
-    #[inline]
-    pub fn ld_sd(&self, ctx: &mut ThreadCtx<'_>, pixel: usize, ki: usize) -> T {
-        let (b, i) = self.index(pixel, ki, 2);
-        T::ld(ctx, b, i)
-    }
-
-    /// Stores a component weight.
-    #[track_caller]
-    #[inline]
-    pub fn st_w(&self, ctx: &mut ThreadCtx<'_>, pixel: usize, ki: usize, v: T) {
-        let (b, i) = self.index(pixel, ki, 0);
-        T::st(ctx, b, i, v);
-    }
-
-    /// Stores a component mean.
-    #[track_caller]
-    #[inline]
-    pub fn st_m(&self, ctx: &mut ThreadCtx<'_>, pixel: usize, ki: usize, v: T) {
-        let (b, i) = self.index(pixel, ki, 1);
-        T::st(ctx, b, i, v);
-    }
-
-    /// Stores a component standard deviation.
-    #[track_caller]
-    #[inline]
-    pub fn st_sd(&self, ctx: &mut ThreadCtx<'_>, pixel: usize, ki: usize, v: T) {
-        let (b, i) = self.index(pixel, ki, 2);
-        T::st(ctx, b, i, v);
-    }
 
     /// [`DeviceModel::index`] per lane: the buffer of `param` and each
     /// lane's element of `(pixel[l], ki[l])`. Inactive lanes may hold

@@ -29,10 +29,9 @@ use mogpu_mog::{HostModel, MogParams, ResolvedParams};
 use mogpu_sim::dma::{pipeline_schedule, timing_of, transfer_time, OverlapMode, PipelineTiming};
 use mogpu_sim::telemetry::{sample_schedule, PipelineTelemetry, TelemetryConfig};
 use mogpu_sim::{
-    BatchLauncher, BoxedKernel, Buffer, DataflowGraph, DataflowRecorder, DerivedMetrics,
-    DeviceMemory, GpuConfig, IntervalSet, KernelRef, KernelResources, KernelStats, LaunchConfig,
-    LaunchError, LaunchOptions, LaunchReport, MemoryError, Occupancy, SanReport, SiteProfile,
-    WarpKernel,
+    BatchLauncher, Buffer, DataflowGraph, DataflowRecorder, DerivedMetrics, DeviceMemory,
+    GpuConfig, IntervalSet, KernelResources, KernelStats, LaunchConfig, LaunchError, LaunchOptions,
+    LaunchReport, MemoryError, Occupancy, SanReport, SiteProfile, WarpKernel,
 };
 
 /// Threads per block, as the paper selects.
@@ -157,7 +156,7 @@ pub trait KernelPlan: std::fmt::Debug {
         pass: FramePass<T>,
         frames: &[Buffer],
         fgs: &[Buffer],
-    ) -> BoxedKernel;
+    ) -> Box<dyn WarpKernel>;
 }
 
 /// The optimization ladder: one kernel per level (paper Tables II–III).
@@ -187,7 +186,7 @@ impl KernelPlan for OptLevel {
         pass: FramePass<T>,
         frames: &[Buffer],
         fgs: &[Buffer],
-    ) -> BoxedKernel {
+    ) -> Box<dyn WarpKernel> {
         let scan = |predicated, recompute_diff| -> Box<dyn WarpKernel> {
             Box::new(ScanKernel {
                 pass,
@@ -195,7 +194,7 @@ impl KernelPlan for OptLevel {
                 recompute_diff,
             })
         };
-        BoxedKernel::Warp(match self {
+        match self {
             OptLevel::A | OptLevel::B | OptLevel::C => Box::new(SortedKernel { pass }),
             OptLevel::D => scan(false, false),
             OptLevel::E => scan(true, false),
@@ -206,7 +205,7 @@ impl KernelPlan for OptLevel {
                 fgs: fgs.to_vec(),
                 record_stride: None,
             }),
-        })
+        }
     }
 }
 
@@ -248,11 +247,16 @@ impl KernelPlan for AdaptivePlan {
         std::slice::from_ref(&self.active)
     }
 
-    fn kernel<T: DeviceReal>(&self, pass: FramePass<T>, _: &[Buffer], _: &[Buffer]) -> BoxedKernel {
-        BoxedKernel::Lane(Box::new(AdaptiveKernel {
+    fn kernel<T: DeviceReal>(
+        &self,
+        pass: FramePass<T>,
+        _: &[Buffer],
+        _: &[Buffer],
+    ) -> Box<dyn WarpKernel> {
+        Box::new(AdaptiveKernel {
             pass,
             active: self.active,
-        }))
+        })
     }
 }
 
@@ -490,7 +494,7 @@ impl<T: DeviceReal, P: KernelPlan> Pipeline<T, P> {
     fn step(
         &mut self,
         launcher: BatchLauncher,
-        kernel: KernelRef<'_>,
+        kernel: &dyn WarpKernel,
         node: &str,
         frame: usize,
         opts: LaunchOptions,
@@ -544,13 +548,7 @@ impl<T: DeviceReal, P: KernelPlan> Pipeline<T, P> {
         let kernel = self.plan.kernel(pass, frames, fgs);
         // A grouped (level-W) launch covers the whole chunk; attribute it
         // to the group's first frame.
-        let report = self.step(
-            launchers.plan,
-            (&kernel).into(),
-            self.plan.node(),
-            base,
-            opts,
-        );
+        let report = self.step(launchers.plan, &*kernel, self.plan.node(), base, opts);
 
         let mut outs = self.fg_bufs[..n].to_vec();
         if let Some(opening) = launchers.opening {
@@ -567,7 +565,7 @@ impl<T: DeviceReal, P: KernelPlan> Pipeline<T, P> {
                         height: self.resolution.height,
                         op,
                     };
-                    self.step(opening, (&k).into(), "morphology", base + slot, opts);
+                    self.step(opening, &k, "morphology", base + slot, opts);
                 }
                 *out = opened;
             }

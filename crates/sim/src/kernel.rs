@@ -1,17 +1,16 @@
-//! Kernel traits, the per-lane execution context, and the launch machinery.
+//! Kernel resources, the launch machinery and the block write overlay.
 //!
-//! A kernel is a Rust type implementing [`Kernel`] or [`WarpKernel`], and
-//! the trait picks the executor. [`Kernel::run`] is the CUDA `__global__`
-//! body, executed once per thread with a [`ThreadCtx`] standing in for
-//! the hardware (the *lane executor*); `WarpKernel::run_warp` runs once
-//! per warp over 32-lane values (the *warp executor*,
-//! [`crate::lockstep`]). Either way the context performs *functional*
-//! loads/stores against simulated device memory while recording the
-//! events that drive the architectural analysis (see [`crate::warp`]).
+//! A kernel is a Rust type implementing [`WarpKernel`]. Its body is the
+//! CUDA `__global__` function, run once per warp of every block of the
+//! launch grid on a [`WarpCtx`] that holds the warp's 32-lane values under
+//! an active mask (see [`crate::lockstep`]). The context performs
+//! *functional* loads/stores against simulated device memory while
+//! recording the warp instructions that drive the architectural analysis
+//! (see [`crate::warp`]).
 //!
-//! Like a CUDA kernel, the body is invoked for every thread of every
-//! block of the launch grid; threads past the problem size must guard
-//! themselves (`if ctx.global_thread_id() >= n { return; }`).
+//! Like a CUDA kernel, the body covers every thread of the grid; lanes
+//! past the problem size must retire themselves
+//! (`if !w.keep(mask_of(|l| i[l] < n)) { return; }`).
 
 use crate::config::GpuConfig;
 use crate::dataflow::{IntervalCollector, IntervalSet, LaunchAccess};
@@ -26,10 +25,7 @@ use crate::profile::SiteProfile;
 use crate::sancheck::{BlockSan, SanReport, WarpSanLog};
 use crate::stats::KernelStats;
 use crate::timing::{kernel_time, KernelTiming};
-use crate::trace::{OpClass, Space};
-use crate::warp::WarpAccumulator;
 use rayon::prelude::*;
-use std::panic::Location;
 
 /// Static resource footprint of a kernel, as `nvcc --ptxas-options=-v`
 /// would report it.
@@ -75,74 +71,6 @@ impl LaunchConfig {
             }),
             threads_per_block,
         }
-    }
-}
-
-/// A GPU kernel whose body runs once per thread (the lane executor).
-pub trait Kernel: Sync {
-    /// Declared resource footprint (registers / shared memory / spill).
-    fn resources(&self) -> KernelResources;
-    /// Per-thread body.
-    fn run(&self, ctx: &mut ThreadCtx<'_>);
-}
-
-/// A kernel to launch. The variant follows from the kernel's type: a
-/// [`Kernel`] runs on the lane executor, a [`WarpKernel`] on the warp
-/// executor. Launch entry points take `impl Into<KernelRef>`, so a
-/// `&K` for any `K: Kernel` and a `&dyn Kernel` or `&dyn WarpKernel`
-/// convert implicitly.
-#[derive(Clone, Copy)]
-pub enum KernelRef<'k> {
-    /// A per-thread kernel.
-    Lane(&'k dyn Kernel),
-    /// A per-warp kernel.
-    Warp(&'k dyn WarpKernel),
-}
-
-impl KernelRef<'_> {
-    /// The kernel's declared resource footprint.
-    pub fn resources(&self) -> KernelResources {
-        match self {
-            KernelRef::Lane(k) => k.resources(),
-            KernelRef::Warp(k) => k.resources(),
-        }
-    }
-}
-
-/// An owned kernel of either executor, for code that builds kernels of
-/// both kinds (a pipeline's per-level plan); `&BoxedKernel` converts into
-/// a [`KernelRef`].
-pub enum BoxedKernel {
-    /// A per-thread kernel.
-    Lane(Box<dyn Kernel>),
-    /// A per-warp kernel.
-    Warp(Box<dyn WarpKernel>),
-}
-
-impl<'k> From<&'k BoxedKernel> for KernelRef<'k> {
-    fn from(k: &'k BoxedKernel) -> Self {
-        match k {
-            BoxedKernel::Lane(k) => KernelRef::Lane(&**k),
-            BoxedKernel::Warp(k) => KernelRef::Warp(&**k),
-        }
-    }
-}
-
-impl<'k, K: Kernel> From<&'k K> for KernelRef<'k> {
-    fn from(k: &'k K) -> Self {
-        KernelRef::Lane(k)
-    }
-}
-
-impl<'k> From<&'k dyn Kernel> for KernelRef<'k> {
-    fn from(k: &'k dyn Kernel) -> Self {
-        KernelRef::Lane(k)
-    }
-}
-
-impl<'k> From<&'k dyn WarpKernel> for KernelRef<'k> {
-    fn from(k: &'k dyn WarpKernel) -> Self {
-        KernelRef::Warp(k)
     }
 }
 
@@ -400,23 +328,9 @@ impl WriteOverlay {
         (addr / PAGE_BYTES as u64, off, width.min(PAGE_BYTES - off))
     }
 
-    /// Records a store of `val` (little-endian access bytes) at `addr`.
-    /// The width `W` is a constant of each typed accessor, so the copy
-    /// into the page is a fixed-size move rather than a `memcpy` call.
-    /// An access of width <= 8 touches at most two pages.
-    #[inline(always)]
-    fn store<const W: usize>(&mut self, addr: u64, val: [u8; W]) {
-        let (page, off, n) = Self::split(addr, W);
-        if n == W {
-            let ix = self.find_or_insert(page);
-            self.pages[ix].write(off, &val);
-        } else {
-            self.store_straddling(page, &val, n);
-        }
-    }
-
-    /// The cold half of [`WriteOverlay::store`]: the first `n` bytes of
-    /// `val` end page number `page`, the rest start the next page.
+    /// The cold half of [`WriteOverlay::store_lanes`]: the first `n`
+    /// bytes of `val` end page number `page`, the rest start the next
+    /// page.
     #[cold]
     fn store_straddling(&mut self, page: u64, val: &[u8], n: usize) {
         let ix = self.find_or_insert(page);
@@ -425,28 +339,7 @@ impl WriteOverlay {
         self.pages[ix].write(0, &val[n..]);
     }
 
-    /// Loads the `W` bytes at `addr`: the pre-launch snapshot patched
-    /// with any bytes this block has stored. Fixed-width like
-    /// [`WriteOverlay::store`].
-    #[inline(always)]
-    fn load<const W: usize>(&self, snapshot: &[u8], addr: u64) -> [u8; W] {
-        let a = addr as usize;
-        let mut out = [0u8; W];
-        out.copy_from_slice(&snapshot[a..a + W]);
-        if !self.pages.is_empty() {
-            let (page, off, n) = Self::split(addr, W);
-            if n == W {
-                if let Some(ix) = self.find(page) {
-                    self.pages[ix].patch(off, &mut out);
-                }
-            } else {
-                self.patch_straddling(page, &mut out, n);
-            }
-        }
-        out
-    }
-
-    /// The cold half of [`WriteOverlay::load`], split like
+    /// The cold half of [`WriteOverlay::load_lanes`], split like
     /// [`WriteOverlay::store_straddling`].
     #[cold]
     fn patch_straddling(&self, page: u64, out: &mut [u8], n: usize) {
@@ -459,9 +352,13 @@ impl WriteOverlay {
         }
     }
 
-    /// [`WriteOverlay::load`] for the lanes of `valid` of one warp
-    /// instruction, into `out[l]`. Neighbouring lanes mostly hit the
-    /// same page, so the page lookup is repeated only when it changes.
+    /// Loads the `W` bytes at `addrs[l]` for the lanes of `valid` of one
+    /// warp instruction into `out[l]`: the pre-launch snapshot patched
+    /// with any bytes this block has stored. `W` is a constant of each
+    /// typed accessor, so the copies are fixed-size moves; an access of
+    /// width <= 8 touches at most two pages. Neighbouring lanes mostly
+    /// hit the same page, so the page lookup is repeated only when it
+    /// changes.
     #[inline]
     pub(crate) fn load_lanes<const W: usize>(
         &self,
@@ -491,8 +388,9 @@ impl WriteOverlay {
         }
     }
 
-    /// [`WriteOverlay::store`] for the lanes of `valid`, in lane order,
-    /// with the page lookup repeated only when the page changes.
+    /// Stores `vals[l]` (little-endian access bytes) at `addrs[l]` for the
+    /// lanes of `valid`, in lane order, with the page lookup repeated
+    /// only when the page changes.
     #[inline]
     pub(crate) fn store_lanes<const W: usize>(
         &mut self,
@@ -564,7 +462,7 @@ thread_local! {
 }
 
 /// Per-block interpreter scratch, taken once per launch worker so the
-/// overlay table, the shared/local arenas and the executors' interners
+/// overlay table, the shared/local arenas and the recorder's interner
 /// and slot tables keep their capacity across the blocks a worker runs.
 /// Across launches it survives only on the launching thread: the block
 /// fan-out spawns its other workers afresh for every launch (see
@@ -575,8 +473,7 @@ struct BlockScratch {
     writes: WriteOverlay,
     shared: Vec<u8>,
     local: Vec<f64>,
-    acc: WarpAccumulator,
-    lock: LockstepRecorder,
+    rec: LockstepRecorder,
     san_log: WarpSanLog,
     read_log: ReadLog,
     reads: IntervalCollector,
@@ -592,16 +489,13 @@ thread_local! {
 struct PooledScratch(BlockScratch);
 
 impl PooledScratch {
-    /// Takes a worker's scratch for one launch. The warp accumulator's
-    /// slot template is dropped here, once per launch per worker: the
-    /// previous launch may have run another kernel, whose slots this
-    /// one's lanes would never replay.
+    /// Takes a worker's scratch for one launch.
     fn take() -> Self {
-        let mut scratch = SCRATCH_POOL
-            .with(|p| p.borrow_mut().pop())
-            .unwrap_or_default();
-        scratch.acc.reset_template();
-        PooledScratch(scratch)
+        PooledScratch(
+            SCRATCH_POOL
+                .with(|p| p.borrow_mut().pop())
+                .unwrap_or_default(),
+        )
     }
 }
 
@@ -621,8 +515,7 @@ impl Drop for PooledScratch {
 /// any global allocation so segment sets never collide.
 pub(crate) const LOCAL_BASE: u64 = 1 << 40;
 
-/// The message of an out-of-bounds global access, shared by both
-/// executors.
+/// The message of an out-of-bounds global access.
 pub(crate) fn global_oob_detail(buf: Buffer, idx: usize, width: usize, store: bool) -> String {
     let dir = if store { "store" } else { "load" };
     format!(
@@ -634,463 +527,6 @@ pub(crate) fn global_oob_detail(buf: Buffer, idx: usize, width: usize, store: bo
     )
 }
 
-/// Per-thread execution context: thread identity, memory access, and event
-/// recording.
-///
-/// Lane-private interpreter state is stored structure-of-arrays per warp:
-/// `local` is the whole warp's spill arena (slot-major, lane-minor, so one
-/// slot's 32 lane copies are contiguous — the same interleaving Fermi uses
-/// for local memory), zeroed once per warp instead of once per lane.
-pub struct ThreadCtx<'a> {
-    block_idx: u32,
-    thread_idx: u32,
-    threads_per_block: u32,
-    blocks: u32,
-    lane: u32,
-    warp_lanes: u32,
-    local_slots: u32,
-    global_warp_id: u64,
-    snapshot: &'a [u8],
-    init: &'a InitMask,
-    writes: &'a mut WriteOverlay,
-    shared: &'a mut [u8],
-    local: &'a mut [f64],
-    acc: &'a mut WarpAccumulator,
-    san: Option<&'a mut BlockSan>,
-    reads: Option<&'a mut IntervalCollector>,
-}
-
-impl ThreadCtx<'_> {
-    /// Index of this thread's block in the grid.
-    pub fn block_idx(&self) -> usize {
-        self.block_idx as usize
-    }
-
-    /// Thread index within the block (`threadIdx.x`).
-    pub fn thread_idx(&self) -> usize {
-        self.thread_idx as usize
-    }
-
-    /// Block size (`blockDim.x`).
-    pub fn block_dim(&self) -> usize {
-        self.threads_per_block as usize
-    }
-
-    /// Grid size in blocks (`gridDim.x`).
-    pub fn grid_dim(&self) -> usize {
-        self.blocks as usize
-    }
-
-    /// Global linear thread id (`blockIdx.x * blockDim.x + threadIdx.x`).
-    pub fn global_thread_id(&self) -> usize {
-        self.block_idx as usize * self.threads_per_block as usize + self.thread_idx as usize
-    }
-
-    /// Lane index within the warp.
-    pub fn lane(&self) -> usize {
-        self.lane as usize
-    }
-
-    // ---- arithmetic ----
-
-    /// Charges `n` double-precision floating-point operations.
-    #[track_caller]
-    #[inline]
-    pub fn flop64(&mut self, n: u32) {
-        self.acc.record_op(Location::caller(), OpClass::F64, n);
-    }
-
-    /// Charges `n` single-precision floating-point operations.
-    #[track_caller]
-    #[inline]
-    pub fn flop32(&mut self, n: u32) {
-        self.acc.record_op(Location::caller(), OpClass::F32, n);
-    }
-
-    /// Charges `n` integer/address operations.
-    #[track_caller]
-    #[inline]
-    pub fn int_op(&mut self, n: u32) {
-        self.acc.record_op(Location::caller(), OpClass::Int, n);
-    }
-
-    /// Records a data-dependent branch and returns the condition, so
-    /// kernels write `if ctx.branch(cond) { ... }`.
-    #[track_caller]
-    #[inline]
-    pub fn branch(&mut self, cond: bool) -> bool {
-        self.acc.record_branch(Location::caller(), cond);
-        cond
-    }
-
-    /// Records a block barrier (`__syncthreads()`).
-    ///
-    /// The lane executor runs a block's lanes sequentially, each to
-    /// completion, so functionally the barrier is a no-op there (the warp
-    /// executor's [`WarpCtx::sync`] orders a warp's own lanes, but not
-    /// against later warps) — but it is *semantically* load-bearing: it
-    /// separates the sync epochs the sanitizer's racecheck orders
-    /// shared-memory accesses by, and it is the event synccheck audits
-    /// for barrier divergence. Kernels with cross-lane data flow through
-    /// shared memory should be validated once under
-    /// [`LaunchOptions::sanitize`], which reports both genuine races and
-    /// barrier-ordered flows the sequential-lane model cannot reproduce
-    /// (see [`crate::sancheck`]).
-    #[track_caller]
-    #[inline]
-    pub fn sync(&mut self) {
-        let loc = Location::caller();
-        self.acc.record_sync(loc);
-        if let Some(san) = self.san.as_deref_mut() {
-            san.on_sync(loc);
-        }
-    }
-
-    // ---- global memory ----
-
-    /// Bounds-checks a global access of `width` bytes at element `idx`
-    /// of `buf` and resolves its device byte address.
-    ///
-    /// Out of bounds: panics at the kernel call site with the buffer
-    /// identity on the plain path; under [`LaunchOptions::sanitize`]
-    /// records a memcheck finding and returns `None` so the caller
-    /// absorbs the access. Either way an overrun can never silently
-    /// reach a neighboring allocation (the kernel-side mirror of the
-    /// `DeviceMemory` typed-accessor checks).
-    #[track_caller]
-    #[inline]
-    fn check_global(&mut self, buf: Buffer, idx: usize, width: usize, store: bool) -> Option<u64> {
-        let end = idx
-            .checked_mul(width)
-            .and_then(|o| o.checked_add(width))
-            .unwrap_or(usize::MAX);
-        if end <= buf.len() {
-            return Some(buf.addr() + (idx * width) as u64);
-        }
-        let loc = Location::caller();
-        let detail = global_oob_detail(buf, idx, width, store);
-        match self.san.as_deref_mut() {
-            Some(san) => {
-                let addr = buf
-                    .addr()
-                    .saturating_add((idx as u64).saturating_mul(width as u64));
-                san.oob(loc, Space::Global, addr, width, detail);
-                None
-            }
-            None => panic!("kernel {}:{}: {detail}", loc.file(), loc.line()),
-        }
-    }
-
-    /// initcheck hook for a bounds-valid global load: every byte must be
-    /// initialized by the host, an upload, or a store of this block.
-    #[inline]
-    fn check_global_init(
-        &mut self,
-        loc: &'static Location<'static>,
-        buf: Buffer,
-        addr: u64,
-        width: usize,
-    ) {
-        let Some(san) = self.san.as_deref_mut() else {
-            return;
-        };
-        let written = self.writes.written_bits(addr, width);
-        if (0..width).any(|i| written & (1 << i) == 0 && !self.init.is_init(addr as usize + i)) {
-            san.uninit_global(loc, buf, addr, width);
-        }
-    }
-
-    #[inline(always)]
-    fn read_bytes<const W: usize>(&self, addr: u64) -> [u8; W] {
-        self.writes.load(self.snapshot, addr)
-    }
-
-    /// Dataflow hook for a bounds-valid global load: records the byte
-    /// runs this block reads from *outside* its own stores — exactly
-    /// the launch's RAW demand on earlier producers. Bytes the block
-    /// already stored are read-your-writes, not cross-launch flow.
-    #[inline]
-    fn record_external_read(&mut self, addr: u64, width: usize) {
-        let Some(reads) = self.reads.as_deref_mut() else {
-            return;
-        };
-        let written = self.writes.written_bits(addr, width);
-        reads.record_mask(addr, !written & low_bits(width));
-    }
-
-    /// Loads an `f64` from global memory at element index `idx` of `buf`.
-    #[track_caller]
-    #[inline]
-    pub fn ld_f64(&mut self, buf: Buffer, idx: usize) -> f64 {
-        let Some(addr) = self.check_global(buf, idx, 8, false) else {
-            return 0.0;
-        };
-        let loc = Location::caller();
-        self.acc.record_mem(loc, Space::Global, false, addr, 8);
-        self.check_global_init(loc, buf, addr, 8);
-        self.record_external_read(addr, 8);
-        f64::from_le_bytes(self.read_bytes(addr))
-    }
-
-    /// Stores an `f64` to global memory at element index `idx` of `buf`.
-    #[track_caller]
-    #[inline]
-    pub fn st_f64(&mut self, buf: Buffer, idx: usize, v: f64) {
-        let Some(addr) = self.check_global(buf, idx, 8, true) else {
-            return;
-        };
-        self.acc
-            .record_mem(Location::caller(), Space::Global, true, addr, 8);
-        self.writes.store(addr, v.to_le_bytes());
-    }
-
-    /// Loads an `f32` from global memory.
-    #[track_caller]
-    #[inline]
-    pub fn ld_f32(&mut self, buf: Buffer, idx: usize) -> f32 {
-        let Some(addr) = self.check_global(buf, idx, 4, false) else {
-            return 0.0;
-        };
-        let loc = Location::caller();
-        self.acc.record_mem(loc, Space::Global, false, addr, 4);
-        self.check_global_init(loc, buf, addr, 4);
-        self.record_external_read(addr, 4);
-        f32::from_le_bytes(self.read_bytes(addr))
-    }
-
-    /// Stores an `f32` to global memory.
-    #[track_caller]
-    #[inline]
-    pub fn st_f32(&mut self, buf: Buffer, idx: usize, v: f32) {
-        let Some(addr) = self.check_global(buf, idx, 4, true) else {
-            return;
-        };
-        self.acc
-            .record_mem(Location::caller(), Space::Global, true, addr, 4);
-        self.writes.store(addr, v.to_le_bytes());
-    }
-
-    /// Loads a `u8` from global memory.
-    #[track_caller]
-    #[inline]
-    pub fn ld_u8(&mut self, buf: Buffer, idx: usize) -> u8 {
-        let Some(addr) = self.check_global(buf, idx, 1, false) else {
-            return 0;
-        };
-        let loc = Location::caller();
-        self.acc.record_mem(loc, Space::Global, false, addr, 1);
-        self.check_global_init(loc, buf, addr, 1);
-        self.record_external_read(addr, 1);
-        let [v] = self.read_bytes(addr);
-        v
-    }
-
-    /// Stores a `u8` to global memory.
-    #[track_caller]
-    #[inline]
-    pub fn st_u8(&mut self, buf: Buffer, idx: usize, v: u8) {
-        let Some(addr) = self.check_global(buf, idx, 1, true) else {
-            return;
-        };
-        self.acc
-            .record_mem(Location::caller(), Space::Global, true, addr, 1);
-        self.writes.store(addr, [v]);
-    }
-
-    // ---- local (spill) memory ----
-
-    /// Bounds-checks a local (spill) slot access: panic on the plain
-    /// path, memcheck finding + absorbed access under sanitize.
-    #[track_caller]
-    #[inline]
-    fn check_local(&mut self, slot: usize, store: bool) -> bool {
-        if slot < self.local_slots as usize {
-            return true;
-        }
-        let dir = if store { "store" } else { "load" };
-        let loc = Location::caller();
-        let detail = format!(
-            "local {dir} of slot {slot} is out of bounds for the kernel's {} declared f64 \
-             spill slots",
-            self.local_slots
-        );
-        match self.san.as_deref_mut() {
-            Some(san) => {
-                san.oob(loc, Space::Local, slot as u64, 8, detail);
-                false
-            }
-            None => panic!("kernel {}:{}: {detail}", loc.file(), loc.line()),
-        }
-    }
-
-    #[inline]
-    fn local_addr(&self, slot: usize) -> u64 {
-        // Fermi interleaves local memory so that the 32 lanes' copies of
-        // one slot are contiguous: uniform slot accesses coalesce. The
-        // product stays far below u64::MAX: global_warp_id < 2^37 (u32
-        // blocks x <=32 warps/block), slots and lane are small, so the
-        // address tops out around 2^50 above LOCAL_BASE.
-        let slots = self.local_slots as u64;
-        LOCAL_BASE + ((self.global_warp_id * slots + slot as u64) * 32 + self.lane as u64) * 8
-    }
-
-    /// The warp-SoA arena index of this lane's copy of `slot`.
-    #[inline]
-    fn local_ix(&self, slot: usize) -> usize {
-        slot * self.warp_lanes as usize + self.lane as usize
-    }
-
-    /// Loads a per-thread local (spill) `f64` slot.
-    #[track_caller]
-    #[inline]
-    pub fn ld_local(&mut self, slot: usize) -> f64 {
-        if !self.check_local(slot, false) {
-            return 0.0;
-        }
-        let addr = self.local_addr(slot);
-        self.acc
-            .record_mem(Location::caller(), Space::Local, false, addr, 8);
-        self.local[self.local_ix(slot)]
-    }
-
-    /// Stores a per-thread local (spill) `f64` slot.
-    #[track_caller]
-    #[inline]
-    pub fn st_local(&mut self, slot: usize, v: f64) {
-        if !self.check_local(slot, true) {
-            return;
-        }
-        let addr = self.local_addr(slot);
-        self.acc
-            .record_mem(Location::caller(), Space::Local, true, addr, 8);
-        let ix = self.local_ix(slot);
-        self.local[ix] = v;
-    }
-
-    // ---- shared memory ----
-
-    /// Bounds-checks a shared-memory access against the block's declared
-    /// allocation: panic on the plain path, memcheck finding + absorbed
-    /// access under sanitize.
-    #[track_caller]
-    #[inline]
-    fn check_shared(&mut self, off: usize, width: usize, store: bool) -> bool {
-        if off
-            .checked_add(width)
-            .is_some_and(|end| end <= self.shared.len())
-        {
-            return true;
-        }
-        let dir = if store { "store" } else { "load" };
-        let loc = Location::caller();
-        let detail = format!(
-            "shared {dir} of {width} B at byte offset {off} exceeds the block's {} B shared \
-             allocation",
-            self.shared.len()
-        );
-        match self.san.as_deref_mut() {
-            Some(san) => {
-                san.oob(loc, Space::Shared, off as u64, width, detail);
-                false
-            }
-            None => panic!("kernel {}:{}: {detail}", loc.file(), loc.line()),
-        }
-    }
-
-    /// Loads an `f64` from block shared memory at byte offset `off`.
-    #[track_caller]
-    #[inline]
-    pub fn sh_ld_f64(&mut self, off: usize) -> f64 {
-        if !self.check_shared(off, 8, false) {
-            return 0.0;
-        }
-        let loc = Location::caller();
-        self.acc
-            .record_mem(loc, Space::Shared, false, off as u64, 8);
-        if let Some(san) = self.san.as_deref_mut() {
-            san.shared_read(loc, off, 8);
-        }
-        f64::from_le_bytes(self.shared[off..off + 8].try_into().expect("8 bytes"))
-    }
-
-    /// Stores an `f64` to block shared memory at byte offset `off`.
-    #[track_caller]
-    #[inline]
-    pub fn sh_st_f64(&mut self, off: usize, v: f64) {
-        if !self.check_shared(off, 8, true) {
-            return;
-        }
-        let loc = Location::caller();
-        self.acc.record_mem(loc, Space::Shared, true, off as u64, 8);
-        if let Some(san) = self.san.as_deref_mut() {
-            san.shared_write(loc, off, 8);
-        }
-        self.shared[off..off + 8].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Loads an `f32` from block shared memory at byte offset `off`.
-    #[track_caller]
-    #[inline]
-    pub fn sh_ld_f32(&mut self, off: usize) -> f32 {
-        if !self.check_shared(off, 4, false) {
-            return 0.0;
-        }
-        let loc = Location::caller();
-        self.acc
-            .record_mem(loc, Space::Shared, false, off as u64, 4);
-        if let Some(san) = self.san.as_deref_mut() {
-            san.shared_read(loc, off, 4);
-        }
-        f32::from_le_bytes(self.shared[off..off + 4].try_into().expect("4 bytes"))
-    }
-
-    /// Stores an `f32` to block shared memory at byte offset `off`.
-    #[track_caller]
-    #[inline]
-    pub fn sh_st_f32(&mut self, off: usize, v: f32) {
-        if !self.check_shared(off, 4, true) {
-            return;
-        }
-        let loc = Location::caller();
-        self.acc.record_mem(loc, Space::Shared, true, off as u64, 4);
-        if let Some(san) = self.san.as_deref_mut() {
-            san.shared_write(loc, off, 4);
-        }
-        self.shared[off..off + 4].copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Loads a `u8` from block shared memory.
-    #[track_caller]
-    #[inline]
-    pub fn sh_ld_u8(&mut self, off: usize) -> u8 {
-        if !self.check_shared(off, 1, false) {
-            return 0;
-        }
-        let loc = Location::caller();
-        self.acc
-            .record_mem(loc, Space::Shared, false, off as u64, 1);
-        if let Some(san) = self.san.as_deref_mut() {
-            san.shared_read(loc, off, 1);
-        }
-        self.shared[off]
-    }
-
-    /// Stores a `u8` to block shared memory.
-    #[track_caller]
-    #[inline]
-    pub fn sh_st_u8(&mut self, off: usize, v: u8) {
-        if !self.check_shared(off, 1, true) {
-            return;
-        }
-        let loc = Location::caller();
-        self.acc.record_mem(loc, Space::Shared, true, off as u64, 1);
-        if let Some(san) = self.san.as_deref_mut() {
-            san.shared_write(loc, off, 1);
-        }
-        self.shared[off] = v;
-    }
-}
-
 /// Launches `kernel` over `lc` on the device, returning profiler counters,
 /// occupancy, and a modelled execution time.
 ///
@@ -1100,11 +536,11 @@ impl ThreadCtx<'_> {
 /// # Errors
 /// [`LaunchError::InvalidConfig`] for malformed grids,
 /// [`LaunchError::ResourcesExceeded`] when no block can be resident.
-pub fn launch<'k>(
+pub fn launch(
     mem: &mut DeviceMemory,
     cfg: &GpuConfig,
     lc: LaunchConfig,
-    kernel: impl Into<KernelRef<'k>>,
+    kernel: &dyn WarpKernel,
 ) -> Result<LaunchReport, LaunchError> {
     launch_with(mem, cfg, lc, kernel, LaunchOptions::default())
 }
@@ -1114,14 +550,13 @@ pub fn launch<'k>(
 ///
 /// # Errors
 /// Same as [`launch`].
-pub fn launch_with<'k>(
+pub fn launch_with(
     mem: &mut DeviceMemory,
     cfg: &GpuConfig,
     lc: LaunchConfig,
-    kernel: impl Into<KernelRef<'k>>,
+    kernel: &dyn WarpKernel,
     opts: LaunchOptions,
 ) -> Result<LaunchReport, LaunchError> {
-    let kernel = kernel.into();
     Ok(BatchLauncher::new(cfg, lc, kernel.resources())?.launch(mem, cfg, kernel, opts))
 }
 
@@ -1152,7 +587,8 @@ impl BatchLauncher {
     /// declaring `res`, returning a reusable plan.
     ///
     /// # Errors
-    /// [`LaunchError::InvalidConfig`] for malformed grids,
+    /// [`LaunchError::InvalidConfig`] for malformed grids or a warp size
+    /// other than [`WARP_LANES`],
     /// [`LaunchError::ResourcesExceeded`] when no block can be resident.
     pub fn new(
         cfg: &GpuConfig,
@@ -1163,6 +599,12 @@ impl BatchLauncher {
             return Err(LaunchError::InvalidConfig(format!(
                 "grid {}x{} has a zero dimension",
                 lc.blocks, lc.threads_per_block
+            )));
+        }
+        if cfg.warp_size as usize != WARP_LANES {
+            return Err(LaunchError::InvalidConfig(format!(
+                "warp size {} is not supported: the simulator runs {WARP_LANES}-lane warps",
+                cfg.warp_size
             )));
         }
         if lc.threads_per_block > cfg.max_threads_per_block {
@@ -1203,14 +645,13 @@ impl BatchLauncher {
 
     /// Runs one pre-validated launch. `kernel` must declare the same
     /// [`KernelResources`] the plan was built with.
-    pub fn launch<'k>(
+    pub fn launch(
         &self,
         mem: &mut DeviceMemory,
         cfg: &GpuConfig,
-        kernel: impl Into<KernelRef<'k>>,
+        kernel: &dyn WarpKernel,
         opts: LaunchOptions,
     ) -> LaunchReport {
-        let kernel = kernel.into();
         debug_assert_eq!(
             kernel.resources(),
             self.res,
@@ -1235,17 +676,11 @@ fn launch_prepared(
     mem: &mut DeviceMemory,
     cfg: &GpuConfig,
     plan: &BatchLauncher,
-    kernel: KernelRef<'_>,
+    kernel: &dyn WarpKernel,
     opts: LaunchOptions,
 ) -> LaunchReport {
     let lc = plan.lc;
     let occ = plan.occ;
-    if let KernelRef::Warp(_) = kernel {
-        assert_eq!(
-            cfg.warp_size as usize, WARP_LANES,
-            "the warp executor runs {WARP_LANES}-lane warps"
-        );
-    }
     let snapshot: &[u8] = mem.raw();
     let init: &InitMask = mem.init_mask();
     let results: Vec<BlockResult> = (0..lc.blocks)
@@ -1313,13 +748,13 @@ fn launch_prepared(
 }
 
 /// Runs block `b` of the launch on one worker's scratch: warp after
-/// warp, on the executor the kernel's type picks.
+/// warp, each warp's body once over its lanes.
 #[allow(clippy::too_many_arguments)]
 fn run_block(
     scratch: &mut BlockScratch,
     cfg: &GpuConfig,
     plan: &BatchLauncher,
-    kernel: KernelRef<'_>,
+    kernel: &dyn WarpKernel,
     opts: LaunchOptions,
     snapshot: &[u8],
     init: &InitMask,
@@ -1327,14 +762,13 @@ fn run_block(
 ) -> BlockResult {
     let (lc, res, occ) = (plan.lc, plan.res, plan.occ);
     let tpb = lc.threads_per_block;
-    let warps_per_block = tpb.div_ceil(cfg.warp_size) as u64;
-    let local_arena = res.local_f64_slots * cfg.warp_size as usize;
+    let warps_per_block = tpb.div_ceil(WARP_LANES as u32);
+    let local_arena = res.local_f64_slots * WARP_LANES;
     let BlockScratch {
         writes,
         shared,
         local,
-        acc,
-        lock,
+        rec,
         san_log,
         read_log,
         reads,
@@ -1344,16 +778,8 @@ fn run_block(
     if opts.dataflow {
         reads.clear();
     }
-    match kernel {
-        KernelRef::Lane(_) => {
-            acc.set_profiling(opts.profile_sites);
-            acc.set_geometry(cfg);
-        }
-        KernelRef::Warp(_) => {
-            lock.set_profiling(opts.profile_sites);
-            lock.set_geometry(cfg);
-        }
-    }
+    rec.set_profiling(opts.profile_sites);
+    rec.set_geometry(cfg);
     let mut stats = KernelStats::default();
     let mut san = opts
         .sanitize
@@ -1370,79 +796,40 @@ fn run_block(
     } else {
         None
     };
-    let mut w = 0u32;
-    while w * cfg.warp_size < tpb {
-        let first = w * cfg.warp_size;
-        let last = (first + cfg.warp_size).min(tpb);
-        let global_warp_id = b as u64 * warps_per_block + w as u64;
-        // The warp's whole spill arena is zeroed once here instead of
-        // per lane; lanes index it slot-major.
+    for w in 0..warps_per_block {
+        let first = w * WARP_LANES as u32;
+        let lanes = (tpb - first).min(WARP_LANES as u32);
+        let global_warp_id = b as u64 * warps_per_block as u64 + w as u64;
+        // Lanes index the warp's spill arena slot-major.
         local.clear();
         local.resize(local_arena, 0.0);
-        match kernel {
-            KernelRef::Lane(k) => {
-                for t in first..last {
-                    acc.begin_lane();
-                    if let Some(s) = san.as_mut() {
-                        s.begin_thread(t);
-                    }
-                    let mut ctx = ThreadCtx {
-                        block_idx: b,
-                        thread_idx: t,
-                        threads_per_block: tpb,
-                        blocks: lc.blocks,
-                        lane: t - first,
-                        warp_lanes: cfg.warp_size,
-                        local_slots: plan.local_slots,
-                        global_warp_id,
-                        snapshot,
-                        init,
-                        writes: &mut *writes,
-                        shared: shared.as_mut_slice(),
-                        local: local.as_mut_slice(),
-                        acc: &mut *acc,
-                        san: san.as_mut(),
-                        reads: opts.dataflow.then_some(&mut *reads),
-                    };
-                    k.run(&mut ctx);
-                }
-                acc.end_warp_cached(cfg, &mut stats, cache.as_mut());
-            }
-            KernelRef::Warp(k) => {
-                let lanes = last - first;
-                let mut ctx = WarpCtx {
-                    block_idx: b,
-                    first_thread: first,
-                    threads_per_block: tpb,
-                    local_slots: plan.local_slots,
-                    global_warp_id,
-                    active: low_bits(lanes as usize) as Mask,
-                    snapshot,
-                    init,
-                    writes: &mut *writes,
-                    shared: shared.as_mut_slice(),
-                    local: local.as_mut_slice(),
-                    rec: &mut *lock,
-                    san: san.is_some().then_some(&mut *san_log),
-                    reads: opts.dataflow.then_some(&mut *read_log),
-                };
-                k.run_warp(&mut ctx);
-                lock.end_warp(cfg, &mut stats, cache.as_mut(), lanes);
-                if let Some(s) = san.as_mut() {
-                    san_log.replay(s, first, lanes);
-                }
-                if opts.dataflow {
-                    read_log.replay(reads);
-                }
-            }
+        let mut ctx = WarpCtx {
+            block_idx: b,
+            first_thread: first,
+            threads_per_block: tpb,
+            local_slots: plan.local_slots,
+            global_warp_id,
+            active: low_bits(lanes as usize) as Mask,
+            snapshot,
+            init,
+            writes: &mut *writes,
+            shared: shared.as_mut_slice(),
+            local: local.as_mut_slice(),
+            rec: &mut *rec,
+            san: san.is_some().then_some(&mut *san_log),
+            reads: opts.dataflow.then_some(&mut *read_log),
+        };
+        kernel.run_warp(&mut ctx);
+        rec.end_warp(cfg, &mut stats, cache.as_mut(), lanes);
+        if let Some(s) = san.as_mut() {
+            san_log.replay(s, first, lanes);
         }
-        w += 1;
+        if opts.dataflow {
+            read_log.replay(reads);
+        }
     }
     stats.blocks = 1;
-    let sites = match kernel {
-        KernelRef::Lane(_) => acc.take_site_profile(),
-        KernelRef::Warp(_) => lock.take_site_profile(),
-    };
+    let sites = rec.take_site_profile();
     let block_reads = opts.dataflow.then(|| reads.take_set());
     (
         writes.take_pages(),
@@ -1503,6 +890,16 @@ fn publish_split(mem: &mut DeviceMemory, blocks: &[Vec<OverlayPage>], parts: usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lockstep::{lanes, mask_of};
+
+    /// A footprint of `regs` registers, `shared` bytes and `local` slots.
+    fn small(regs: u32, shared: usize, local: usize) -> KernelResources {
+        KernelResources {
+            regs_per_thread: regs,
+            shared_bytes_per_block: shared,
+            local_f64_slots: local,
+        }
+    }
 
     /// Doubles every f64 element: out[i] = 2 * in[i].
     struct DoubleKernel {
@@ -1511,23 +908,19 @@ mod tests {
         n: usize,
     }
 
-    impl Kernel for DoubleKernel {
+    impl WarpKernel for DoubleKernel {
         fn resources(&self) -> KernelResources {
-            KernelResources {
-                regs_per_thread: 16,
-                shared_bytes_per_block: 0,
-                local_f64_slots: 0,
-            }
+            small(16, 0, 0)
         }
 
-        fn run(&self, ctx: &mut ThreadCtx<'_>) {
-            let i = ctx.global_thread_id();
-            if i >= self.n {
+        fn run_warp(&self, w: &mut WarpCtx<'_>) {
+            let i = w.global_thread_id();
+            if !w.keep(mask_of(|l| i[l] < self.n)) {
                 return;
             }
-            let v = ctx.ld_f64(self.input, i);
-            ctx.flop64(1);
-            ctx.st_f64(self.output, i, 2.0 * v);
+            let v = w.ld_f64(self.input, &i);
+            w.flop64(1);
+            w.st_f64(self.output, &i, &lanes(|l| 2.0 * v[l]));
         }
     }
 
@@ -1574,19 +967,15 @@ mod tests {
         struct Rw {
             buf: Buffer,
         }
-        impl Kernel for Rw {
+        impl WarpKernel for Rw {
             fn resources(&self) -> KernelResources {
-                KernelResources {
-                    regs_per_thread: 8,
-                    shared_bytes_per_block: 0,
-                    local_f64_slots: 0,
-                }
+                small(8, 0, 0)
             }
-            fn run(&self, ctx: &mut ThreadCtx<'_>) {
-                let i = ctx.global_thread_id();
-                ctx.st_f64(self.buf, i, 41.0);
-                let v = ctx.ld_f64(self.buf, i);
-                ctx.st_f64(self.buf, i, v + 1.0);
+            fn run_warp(&self, w: &mut WarpCtx<'_>) {
+                let i = w.global_thread_id();
+                w.st_f64(self.buf, &i, &[41.0; WARP_LANES]);
+                let v = w.ld_f64(self.buf, &i);
+                w.st_f64(self.buf, &i, &lanes(|l| v[l] + 1.0));
             }
         }
         let mut mem = DeviceMemory::new(1 << 20);
@@ -1655,18 +1044,37 @@ mod tests {
         assert!(matches!(err, Err(LaunchError::InvalidConfig(_))));
     }
 
+    /// `GpuConfig`'s fields are public, so a caller can ask for warps of
+    /// another width; the launch refuses the config instead of panicking.
+    #[test]
+    fn warp_size_other_than_32_is_rejected() {
+        let mut mem = DeviceMemory::new(1 << 20);
+        let buf = mem.alloc_array::<f64>(16).unwrap();
+        let k = DoubleKernel {
+            input: buf,
+            output: buf,
+            n: 16,
+        };
+        let cfg = GpuConfig {
+            warp_size: 16,
+            ..GpuConfig::default()
+        };
+        let err = launch(&mut mem, &cfg, LaunchConfig::cover(16, 16), &k).unwrap_err();
+        match err {
+            LaunchError::InvalidConfig(m) => assert!(m.contains("warp size 16"), "{m}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        assert!(BatchLauncher::new(&cfg, LaunchConfig::cover(16, 16), k.resources()).is_err());
+    }
+
     #[test]
     fn excessive_shared_memory_rejected() {
         struct Fat;
-        impl Kernel for Fat {
+        impl WarpKernel for Fat {
             fn resources(&self) -> KernelResources {
-                KernelResources {
-                    regs_per_thread: 8,
-                    shared_bytes_per_block: 1 << 20,
-                    local_f64_slots: 0,
-                }
+                small(8, 1 << 20, 0)
             }
-            fn run(&self, _ctx: &mut ThreadCtx<'_>) {}
+            fn run_warp(&self, _w: &mut WarpCtx<'_>) {}
         }
         let mut mem = DeviceMemory::new(1 << 20);
         let cfg = GpuConfig::default();
@@ -1688,23 +1096,22 @@ mod tests {
         struct Diverge {
             out: Buffer,
         }
-        impl Kernel for Diverge {
+        impl WarpKernel for Diverge {
             fn resources(&self) -> KernelResources {
-                KernelResources {
-                    regs_per_thread: 8,
-                    shared_bytes_per_block: 0,
-                    local_f64_slots: 0,
-                }
+                small(8, 0, 0)
             }
-            fn run(&self, ctx: &mut ThreadCtx<'_>) {
-                let i = ctx.global_thread_id();
-                if ctx.branch(i.is_multiple_of(2)) {
-                    ctx.flop64(10);
-                    ctx.st_f64(self.out, i, 1.0);
-                } else {
-                    ctx.flop64(10);
-                    ctx.st_f64(self.out, i, 2.0);
-                }
+            fn run_warp(&self, w: &mut WarpCtx<'_>) {
+                let i = w.global_thread_id();
+                let even = w.branch(mask_of(|l| i[l].is_multiple_of(2)));
+                let odd = w.active() & !even;
+                w.when(even, |w| {
+                    w.flop64(10);
+                    w.st_f64(self.out, &i, &[1.0; WARP_LANES]);
+                });
+                w.when(odd, |w| {
+                    w.flop64(10);
+                    w.st_f64(self.out, &i, &[2.0; WARP_LANES]);
+                });
             }
         }
         let mut mem = DeviceMemory::new(1 << 20);
@@ -1734,21 +1141,18 @@ mod tests {
         struct Stage {
             out: Buffer,
         }
-        impl Kernel for Stage {
+        impl WarpKernel for Stage {
             fn resources(&self) -> KernelResources {
-                KernelResources {
-                    regs_per_thread: 8,
-                    shared_bytes_per_block: 128 * 8,
-                    local_f64_slots: 0,
-                }
+                small(8, 128 * 8, 0)
             }
-            fn run(&self, ctx: &mut ThreadCtx<'_>) {
-                let t = ctx.thread_idx();
-                let g = ctx.global_thread_id();
-                ctx.sh_st_f64(t * 8, g as f64 * 3.0);
-                ctx.sync();
-                let v = ctx.sh_ld_f64(t * 8);
-                ctx.st_f64(self.out, g, v);
+            fn run_warp(&self, w: &mut WarpCtx<'_>) {
+                let t = w.thread_idx();
+                let g = w.global_thread_id();
+                let off = lanes(|l| t[l] * 8);
+                w.sh_st_f64(&off, &lanes(|l| g[l] as f64 * 3.0));
+                w.sync();
+                let v = w.sh_ld_f64(&off);
+                w.st_f64(self.out, &g, &v);
             }
         }
         let mut mem = DeviceMemory::new(1 << 20);
@@ -1776,19 +1180,15 @@ mod tests {
         struct Spill {
             out: Buffer,
         }
-        impl Kernel for Spill {
+        impl WarpKernel for Spill {
             fn resources(&self) -> KernelResources {
-                KernelResources {
-                    regs_per_thread: 8,
-                    shared_bytes_per_block: 0,
-                    local_f64_slots: 4,
-                }
+                small(8, 0, 4)
             }
-            fn run(&self, ctx: &mut ThreadCtx<'_>) {
-                let g = ctx.global_thread_id();
-                ctx.st_local(2, g as f64);
-                let v = ctx.ld_local(2);
-                ctx.st_f64(self.out, g, v);
+            fn run_warp(&self, w: &mut WarpCtx<'_>) {
+                let g = w.global_thread_id();
+                w.st_local(&[2; WARP_LANES], &lanes(|l| g[l] as f64));
+                let v = w.ld_local(&[2; WARP_LANES]);
+                w.st_f64(self.out, &g, &v);
             }
         }
         let mut mem = DeviceMemory::new(1 << 20);
@@ -1865,24 +1265,20 @@ mod tests {
             out32: Buffer,
             out8: Buffer,
         }
-        impl Kernel for MixedWidth {
+        impl WarpKernel for MixedWidth {
             fn resources(&self) -> KernelResources {
-                KernelResources {
-                    regs_per_thread: 8,
-                    shared_bytes_per_block: 0,
-                    local_f64_slots: 0,
-                }
+                small(8, 0, 0)
             }
-            fn run(&self, ctx: &mut ThreadCtx<'_>) {
-                let i = ctx.global_thread_id();
+            fn run_warp(&self, w: &mut WarpCtx<'_>) {
+                let i = w.global_thread_id();
                 // Store a full f64 whose byte pattern is distinguishable,
                 // then immediately read it back at narrower widths.
                 let v = f64::from_le_bytes([1, 2, 3, 4, 5, 6, 7, 8]);
-                ctx.st_f64(self.data, i, v);
-                let lo = ctx.ld_f32(self.data, 2 * i); // low 4 bytes
-                let b6 = ctx.ld_u8(self.data, 8 * i + 6); // byte 6
-                ctx.st_f32(self.out32, i, lo);
-                ctx.st_u8(self.out8, i, b6);
+                w.st_f64(self.data, &i, &[v; WARP_LANES]);
+                let lo = w.ld_f32(self.data, &lanes(|l| 2 * i[l])); // low 4 bytes
+                let b6 = w.ld_u8(self.data, &lanes(|l| 8 * i[l] + 6)); // byte 6
+                w.st_f32(self.out32, &i, &lo);
+                w.st_u8(self.out8, &i, &b6);
             }
         }
         let mut mem = DeviceMemory::new(1 << 20);
@@ -1913,19 +1309,15 @@ mod tests {
             data: Buffer,
             out: Buffer,
         }
-        impl Kernel for Compose {
+        impl WarpKernel for Compose {
             fn resources(&self) -> KernelResources {
-                KernelResources {
-                    regs_per_thread: 8,
-                    shared_bytes_per_block: 0,
-                    local_f64_slots: 0,
-                }
+                small(8, 0, 0)
             }
-            fn run(&self, ctx: &mut ThreadCtx<'_>) {
-                let i = ctx.global_thread_id();
-                ctx.st_u8(self.data, 8 * i, 0xAA); // patch one byte
-                let v = ctx.ld_f64(self.data, i); // rest from snapshot
-                ctx.st_f64(self.out, i, v);
+            fn run_warp(&self, w: &mut WarpCtx<'_>) {
+                let i = w.global_thread_id();
+                w.st_u8(self.data, &lanes(|l| 8 * i[l]), &[0xAA; WARP_LANES]); // patch one byte
+                let v = w.ld_f64(self.data, &i); // rest from snapshot
+                w.st_f64(self.out, &i, &v);
             }
         }
         let mut mem = DeviceMemory::new(1 << 20);
@@ -1957,16 +1349,13 @@ mod tests {
         struct Oob {
             buf: Buffer,
         }
-        impl Kernel for Oob {
+        impl WarpKernel for Oob {
             fn resources(&self) -> KernelResources {
-                KernelResources {
-                    regs_per_thread: 8,
-                    shared_bytes_per_block: 0,
-                    local_f64_slots: 0,
-                }
+                small(8, 0, 0)
             }
-            fn run(&self, ctx: &mut ThreadCtx<'_>) {
-                ctx.st_f64(self.buf, ctx.global_thread_id() + 4, 1.0);
+            fn run_warp(&self, w: &mut WarpCtx<'_>) {
+                let i = w.global_thread_id();
+                w.st_f64(self.buf, &lanes(|l| i[l] + 4), &[1.0; WARP_LANES]);
             }
         }
         let mut mem = DeviceMemory::new(1 << 20);
@@ -1994,18 +1383,16 @@ mod tests {
             buf: Buffer,
             out: Buffer,
         }
-        impl Kernel for Oob {
+        impl WarpKernel for Oob {
             fn resources(&self) -> KernelResources {
-                KernelResources {
-                    regs_per_thread: 8,
-                    shared_bytes_per_block: 0,
-                    local_f64_slots: 0,
-                }
+                small(8, 0, 0)
             }
-            fn run(&self, ctx: &mut ThreadCtx<'_>) {
-                let i = ctx.global_thread_id();
-                ctx.st_f64(self.buf, i + 4, 1.0); // OOB for every thread
-                ctx.st_f64(self.out, i, 2.0); // rest of the kernel still runs
+            fn run_warp(&self, w: &mut WarpCtx<'_>) {
+                let i = w.global_thread_id();
+                // Out of bounds for every thread.
+                w.st_f64(self.buf, &lanes(|l| i[l] + 4), &[1.0; WARP_LANES]);
+                // The rest of the kernel still runs.
+                w.st_f64(self.out, &i, &[2.0; WARP_LANES]);
             }
         }
         let mut mem = DeviceMemory::new(1 << 20);
@@ -2127,27 +1514,24 @@ mod tests {
             buf: Buffer,
             loads: Vec<(usize, usize)>,
         }
-        impl Kernel for PartialCell {
+        impl WarpKernel for PartialCell {
             fn resources(&self) -> KernelResources {
-                KernelResources {
-                    regs_per_thread: 8,
-                    shared_bytes_per_block: 0,
-                    local_f64_slots: 0,
-                }
+                small(8, 0, 0)
             }
-            fn run(&self, ctx: &mut ThreadCtx<'_>) {
-                ctx.st_u8(self.buf, 9, 1);
-                ctx.st_f32(self.buf, 3, 2.0);
+            fn run_warp(&self, w: &mut WarpCtx<'_>) {
+                w.st_u8(self.buf, &[9; WARP_LANES], &[1; WARP_LANES]);
+                w.st_f32(self.buf, &[3; WARP_LANES], &[2.0; WARP_LANES]);
                 for &(width, idx) in &self.loads {
+                    let idx = [idx; WARP_LANES];
                     match width {
                         1 => {
-                            ctx.ld_u8(self.buf, idx);
+                            w.ld_u8(self.buf, &idx);
                         }
                         4 => {
-                            ctx.ld_f32(self.buf, idx);
+                            w.ld_f32(self.buf, &idx);
                         }
                         _ => {
-                            ctx.ld_f64(self.buf, idx);
+                            w.ld_f64(self.buf, &idx);
                         }
                     }
                 }
@@ -2228,6 +1612,7 @@ mod tests {
 #[cfg(test)]
 mod determinism_tests {
     use super::*;
+    use crate::lockstep::{lanes, mask_of};
 
     /// Launches are bit-deterministic: same inputs, same stats, same
     /// memory — across the rayon-parallel block execution.
@@ -2238,7 +1623,7 @@ mod determinism_tests {
             b: Buffer,
             n: usize,
         }
-        impl Kernel for Mixed {
+        impl WarpKernel for Mixed {
             fn resources(&self) -> KernelResources {
                 KernelResources {
                     regs_per_thread: 16,
@@ -2246,23 +1631,26 @@ mod determinism_tests {
                     local_f64_slots: 2,
                 }
             }
-            fn run(&self, ctx: &mut ThreadCtx<'_>) {
-                let i = ctx.global_thread_id();
-                if !ctx.branch(i < self.n) {
+            fn run_warp(&self, w: &mut WarpCtx<'_>) {
+                let i = w.global_thread_id();
+                let inside = w.branch(mask_of(|l| i[l] < self.n));
+                if !w.keep(inside) {
                     return;
                 }
-                let v = ctx.ld_f64(self.a, i);
-                ctx.st_local(0, v * 2.0);
-                ctx.flop64(3);
-                let t = ctx.thread_idx() % 8;
-                ctx.sh_st_f64(t * 8, v);
-                let w = ctx.sh_ld_f64(t * 8);
-                if ctx.branch(i.is_multiple_of(3)) {
-                    let spilled = ctx.ld_local(0);
-                    ctx.st_f64(self.b, i, w + spilled);
-                } else {
-                    ctx.st_f64(self.b, i, w);
-                }
+                let v = w.ld_f64(self.a, &i);
+                w.st_local(&[0; WARP_LANES], &lanes(|l| v[l] * 2.0));
+                w.flop64(3);
+                let t = w.thread_idx();
+                let off = lanes(|l| t[l] % 8 * 8);
+                w.sh_st_f64(&off, &v);
+                let s = w.sh_ld_f64(&off);
+                let third = w.branch(mask_of(|l| i[l].is_multiple_of(3)));
+                let rest = w.active() & !third;
+                w.when(third, |w| {
+                    let spilled = w.ld_local(&[0; WARP_LANES]);
+                    w.st_f64(self.b, &i, &lanes(|l| s[l] + spilled[l]));
+                });
+                w.when(rest, |w| w.st_f64(self.b, &i, &s));
             }
         }
         let run = || {
@@ -2287,6 +1675,7 @@ mod determinism_tests {
 #[cfg(test)]
 mod overlay_tests {
     use super::*;
+    use crate::lockstep::{lanes, mask_of};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -2326,29 +1715,46 @@ mod overlay_tests {
         )
     }
 
+    /// A store of `val`'s low `W` bytes at `addr` on lane 0, as the
+    /// typed `st_*` accessors issue it.
+    fn store_one<const W: usize>(overlay: &mut WriteOverlay, addr: u64, val: u64) {
+        let mut addrs = [0; WARP_LANES];
+        let mut vals = [[0; W]; WARP_LANES];
+        addrs[0] = addr;
+        vals[0].copy_from_slice(&val.to_le_bytes()[..W]);
+        overlay.store_lanes(1, &addrs, &vals);
+    }
+
     /// Stores the low `width` bytes of `val` through the accessor of
-    /// that constant width, as the typed `st_*` accessors do.
+    /// that constant width.
     fn store_width(overlay: &mut WriteOverlay, addr: u64, width: usize, val: u64) {
-        let b = val.to_le_bytes();
         match width {
-            1 => overlay.store(addr, [b[0]]),
-            2 => overlay.store(addr, [b[0], b[1]]),
-            4 => overlay.store(addr, [b[0], b[1], b[2], b[3]]),
-            _ => overlay.store(addr, b),
+            1 => store_one::<1>(overlay, addr, val),
+            2 => store_one::<2>(overlay, addr, val),
+            4 => store_one::<4>(overlay, addr, val),
+            _ => store_one::<8>(overlay, addr, val),
         }
     }
 
-    /// Loads `width` bytes through the accessor of that constant width,
-    /// zero-extended.
+    /// A load of `W` bytes at `addr` on lane 0, zero-extended.
+    fn load_one<const W: usize>(overlay: &WriteOverlay, snap: &[u8], addr: u64) -> u64 {
+        let mut addrs = [0; WARP_LANES];
+        let mut out = [[0; W]; WARP_LANES];
+        addrs[0] = addr;
+        overlay.load_lanes(snap, 1, &addrs, &mut out);
+        let mut bytes = [0u8; 8];
+        bytes[..W].copy_from_slice(&out[0]);
+        u64::from_le_bytes(bytes)
+    }
+
+    /// Loads `width` bytes through the accessor of that constant width.
     fn load_width(overlay: &WriteOverlay, snap: &[u8], addr: u64, width: usize) -> u64 {
-        let mut out = [0u8; 8];
         match width {
-            1 => out[..1].copy_from_slice(&overlay.load::<1>(snap, addr)),
-            2 => out[..2].copy_from_slice(&overlay.load::<2>(snap, addr)),
-            4 => out[..4].copy_from_slice(&overlay.load::<4>(snap, addr)),
-            _ => out = overlay.load::<8>(snap, addr),
+            1 => load_one::<1>(overlay, snap, addr),
+            2 => load_one::<2>(overlay, snap, addr),
+            4 => load_one::<4>(overlay, snap, addr),
+            _ => load_one::<8>(overlay, snap, addr),
         }
-        u64::from_le_bytes(out)
     }
 
     /// The pre-launch device image the loads fall back to.
@@ -2424,7 +1830,7 @@ mod overlay_tests {
         struct Overlap {
             buf: Buffer,
         }
-        impl Kernel for Overlap {
+        impl WarpKernel for Overlap {
             fn resources(&self) -> KernelResources {
                 KernelResources {
                     regs_per_thread: 8,
@@ -2432,22 +1838,24 @@ mod overlay_tests {
                     local_f64_slots: 0,
                 }
             }
-            fn run(&self, ctx: &mut ThreadCtx<'_>) {
-                let t = ctx.thread_idx();
-                if ctx.block_idx() == 0 {
-                    ctx.st_f64(
-                        self.buf,
-                        t,
-                        f64::from_bits(0x0101_0101_0101_0101 * (t as u64 + 1)),
-                    );
-                } else {
-                    if t.is_multiple_of(3) {
-                        ctx.st_u8(self.buf, 8 * t + t % 8, 0xE0 | t as u8);
-                    }
-                    if t.is_multiple_of(5) {
-                        ctx.st_f32(self.buf, 2 * t + 1, f32::from_bits(0xA0B0_C0D0));
-                    }
-                }
+            fn run_warp(&self, w: &mut WarpCtx<'_>) {
+                let t = w.thread_idx();
+                // One 32-thread warp per block: block 0 is global threads 0..32.
+                let block0 = mask_of(|l| w.global_thread_id()[l] < 32);
+                w.when(block0, |w| {
+                    let v = lanes(|l| f64::from_bits(0x0101_0101_0101_0101 * (t[l] as u64 + 1)));
+                    w.st_f64(self.buf, &t, &v);
+                });
+                w.when(!block0, |w| {
+                    w.when(mask_of(|l| t[l].is_multiple_of(3)), |w| {
+                        let idx = lanes(|l| 8 * t[l] + t[l] % 8);
+                        w.st_u8(self.buf, &idx, &lanes(|l| 0xE0 | t[l] as u8));
+                    });
+                    w.when(mask_of(|l| t[l].is_multiple_of(5)), |w| {
+                        let v = [f32::from_bits(0xA0B0_C0D0); WARP_LANES];
+                        w.st_f32(self.buf, &lanes(|l| 2 * t[l] + 1), &v);
+                    });
+                });
             }
         }
         let mut mem = DeviceMemory::new(1 << 16);
@@ -2534,7 +1942,7 @@ mod overlay_tests {
         struct Sparse {
             buf: Buffer,
         }
-        impl Kernel for Sparse {
+        impl WarpKernel for Sparse {
             fn resources(&self) -> KernelResources {
                 KernelResources {
                     regs_per_thread: 8,
@@ -2542,13 +1950,13 @@ mod overlay_tests {
                     local_f64_slots: 0,
                 }
             }
-            fn run(&self, ctx: &mut ThreadCtx<'_>) {
-                let t = ctx.global_thread_id();
-                ctx.st_u8(self.buf, 37 * t, 1);
-                if t < 8 {
-                    ctx.st_f64(self.buf, 100 + 3 * t, 2.0);
-                    ctx.st_f32(self.buf, 300 + t, 3.0);
-                }
+            fn run_warp(&self, w: &mut WarpCtx<'_>) {
+                let t = w.global_thread_id();
+                w.st_u8(self.buf, &lanes(|l| 37 * t[l]), &[1; WARP_LANES]);
+                w.when(mask_of(|l| t[l] < 8), |w| {
+                    w.st_f64(self.buf, &lanes(|l| 100 + 3 * t[l]), &[2.0; WARP_LANES]);
+                    w.st_f32(self.buf, &lanes(|l| 300 + t[l]), &[3.0; WARP_LANES]);
+                });
             }
         }
         let mut mem = DeviceMemory::new(1 << 16);

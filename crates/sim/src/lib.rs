@@ -9,15 +9,17 @@
 //! analytic**:
 //!
 //! * **Functional**: kernels are ordinary Rust code written against the
-//!   per-lane [`kernel::ThreadCtx`] or the per-warp [`lockstep::WarpCtx`]
-//!   API. Every lane of every warp executes for real —
+//!   per-warp [`lockstep::WarpCtx`] API, where each call is one warp
+//!   instruction over 32 lane values under an active mask. Every active
+//!   lane executes for real —
 //!   loads return real data, stores mutate simulated device memory — so
 //!   algorithm output (the foreground masks whose quality Table IV of the
 //!   paper measures) is exact, not approximated.
-//! * **Analytic**: while lanes execute, the context records a trace of
-//!   *events* (arithmetic, memory accesses with addresses, branches). Traces
-//!   of the 32 lanes of a warp are merged into warp-level *slots* keyed by
-//!   source location and per-lane occurrence index. From the slots the
+//! * **Analytic**: while a warp executes, the context records one *event*
+//!   per warp instruction (arithmetic, memory accesses with each lane's
+//!   address, branches with each lane's outcome). The events are merged
+//!   into warp-level *slots* keyed by source location and per-lane
+//!   occurrence index. From the slots the
 //!   simulator derives exactly the counters the paper reports from the
 //!   Nvidia Visual Profiler:
 //!   - **memory access efficiency** and **transaction counts** from the set
@@ -38,23 +40,24 @@
 //! ## Execution semantics and limits
 //!
 //! Blocks execute in parallel (rayon); the warps of a block execute one
-//! after another. Within a warp, a [`kernel::Kernel`] runs on the *lane
-//! executor* — each lane to completion before the next starts — and a
-//! [`lockstep::WarpKernel`] runs on the *warp executor*, all lanes in
-//! lockstep under an active mask; both record the same warp slots (see
-//! [`lockstep`]). Global stores issued during a launch are
+//! after another, and the lanes of a warp run in lockstep under an
+//! active mask (see [`lockstep`]). Global stores issued during a launch are
 //! visible to *the issuing block only* (read-your-writes via a write
 //! overlay of 512-byte pages with per-byte masks, so a store read back
 //! at any width sees the stored bytes), and are published to device memory in block order
 //! when the launch completes — mirroring CUDA's lack of cross-block
 //! coherence guarantees. Cross-*block* communication within one launch
-//! therefore still does not work; cross-*lane* communication through
-//! shared memory works when it is barrier-ordered *forward* (a lane reads
-//! what a lower-indexed lane or an earlier warp wrote), and the opt-in
-//! sanitizer ([`sancheck`], enabled via [`kernel::LaunchOptions::sanitize`])
-//! detects the patterns the sequential execution cannot reproduce —
-//! same-epoch races and backward barrier-ordered dataflow — instead of
-//! silently returning stale values. All kernel-facing accessors are
+//! therefore does not work. Cross-*lane* communication through shared
+//! memory works when it is barrier-ordered within a warp or *forward*
+//! across warps (a lane reads what its own warp or an earlier warp of
+//! the block wrote); a warp cannot wait at a barrier for the warps after
+//! it, so a read of what a later warp stores before the barrier sees a
+//! stale value. The opt-in sanitizer ([`sancheck`], enabled via
+//! [`kernel::LaunchOptions::sanitize`]) reports same-epoch races and
+//! backward barrier-ordered dataflow instead of letting them pass
+//! silently; its backward-flow check still orders accesses thread by
+//! thread, so it also reports a backward flow inside one warp, which
+//! lockstep execution computes correctly. All kernel-facing accessors are
 //! bounds-checked against their [`memory::Buffer`] or the block's
 //! shared/local allocation: out-of-range accesses panic with the
 //! kernel's `file:line`, or are absorbed and reported as findings under
@@ -83,7 +86,7 @@ pub mod streams;
 pub mod telemetry;
 pub mod timing;
 pub mod trace;
-pub mod warp;
+pub(crate) mod warp;
 
 pub use advisor::{advise, roofline, AdvisorInput, Advisory, Evidence, Roofline, Transform};
 pub use config::{CpuConfig, GpuConfig};
@@ -102,8 +105,8 @@ pub use fleet::{
     ShedStream, StreamPlacement, FLEET_SCHEMA,
 };
 pub use kernel::{
-    launch, launch_with, BatchLauncher, BoxedKernel, Kernel, KernelRef, KernelResources,
-    LaunchConfig, LaunchError, LaunchOptions, LaunchReport, ThreadCtx,
+    launch, launch_with, BatchLauncher, KernelResources, LaunchConfig, LaunchError, LaunchOptions,
+    LaunchReport,
 };
 pub use lockstep::{
     blend, lanes, lanes_in, lanes_of, mask_of, uniform, Lanes, Mask, WarpCtx, WarpKernel,

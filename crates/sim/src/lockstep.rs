@@ -1,4 +1,4 @@
-//! The warp executor: kernels that run once per warp over 32-lane values.
+//! The kernel executor: kernels run once per warp over 32-lane values.
 //!
 //! A [`WarpKernel`] is written against [`WarpCtx`], which holds the
 //! warp's *active mask* and executes every call as one warp instruction:
@@ -10,11 +10,10 @@
 //! run while any lane is active.
 //!
 //! Every instruction records one event — its site, mask, per-lane op
-//! counts or addresses, and branch outcomes — into a
-//! lockstep recorder, which builds the same warp slots the lane
-//! executor's [`crate::warp::WarpAccumulator`] builds from 32 lane
-//! traces, so every counter is bit-identical to running the kernel's
-//! lane form:
+//! counts or addresses, and branch outcomes — into a lockstep recorder,
+//! which groups the warp's instructions into the slots the warp-end fold
+//! ([`crate::warp`]) turns into counters. The slots are those of a SIMT
+//! machine that issues each lane's instruction stream in order:
 //!
 //! - **Occurrence splitting.** A slot is a `(site, per-lane occurrence)`
 //!   pair, and each lane counts its own occurrences of each site. When
@@ -24,21 +23,24 @@
 //! - **Fold order.** Slots fold in per-lane first-touch order: by the
 //!   lowest lane that touches the slot, then by that lane's event order,
 //!   which in lockstep is the instruction order. The stateful L2 model
-//!   and the f64 sums see the sequence the lane executor produces.
+//!   and the f64 sums depend on this order.
 //! - **Key order.** A memory slot keeps each lane's address; at the fold
 //!   its segments (or shared bank words) are pushed in lane order,
-//!   dropping a key equal to the previous one, exactly as the lane
-//!   executor pushes them lane after lane.
+//!   dropping a key equal to the previous one.
+//!
+//! These rules are pinned against the frozen per-lane reference fold in
+//! `tests/support/warp_reference.rs` (`tests/soa_equivalence.rs`) and
+//! against the answers of the per-lane executor this one replaced
+//! (`tests/data/lane_executor_golden.json`).
 //!
 //! Sanitizer hooks and dataflow's external reads are buffered per lane
 //! and replayed in lane order at the end of the warp, so racecheck,
 //! synccheck, the first-occurrence fields of findings and the read
-//! collector's runs match the lane executor. Loads and stores act on
-//! memory instruction by instruction;
-//! kernels whose lanes of one warp exchange data through global or
-//! shared memory without a barrier see lockstep (hardware) order, which
-//! differs from the lane executor's lane-after-lane order — such kernels
-//! are races on a real GPU and draw racecheck findings either way.
+//! collector's runs see each thread's accesses as one sequence. Loads
+//! and stores act on memory instruction by instruction, so lanes of one
+//! warp that exchange data through global or shared memory without a
+//! barrier see lockstep (hardware) order; such kernels are races on a
+//! real GPU and draw racecheck findings.
 
 use crate::config::GpuConfig;
 use crate::dataflow::IntervalCollector;
@@ -123,10 +125,8 @@ pub fn lanes_in(mask: Mask) -> impl Iterator<Item = usize> {
     })
 }
 
-/// A GPU kernel whose body runs once per warp under [`WarpCtx`].
-///
-/// Launching one is launching any kernel ([`crate::kernel::launch`]);
-/// the warp executor is chosen by this trait, not by an option.
+/// A GPU kernel whose body runs once per warp under [`WarpCtx`]
+/// ([`crate::kernel::launch`]).
 pub trait WarpKernel: Sync {
     /// Declared resource footprint (registers / shared memory / spill).
     fn resources(&self) -> KernelResources;
@@ -155,8 +155,8 @@ pub struct WarpCtx<'a> {
 
 /// The external global reads of one warp (dataflow capture), kept per
 /// lane and replayed into the block's [`IntervalCollector`] lane after
-/// lane at the end of the warp: the collector then merges the same runs
-/// the lane executor feeds it, and stays as small.
+/// lane at the end of the warp, so each lane's reads reach the collector
+/// as one run of neighbours and it stays small.
 #[derive(Debug, Default)]
 pub(crate) struct ReadLog {
     /// `(lane, address, byte mask)` in instruction order.
@@ -270,10 +270,13 @@ impl WarpCtx<'_> {
     ///
     /// Warps of a block run one after another, each to completion, so a
     /// barrier orders a warp's accesses against the warps before it and
-    /// against its own lanes' earlier instructions; like the lane
-    /// executor, it cannot make a warp wait for the warps after it. It
-    /// separates the sanitizer's sync epochs and is what synccheck
-    /// audits.
+    /// against its own lanes' earlier instructions; it cannot make a warp
+    /// wait for the warps after it. It separates the sanitizer's sync
+    /// epochs and is what synccheck audits. Kernels with cross-lane data
+    /// flow through shared memory should be validated once under
+    /// [`crate::kernel::LaunchOptions::sanitize`], which reports genuine
+    /// races and the barrier-ordered flows from later warps that this
+    /// order cannot reproduce (see [`crate::sancheck`]).
     #[track_caller]
     #[inline]
     pub fn sync(&mut self) {
@@ -292,8 +295,15 @@ impl WarpCtx<'_> {
     // ---- global memory ----
 
     /// Bounds-checks lane `l`'s access of `width` bytes at element `idx`
-    /// of `buf`; see [`crate::kernel::ThreadCtx`]'s accessors for the
-    /// panic / sanitizer contract.
+    /// of `buf` and resolves its device byte address.
+    ///
+    /// Out of bounds: panics at the kernel call site with the buffer
+    /// identity on the plain path; under
+    /// [`crate::kernel::LaunchOptions::sanitize`] records a memcheck
+    /// finding and returns `None` so the caller absorbs the access.
+    /// Either way an overrun can never silently reach a neighboring
+    /// allocation (the kernel-side mirror of the `DeviceMemory`
+    /// typed-accessor checks).
     #[inline]
     fn check_global(
         &mut self,
@@ -520,9 +530,11 @@ impl WarpCtx<'_> {
         valid
     }
 
-    /// Each lane's interleaved local address of its copy of `slot[l]`
-    /// (the lane executor's layout: one slot's 32 lane copies are
-    /// contiguous).
+    /// Each lane's interleaved local address of its copy of `slot[l]`.
+    /// Fermi interleaves local memory so that the 32 lanes' copies of one
+    /// slot are contiguous: uniform slot accesses coalesce. The address
+    /// stays far below `u64::MAX`: `global_warp_id < 2^37` (u32 blocks x
+    /// <= 32 warps per block), and slots and lanes are small.
     #[inline]
     fn local_addrs(&self, slot: &Lanes<usize>) -> Lanes<u64> {
         let slots = self.local_slots as u64;
@@ -693,6 +705,14 @@ impl WarpCtx<'_> {
         self.sh_st(Location::caller(), off, &bytes);
     }
 
+    /// Loads a `u8` per active lane from shared memory.
+    #[track_caller]
+    #[inline]
+    pub fn sh_ld_u8(&mut self, off: &Lanes<usize>) -> Lanes<u8> {
+        let raw = self.sh_ld::<1>(Location::caller(), off);
+        lanes(|l| raw[l][0])
+    }
+
     /// Stores a `u8` per active lane to shared memory.
     #[track_caller]
     #[inline]
@@ -806,10 +826,10 @@ struct LaneAccesses {
     width: Lanes<u8>,
 }
 
-/// The lane executor's keys of a memory slot: lane after lane, each
-/// access's segments (or shared bank words) pushed unless equal to the
-/// key pushed last — [`SegmentGeometry::key_range`] per lane. An
-/// access's own keys ascend, so only its first can repeat the last one.
+/// The keys of a memory slot: lane after lane, each access's segments
+/// (or shared bank words) pushed unless equal to the key pushed last —
+/// [`SegmentGeometry::key_range`] per lane. An access's own keys ascend,
+/// so only its first can repeat the last one.
 #[inline]
 fn lane_keys(
     segment: SegmentGeometry,
@@ -868,8 +888,7 @@ fn lane_keys_general(
 const NO_ARENA: u32 = u32::MAX;
 
 /// Records one warp's instructions into `(site, occurrence)` slots and
-/// folds them, in per-lane first-touch order, through the same
-/// [`SlotFold`] the lane executor uses.
+/// folds them, in per-lane first-touch order, through a [`SlotFold`].
 #[derive(Debug)]
 pub(crate) struct LockstepRecorder {
     interner: SiteInterner,
@@ -910,18 +929,18 @@ impl Default for LockstepRecorder {
 }
 
 impl LockstepRecorder {
-    /// See [`crate::warp::WarpAccumulator::set_profiling`].
+    /// See [`SlotFold::set_profiling`].
     pub(crate) fn set_profiling(&mut self, on: bool) {
         self.fold.set_profiling(on);
     }
 
-    /// See [`crate::warp::WarpAccumulator::set_geometry`].
+    /// See [`SlotFold::set_geometry`].
     pub(crate) fn set_geometry(&mut self, cfg: &GpuConfig) {
         debug_assert!(self.slots.is_empty(), "geometry changed mid-warp");
         self.fold.set_geometry(cfg);
     }
 
-    /// See [`crate::warp::WarpAccumulator::take_site_profile`].
+    /// See [`SlotFold::take_site_profile`].
     pub(crate) fn take_site_profile(&mut self) -> Option<SiteProfile> {
         self.fold.take_site_profile(&self.interner)
     }

@@ -1,8 +1,8 @@
 //! Simulated device (GPU global) memory: a flat byte store with a bump
 //! allocator and typed host-side accessors.
 //!
-//! Kernel-side accesses go through [`crate::kernel::ThreadCtx`], which also
-//! records trace events; the accessors here are the host's view (used when
+//! Kernel-side accesses go through [`crate::lockstep::WarpCtx`], which
+//! also records trace events; the accessors here are the host's view (used when
 //! initializing Gaussian parameters or reading back results without a DMA
 //! timing model — for timed transfers see [`crate::dma`]).
 

@@ -22,10 +22,12 @@
 //!   epoch have no ordering barrier between them and are reported as
 //!   races. Accesses whose shadow shows a conflicting access from a
 //!   *later* epoch are reported too: they are barrier-ordered in CUDA
-//!   semantics, but the simulator's sequential-lane execution visited
-//!   them in the wrong order, so the functional result is stale (this is
-//!   exactly the "cross-lane data flow" the crate docs previously
-//!   declared unsupported — now detected instead).
+//!   semantics, but the simulator runs each warp to completion before
+//!   the next, so a lane that reads what a later warp stores before the
+//!   barrier sees a stale value. The shadow is fed thread by thread, so
+//!   this check also reports a backward flow between lanes of one warp,
+//!   which lockstep execution computes correctly: an over-report that
+//!   splitting kernels into barrier phases would remove.
 //! * **synccheck** — barrier divergence: at each barrier index, the
 //!   threads that arrive must do so from the same `sync()` source site.
 //!   A mismatch (the classic divergent-branch double-barrier bug) is
@@ -278,8 +280,8 @@ struct ShadowCell {
     last_read: Option<Access>,
 }
 
-/// Per-block sanitizer state, driven by [`crate::kernel::ThreadCtx`]
-/// while the block's lanes execute sequentially, then folded into a
+/// Per-block sanitizer state, fed one thread at a time by
+/// [`WarpSanLog::replay`] at the end of each warp, then folded into a
 /// [`SanReport`] by [`BlockSan::into_report`].
 #[derive(Debug)]
 pub(crate) struct BlockSan {
@@ -580,7 +582,7 @@ impl BlockSan {
     }
 }
 
-/// One sanitizer hook call of one lane, as the warp executor issues it.
+/// One sanitizer hook call of one lane, as a warp instruction issues it.
 #[derive(Debug)]
 pub(crate) enum LaneCheck {
     /// [`BlockSan::oob`].
@@ -614,11 +616,10 @@ pub(crate) enum LaneCheck {
     },
 }
 
-/// The sanitizer hook calls of one warp of the warp executor, kept per
-/// lane and replayed into the block's [`BlockSan`] lane after lane at
-/// the end of the warp: the shadow state, sync epochs and first
-/// occurrences then see exactly the call sequence the lane executor
-/// makes.
+/// The sanitizer hook calls of one warp, kept per lane and replayed into
+/// the block's [`BlockSan`] lane after lane at the end of the warp: the
+/// shadow state, sync epochs and first occurrences see each thread's
+/// calls as one sequence, threads in order.
 #[derive(Debug, Default)]
 pub(crate) struct WarpSanLog {
     calls: Vec<(u32, LaneCheck)>,

@@ -1,9 +1,9 @@
 //! Trace event vocabulary and the per-lane site/occurrence bookkeeping.
 //!
-//! Every [`crate::kernel::ThreadCtx`] operation records an *event*
+//! Every [`crate::lockstep::WarpCtx`] instruction records an *event*
 //! identified by its **site** — the `#[track_caller]` source location of
-//! the call — and the lane's per-site **occurrence index** (how many times
-//! this lane has executed this site). The pair `(site, occurrence)`
+//! the call — and each executing lane's per-site **occurrence index** (how
+//! many times that lane has executed this site). The pair `(site, occurrence)`
 //! identifies one *warp slot*: the 32 lanes of a warp executing the same
 //! static instruction for the same loop iteration land in the same slot,
 //! which is exactly the lockstep-execution alignment a real SIMT front end
@@ -18,7 +18,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{OnceLock, RwLock};
 
 /// Identifies a static instruction: the address of the `#[track_caller]`
-/// `Location` for the `ThreadCtx` call. `Location` statics have stable
+/// `Location` for the `WarpCtx` call. `Location` statics have stable
 /// addresses for the program's lifetime, so pointer identity is a sound
 /// site key.
 pub type Site = usize;

@@ -1,30 +1,15 @@
-//! Warp-level slot accumulation: merging the 32 lanes of a warp into
-//! warp instructions and deriving coalescing / divergence / bank-conflict
-//! statistics.
+//! The warp-end fold: a warp's slots become coalescing, divergence and
+//! bank-conflict statistics.
 //!
-//! This is the simulator's hottest data structure — every recorded event
-//! of every lane passes through it — so it is laid out
-//! structure-of-arrays style around dense site indices: a
-//! [`SiteInterner`] maps `&'static Location` addresses to small integers
-//! once, and from then on the per-lane occurrence counters and the
-//! occurrence → slot table are flat arrays indexed directly.
-//!
-//! The slot table is a *template* kept across the warps of a launch:
-//! consecutive warps run the same kernel, so their lanes replay the same
-//! slots in the same order, and a warp only stamps the slots it touches
-//! with its epoch and lists them in first-touch order. The fold walks
-//! that list, which is the order a fresh table would have created the
-//! slots in. A lane that replays the template in order is recognised by
-//! comparing each event's site at a cursor — no hashing, no occurrence
-//! counting (see `WarpAccumulator::hit`) — on a path inlined into every
-//! `record_*` call. A memory slot does not keep its lanes' raw accesses:
-//! as each lane records, the access is turned into the segments (or
-//! shared bank words) it touches and a key is pushed only when it
-//! differs from the slot's last one, so the warp-end fold sees short,
+//! The lockstep recorder ([`crate::lockstep`]) groups a warp's
+//! instructions into slots, one per `(site, per-lane occurrence)`, and
+//! hands them to [`SlotFold`] in per-lane first-touch order. A memory
+//! slot arrives as the segments (or shared bank words) its lanes touch,
+//! in lane order with consecutive repeats dropped, so the fold sees short,
 //! usually already sorted key lists.
 //!
-//! Statistics semantics are pinned bit-for-bit against the pre-SoA
-//! implementation preserved in `tests/support/warp_reference.rs`; see
+//! Statistics semantics are pinned bit-for-bit against the frozen
+//! reference fold in `tests/support/warp_reference.rs`; see
 //! `tests/soa_equivalence.rs`.
 
 use crate::config::GpuConfig;
@@ -33,103 +18,12 @@ use crate::stats::KernelStats;
 use crate::trace::{OpClass, Site, SiteInterner, Space};
 use std::panic::Location;
 
-/// One warp-level instruction slot of the template.
-#[derive(Debug)]
-struct Slot {
-    /// Original site pointer (for profile attribution).
-    site: Site,
-    /// Dense site index.
-    dense: u32,
-    /// Per-lane occurrence index this slot represents.
-    occ: u32,
-    /// Epoch of the last warp that touched the slot. Any other value
-    /// than the current warp's means `kind` holds an earlier warp's
-    /// counters, which the first touch of this warp overwrites.
-    epoch: u32,
-    kind: SlotKind,
-}
-
-#[derive(Debug)]
-pub(crate) enum SlotKind {
-    Op {
-        class: OpClass,
-        max_count: u32,
-        lanes: u32,
-    },
-    Mem {
-        space: Space,
-        write: bool,
-        bytes_requested: u64,
-        /// Lane accesses recorded into the slot.
-        accesses: u32,
-        /// The segments (global/local) or 4-byte bank words (shared) the
-        /// accesses touch, in record order, each pushed only when it
-        /// differs from the one before it.
-        keys: Vec<u64>,
-    },
-    Branch {
-        taken: u32,
-        not_taken: u32,
-    },
-    Sync {
-        lanes: u32,
-    },
-}
-
-/// Accumulates the events of one warp's 32 lanes and flushes warp-level
-/// statistics into a [`KernelStats`].
-///
-/// Lanes execute sequentially; [`WarpAccumulator::begin_lane`] rewinds
-/// the lane cursor, and [`WarpAccumulator::end_warp`] folds the slots
-/// the warp touched and opens the next warp's epoch.
-#[derive(Debug)]
-pub struct WarpAccumulator {
-    interner: SiteInterner,
-    /// Per dense site: the current lane's occurrence counter. Maintained
-    /// only once the lane has left the template's order; see `in_order`.
-    occ: Vec<u32>,
-    /// Per dense site: occurrence → template slot index. Row `d` holds
-    /// exactly one entry per slot of site `d`, in occurrence order.
-    slot_of: Vec<Vec<u32>>,
-    /// The template: every slot created since the last
-    /// [`WarpAccumulator::reset_template`], in creation order. Slot
-    /// `(s, k)` is created only after `(s, 0..k)`, so exactly `k` slots
-    /// of site `s` precede it (the prefix invariant).
-    slots: Vec<Slot>,
-    /// Indices of the slots the current warp touched, in first-touch
-    /// order: the order the fold visits them in.
-    touched: Vec<u32>,
-    /// The current warp's epoch; never [`NEVER`].
-    epoch: u32,
-    /// Predicted slot index of the current lane's next event. Lanes of a
-    /// warp usually replay the template in program order, so the common
-    /// case is a site check against `slots[cursor]`.
-    cursor: u32,
-    /// Whether every event of the current lane so far matched
-    /// `slots[0..cursor]` one by one. Such a lane's occurrence count of a
-    /// site is that prefix's count of it, so by the prefix invariant a
-    /// site match at the cursor is also an occurrence match and `occ`
-    /// need not be kept. The first miss materializes `occ` from the
-    /// prefix and clears the flag.
-    in_order: bool,
-    lanes_seen: u32,
-    /// Recycled key vectors for `SlotKind::Mem`, refilled when a slot
-    /// changes kind or the template is dropped, so steady-state
-    /// recording never allocates.
-    key_pool: Vec<Vec<u64>>,
-    /// The warp-end fold, shared with the lockstep executor.
-    fold: SlotFold,
-}
-
-/// Epoch value no warp has: the stamp of a slot not yet touched.
-const NEVER: u32 = 0;
-
 /// Bytes per shared-memory bank word.
 const BANK_WORD_BYTES: u64 = 4;
 
 /// Segment size every shipped [`GpuConfig`] uses (the Fermi L1 line);
-/// [`WarpAccumulator::new`] records in it until
-/// [`WarpAccumulator::set_geometry`] says otherwise.
+/// a new [`SlotFold`] records in it until [`SlotFold::set_geometry`]
+/// says otherwise.
 const DEFAULT_SEGMENT_BYTES: u64 = 128;
 
 /// Address → segment index for one segment size: a shift when the size
@@ -161,406 +55,6 @@ impl SegmentGeometry {
             (_, None) => (addr / self.bytes, end / self.bytes),
         }
     }
-
-    /// Appends the keys an access of `width` bytes at `addr` in `space`
-    /// touches — segments for global/local, bank words for shared —
-    /// skipping each key equal to the last one pushed.
-    #[inline(always)]
-    fn push_keys(self, space: Space, addr: u64, width: u8, keys: &mut Vec<u64>) {
-        let (first, last) = self.key_range(space, addr, width);
-        for k in first..=last {
-            if keys.last() != Some(&k) {
-                keys.push(k);
-            }
-        }
-    }
-}
-
-impl WarpAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        WarpAccumulator {
-            interner: SiteInterner::new(),
-            occ: Vec::new(),
-            slot_of: Vec::new(),
-            slots: Vec::new(),
-            touched: Vec::new(),
-            epoch: NEVER + 1,
-            cursor: 0,
-            in_order: true,
-            lanes_seen: 0,
-            key_pool: Vec::new(),
-            fold: SlotFold::new(),
-        }
-    }
-
-    /// Creates an accumulator that additionally attributes every slot's
-    /// counters to its source site.
-    pub fn with_site_profile() -> Self {
-        let mut acc = Self::new();
-        acc.fold.set_profiling(true);
-        acc
-    }
-
-    /// Takes the accumulated per-site profile (if site profiling was
-    /// enabled), leaving an empty one behind.
-    ///
-    /// This is where the dense per-site accumulator is materialized into
-    /// a keyed [`SiteProfile`] — once per block, not once per warp slot.
-    pub fn take_site_profile(&mut self) -> Option<SiteProfile> {
-        self.fold.take_site_profile(&self.interner)
-    }
-
-    /// Switches site profiling on or off — used when a pooled accumulator
-    /// is reused by a launch with different [`crate::kernel::LaunchOptions`].
-    /// Turning it on starts from an empty profile.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.fold.set_profiling(on);
-    }
-
-    /// Records global/local accesses in `cfg`'s segment size from the
-    /// next warp on; [`WarpAccumulator::end_warp`] rejects any other
-    /// config. Call it between warps, never with slots pending.
-    pub fn set_geometry(&mut self, cfg: &GpuConfig) {
-        debug_assert!(self.touched.is_empty(), "geometry changed mid-warp");
-        self.fold.set_geometry(cfg);
-    }
-
-    /// Drops the slot template, so the next warp builds one from its own
-    /// lanes — call it before warps of another kernel, whose sites would
-    /// never match. Call it between warps.
-    pub(crate) fn reset_template(&mut self) {
-        debug_assert!(self.touched.is_empty(), "template dropped mid-warp");
-        for slot in self.slots.drain(..) {
-            if let SlotKind::Mem { mut keys, .. } = slot.kind {
-                keys.clear();
-                self.key_pool.push(keys);
-            }
-        }
-        for row in &mut self.slot_of {
-            row.clear();
-        }
-        self.cursor = 0;
-        self.in_order = true;
-    }
-
-    /// Starts recording a new lane of the current warp.
-    pub fn begin_lane(&mut self) {
-        self.cursor = 0;
-        self.in_order = true;
-        self.lanes_seen += 1;
-    }
-
-    /// The hit path: the slot the current lane's event at `site`
-    /// accumulates into, when the slot at the cursor is this event's and
-    /// the warp has already touched it. Anything else — a first touch, a
-    /// lane off the template's order, a new slot — returns `None` for
-    /// [`WarpAccumulator::locate_slow`].
-    ///
-    /// An in-order lane needs only the site compared: it has matched
-    /// `slots[0..cursor]`, so its occurrence of `site` is the number of
-    /// `site` slots in that prefix, which is `slots[cursor].occ` by the
-    /// prefix invariant. A lane that left order compares its occurrence
-    /// counter too, and stays on this path while the prediction holds.
-    #[inline(always)]
-    fn hit(&mut self, site: Site) -> Option<usize> {
-        let cur = self.cursor as usize;
-        let slot = self.slots.get(cur)?;
-        if slot.site != site || slot.epoch != self.epoch {
-            return None;
-        }
-        if !self.in_order {
-            let occ = &mut self.occ[slot.dense as usize];
-            if *occ != slot.occ {
-                return None;
-            }
-            *occ += 1;
-        }
-        self.cursor = cur as u32 + 1;
-        Some(cur)
-    }
-
-    /// The slow path of [`WarpAccumulator::hit`]: finds or creates the
-    /// slot of the current lane's event at `site` and moves the cursor
-    /// past it. On the warp's first touch of the slot it installs `fresh`
-    /// as the slot's kind (empty counters; a `Mem` kind gets a pooled key
-    /// vector), stamps the epoch and appends the slot to `touched`.
-    #[inline(never)]
-    fn locate_slow(&mut self, site: Site, fresh: SlotKind) -> usize {
-        let cur = self.cursor as usize;
-        let ix = if self.in_order && self.slots.get(cur).is_some_and(|s| s.site == site) {
-            // In order; the hit path missed on the epoch alone.
-            cur
-        } else {
-            let dense = self.intern(site);
-            let occ = if self.in_order && cur == self.slots.len() {
-                // In order past the template's end: the lane has matched
-                // every slot, so it has seen all of `site`'s occurrences
-                // and this one is new — appended at `cur`, in order.
-                self.slot_of[dense].len() as u32
-            } else {
-                if self.in_order {
-                    self.leave_order();
-                }
-                let occ = self.occ[dense];
-                self.occ[dense] = occ + 1;
-                occ
-            };
-            match self.slot_of[dense].get(occ as usize) {
-                Some(&ix) => ix as usize,
-                None => {
-                    // `occ` equals the row length: the lane reached every
-                    // earlier occurrence of `site`, so the prefix
-                    // invariant holds for the appended slot.
-                    let ix = self.slots.len();
-                    self.slot_of[dense].push(ix as u32);
-                    self.slots.push(Slot {
-                        site,
-                        dense: dense as u32,
-                        occ,
-                        epoch: NEVER,
-                        kind: SlotKind::Sync { lanes: 0 },
-                    });
-                    ix
-                }
-            }
-        };
-        self.cursor = ix as u32 + 1;
-        if self.slots[ix].epoch != self.epoch {
-            self.slots[ix].epoch = self.epoch;
-            self.touched.push(ix as u32);
-            let old = std::mem::replace(&mut self.slots[ix].kind, fresh);
-            if let SlotKind::Mem { mut keys, .. } = old {
-                keys.clear();
-                self.key_pool.push(keys);
-            }
-            if let SlotKind::Mem { keys, .. } = &mut self.slots[ix].kind {
-                *keys = self
-                    .key_pool
-                    .pop()
-                    .unwrap_or_else(|| Vec::with_capacity(32));
-            }
-        }
-        ix
-    }
-
-    /// Dense index of `site`, growing the per-site tables on first sight.
-    fn intern(&mut self, site: Site) -> usize {
-        let dense = self.interner.intern(site) as usize;
-        if dense >= self.occ.len() {
-            self.occ.resize(dense + 1, 0);
-            self.slot_of.resize_with(dense + 1, Vec::new);
-        }
-        dense
-    }
-
-    /// Takes the current lane off the in-order path: its occurrence
-    /// counters become the per-site slot counts of the prefix it matched.
-    fn leave_order(&mut self) {
-        self.occ.fill(0);
-        for slot in &self.slots[..self.cursor as usize] {
-            self.occ[slot.dense as usize] += 1;
-        }
-        self.in_order = false;
-    }
-
-    /// Records `count` arithmetic operations of `class`.
-    #[inline(always)]
-    pub fn record_op(&mut self, loc: &'static Location<'static>, class: OpClass, count: u32) {
-        let site = loc as *const _ as usize;
-        let ix = match self.hit(site) {
-            Some(ix) => ix,
-            None => self.locate_slow(
-                site,
-                SlotKind::Op {
-                    class,
-                    max_count: 0,
-                    lanes: 0,
-                },
-            ),
-        };
-        match &mut self.slots[ix].kind {
-            SlotKind::Op {
-                max_count, lanes, ..
-            } => {
-                *max_count = (*max_count).max(count);
-                *lanes += 1;
-            }
-            other => debug_assert!(false, "slot kind mismatch at op slot: {other:?}"),
-        }
-    }
-
-    /// Records a memory access of `width` bytes at `addr` in `space`.
-    #[inline(always)]
-    pub fn record_mem(
-        &mut self,
-        loc: &'static Location<'static>,
-        space: Space,
-        write: bool,
-        addr: u64,
-        width: u8,
-    ) {
-        let site = loc as *const _ as usize;
-        let segment = self.fold.segment;
-        let ix = match self.hit(site) {
-            Some(ix) => ix,
-            None => self.locate_slow(
-                site,
-                SlotKind::Mem {
-                    space,
-                    write,
-                    bytes_requested: 0,
-                    accesses: 0,
-                    keys: Vec::new(),
-                },
-            ),
-        };
-        match &mut self.slots[ix].kind {
-            SlotKind::Mem {
-                space,
-                bytes_requested,
-                accesses,
-                keys,
-                ..
-            } => {
-                *bytes_requested += width as u64;
-                *accesses += 1;
-                // Keys follow the slot's space: the first lane's.
-                segment.push_keys(*space, addr, width, keys);
-            }
-            other => debug_assert!(false, "slot kind mismatch at mem slot: {other:?}"),
-        }
-    }
-
-    /// Records a data-dependent branch outcome.
-    #[inline(always)]
-    pub fn record_branch(&mut self, loc: &'static Location<'static>, taken: bool) {
-        let site = loc as *const _ as usize;
-        let ix = match self.hit(site) {
-            Some(ix) => ix,
-            None => self.locate_slow(
-                site,
-                SlotKind::Branch {
-                    taken: 0,
-                    not_taken: 0,
-                },
-            ),
-        };
-        match &mut self.slots[ix].kind {
-            SlotKind::Branch {
-                taken: t,
-                not_taken: n,
-            } => {
-                if taken {
-                    *t += 1;
-                } else {
-                    *n += 1;
-                }
-            }
-            other => debug_assert!(false, "slot kind mismatch at branch slot: {other:?}"),
-        }
-    }
-
-    /// Records a `__syncthreads()`-style barrier.
-    #[inline(always)]
-    pub fn record_sync(&mut self, loc: &'static Location<'static>) {
-        let site = loc as *const _ as usize;
-        let ix = match self.hit(site) {
-            Some(ix) => ix,
-            None => self.locate_slow(site, SlotKind::Sync { lanes: 0 }),
-        };
-        match &mut self.slots[ix].kind {
-            SlotKind::Sync { lanes } => *lanes += 1,
-            other => debug_assert!(false, "slot kind mismatch at sync slot: {other:?}"),
-        }
-    }
-
-    /// Analyses the accumulated warp and folds its statistics into `stats`,
-    /// then resets for the next warp. Convenience wrapper for the
-    /// cache-less configuration.
-    pub fn end_warp(&mut self, cfg: &GpuConfig, stats: &mut KernelStats) {
-        self.end_warp_cached(cfg, stats, None);
-    }
-
-    /// Like [`WarpAccumulator::end_warp`], filtering DRAM transactions
-    /// through an optional L2 cache slice: segments that hit do not count
-    /// as transactions.
-    pub fn end_warp_cached(
-        &mut self,
-        cfg: &GpuConfig,
-        stats: &mut KernelStats,
-        cache: Option<&mut crate::cache::CacheModel>,
-    ) {
-        // Monomorphize so the common unprofiled path carries no
-        // per-slot attribution work at all.
-        if self.fold.profiling {
-            self.end_warp_impl::<true>(cfg, stats, cache);
-        } else {
-            self.end_warp_impl::<false>(cfg, stats, cache);
-        }
-    }
-
-    fn end_warp_impl<const PROFILE: bool>(
-        &mut self,
-        cfg: &GpuConfig,
-        stats: &mut KernelStats,
-        mut cache: Option<&mut crate::cache::CacheModel>,
-    ) {
-        self.fold.begin(cfg);
-        // Visit the touched slots in first-touch order — the order a
-        // fresh table would have created them in, which the stateful L2
-        // model and the f64 sums depend on. Untouched template slots hold
-        // an earlier warp's counters and add nothing.
-        for &ix in &self.touched {
-            let slot = &mut self.slots[ix as usize];
-            let delta = match &mut slot.kind {
-                SlotKind::Op {
-                    class,
-                    max_count,
-                    lanes,
-                } => SlotFold::op::<PROFILE>(cfg, stats, *class, *max_count, *lanes),
-                SlotKind::Mem {
-                    space,
-                    write,
-                    bytes_requested,
-                    accesses,
-                    keys,
-                } => self.fold.mem::<PROFILE>(
-                    cfg,
-                    stats,
-                    cache.as_deref_mut(),
-                    MemSlot {
-                        space: *space,
-                        write: *write,
-                        bytes_requested: *bytes_requested,
-                        accesses: *accesses,
-                    },
-                    keys,
-                ),
-                SlotKind::Branch { taken, not_taken } => {
-                    SlotFold::branch::<PROFILE>(stats, *taken, *not_taken)
-                }
-                SlotKind::Sync { .. } => SlotFold::sync::<PROFILE>(stats),
-            };
-            if PROFILE {
-                self.fold.attribute(slot.site, slot.dense, &delta);
-            }
-        }
-        stats.warp_slots += self.touched.len() as u64;
-        stats.warps += 1;
-        stats.lanes += self.lanes_seen as u64;
-        self.touched.clear();
-        self.lanes_seen = 0;
-        // Open the next warp's epoch. On wrap-around every slot is marked
-        // untouched so no stale stamp can equal a future epoch.
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == NEVER {
-            for slot in &mut self.slots {
-                slot.epoch = NEVER;
-            }
-            self.epoch = NEVER + 1;
-        }
-    }
 }
 
 /// The scalar fields of a memory slot the fold reads besides its keys.
@@ -573,10 +67,9 @@ pub(crate) struct MemSlot {
 }
 
 /// The warp-end fold of merged slots into [`KernelStats`] and the
-/// per-site profile. Both executors own one: the lane accumulator feeds
-/// it the template slots a warp touched, the lockstep recorder
-/// ([`crate::lockstep`]) the slots its warp instructions built. Callers
-/// visit slots in per-lane first-touch order; this type never reorders.
+/// per-site profile. The lockstep recorder ([`crate::lockstep`]) owns
+/// one and visits its slots in per-lane first-touch order; this type
+/// never reorders.
 #[derive(Debug)]
 pub(crate) struct SlotFold {
     /// Whether per-site attribution is on (off by default).
@@ -614,7 +107,10 @@ impl SlotFold {
         self.profiling
     }
 
-    /// See [`WarpAccumulator::set_profiling`].
+    /// Switches per-site attribution on or off: a pooled recorder is
+    /// reused by launches with different
+    /// [`crate::kernel::LaunchOptions`]. Turning it on starts from an
+    /// empty profile.
     pub(crate) fn set_profiling(&mut self, on: bool) {
         if on && !self.profiling {
             self.site_acc.fill_with(SiteStats::default);
@@ -622,15 +118,19 @@ impl SlotFold {
         self.profiling = on;
     }
 
-    /// See [`WarpAccumulator::set_geometry`].
+    /// Records global/local keys in `cfg`'s segment size from the next
+    /// warp on; [`SlotFold::begin`] rejects any other config. Call it
+    /// between warps, never with slots pending.
     pub(crate) fn set_geometry(&mut self, cfg: &GpuConfig) {
         if self.segment.bytes != cfg.segment_bytes {
             self.segment = SegmentGeometry::new(cfg.segment_bytes);
         }
     }
 
-    /// See [`WarpAccumulator::take_site_profile`]; `interner` maps the
-    /// owner's dense site indices back to sites.
+    /// Takes the accumulated per-site profile (if site profiling is on),
+    /// leaving an empty one behind; `interner` maps the owner's dense
+    /// site indices back to sites. This is where the dense per-site rows
+    /// become a keyed [`SiteProfile`]: once per block, not per slot.
     pub(crate) fn take_site_profile(&mut self, interner: &SiteInterner) -> Option<SiteProfile> {
         if !self.profiling {
             return None;
@@ -859,16 +359,16 @@ impl SlotFold {
             self.site_registered[dense] = true;
             // First sighting of this site in the profile: resolve its
             // source position. Sound cast: sites only enter a fold
-            // through `record_*` or a lockstep instruction, both of which
-            // take `&'static Location`.
+            // through a lockstep instruction, which takes
+            // `&'static Location`.
             let loc = unsafe { &*(site as *const Location<'static>) };
             crate::trace::register_site(site, loc);
         }
     }
 }
 
-/// Sorts `keys` into its distinct values. Record-time folding already
-/// dropped consecutive repeats, so a list that is sorted is distinct and
+/// Sorts `keys` into its distinct values. The recorder already dropped
+/// consecutive repeats, so a list that is sorted is distinct and
 /// coalesced slots — the common case — skip the sort.
 fn sort_distinct(keys: &mut Vec<u64>) {
     if !keys.is_sorted() {
@@ -877,68 +377,87 @@ fn sort_distinct(keys: &mut Vec<u64>) {
     }
 }
 
-impl Default for WarpAccumulator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! Fold semantics, driven through launches of one-block test kernels
+    //! whose warp `w` runs program `w`.
+
     use super::*;
-    use crate::cache::CacheModel;
-    use crate::trace::Site;
+    use crate::kernel::{launch_with, KernelResources, LaunchConfig, LaunchOptions, LaunchReport};
+    use crate::lockstep::{lanes, mask_of, Lanes, Mask, WarpCtx, WarpKernel, WARP_LANES};
+    use crate::memory::{Buffer, DeviceMemory};
+    use crate::occupancy::occupancy;
+    use crate::trace::site_source;
 
     fn cfg() -> GpuConfig {
         GpuConfig::tesla_c2075()
     }
 
-    /// Helper: run `f(lane, acc)` for `n` lanes and flush.
-    fn run_warp(n: u32, f: impl FnMut(u32, &mut WarpAccumulator)) -> KernelStats {
-        warp_on(&mut WarpAccumulator::new(), n, f, None)
+    /// One warp's body; `buf` is a global buffer at device address 0.
+    type Program = fn(&mut WarpCtx<'_>, Buffer);
+
+    /// Warp `w` of the block runs `programs[w]`.
+    struct Warps<'a> {
+        programs: &'a [Program],
+        buf: Buffer,
     }
 
-    /// Runs one warp of `n` lanes of `f` on `acc` and returns its stats.
-    fn warp_on(
-        acc: &mut WarpAccumulator,
-        n: u32,
-        mut f: impl FnMut(u32, &mut WarpAccumulator),
-        cache: Option<&mut CacheModel>,
-    ) -> KernelStats {
-        let mut stats = KernelStats::default();
-        for lane in 0..n {
-            acc.begin_lane();
-            f(lane, acc);
+    const RESOURCES: KernelResources = KernelResources {
+        regs_per_thread: 16,
+        shared_bytes_per_block: 1024,
+        local_f64_slots: 2,
+    };
+
+    impl WarpKernel for Warps<'_> {
+        fn resources(&self) -> KernelResources {
+            RESOURCES
         }
-        acc.end_warp_cached(&cfg(), &mut stats, cache);
-        stats
+
+        fn run_warp(&self, w: &mut WarpCtx<'_>) {
+            (self.programs[w.thread_idx()[0] / WARP_LANES])(w, self.buf);
+        }
     }
 
-    // Distinct real call sites: the typed `record_*` API requires
-    // genuine `Location`s (their addresses are the site keys).
-    fn site_a() -> &'static Location<'static> {
-        Location::caller()
-    }
-    fn site_b() -> &'static Location<'static> {
-        Location::caller()
-    }
-    fn site_c() -> &'static Location<'static> {
-        Location::caller()
-    }
-    fn site_d() -> &'static Location<'static> {
-        Location::caller()
+    /// One block of `threads` threads running `programs` under `cfg`.
+    fn launch_on(
+        cfg: &GpuConfig,
+        threads: u32,
+        programs: &[Program],
+        opts: LaunchOptions,
+    ) -> LaunchReport {
+        let mut mem = DeviceMemory::new(1 << 16);
+        let buf = mem.alloc(1 << 14).unwrap();
+        assert_eq!(buf.addr(), 0);
+        let lc = LaunchConfig {
+            blocks: 1,
+            threads_per_block: threads,
+        };
+        launch_with(&mut mem, cfg, lc, &Warps { programs, buf }, opts).unwrap()
     }
 
-    fn sid(loc: &'static Location<'static>) -> Site {
-        loc as *const _ as usize
+    /// The stats of one block running `programs`, a full warp each.
+    fn run(programs: &[Program]) -> KernelStats {
+        let threads = (programs.len() * WARP_LANES) as u32;
+        launch_on(&cfg(), threads, programs, LaunchOptions::default()).stats
+    }
+
+    /// What `run(programs)` folds when every warp starts from a fresh
+    /// recorder: the programs launched one by one, summed.
+    fn fresh(programs: &[Program]) -> KernelStats {
+        let mut sum = KernelStats::default();
+        for &p in programs {
+            sum.merge(&run(&[p]));
+        }
+        sum.blocks = 1;
+        sum
     }
 
     #[test]
     fn coalesced_f64_warp_access_is_two_transactions() {
         // 32 lanes x 8 B contiguous = 256 B = 2 x 128 B segments.
-        let stats = run_warp(32, |lane, acc| {
-            acc.record_mem(site_a(), Space::Global, false, lane as u64 * 8, 8);
-        });
+        let stats = run(&[|w, buf| {
+            w.ld_f64(buf, &lanes(|l| l));
+        }]);
         assert_eq!(stats.global_load_tx, 2);
         assert_eq!(stats.global_load_bytes_requested, 256);
         assert!((stats.gld_efficiency(&cfg()) - 1.0).abs() < 1e-12);
@@ -948,9 +467,9 @@ mod tests {
     fn strided_aos_access_explodes_transactions() {
         // Stride 72 B (3 Gaussians x 3 f64 params, AoS): 32 lanes span
         // 32*72 = 2304 B => 18-19 segments.
-        let stats = run_warp(32, |lane, acc| {
-            acc.record_mem(site_a(), Space::Global, true, lane as u64 * 72, 8);
-        });
+        let stats = run(&[|w, buf| {
+            w.st_f64(buf, &lanes(|l| 9 * l), &[1.0; WARP_LANES]);
+        }]);
         assert!(
             stats.global_store_tx >= 18,
             "tx = {}",
@@ -962,18 +481,18 @@ mod tests {
 
     #[test]
     fn u8_coalesced_access_is_one_quarter_efficient() {
-        let stats = run_warp(32, |lane, acc| {
-            acc.record_mem(site_a(), Space::Global, false, lane as u64, 1);
-        });
+        let stats = run(&[|w, buf| {
+            w.ld_u8(buf, &lanes(|l| l));
+        }]);
         assert_eq!(stats.global_load_tx, 1);
         assert!((stats.gld_efficiency(&cfg()) - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn uniform_branch_is_not_divergent() {
-        let stats = run_warp(32, |_, acc| {
-            acc.record_branch(site_a(), true);
-        });
+        let stats = run(&[|w, _| {
+            w.branch(u32::MAX);
+        }]);
         assert_eq!(stats.branch_slots, 1);
         assert_eq!(stats.divergent_branch_slots, 0);
         assert!((stats.branch_efficiency() - 1.0).abs() < 1e-12);
@@ -981,9 +500,9 @@ mod tests {
 
     #[test]
     fn mixed_branch_is_divergent() {
-        let stats = run_warp(32, |lane, acc| {
-            acc.record_branch(site_a(), lane % 2 == 0);
-        });
+        let stats = run(&[|w, _| {
+            w.branch(mask_of(|l| l % 2 == 0));
+        }]);
         assert_eq!(stats.branch_slots, 1);
         assert_eq!(stats.divergent_branch_slots, 1);
         assert_eq!(stats.branch_efficiency(), 0.0);
@@ -991,15 +510,13 @@ mod tests {
 
     #[test]
     fn divergent_paths_serialize_into_extra_slots() {
-        // Half the lanes do work at site_a(), half at site_b(): both slots
+        // Half the lanes do work at one site, half at another: both slots
         // must be issued (serialization).
-        let stats = run_warp(32, |lane, acc| {
-            if lane < 16 {
-                acc.record_op(site_a(), OpClass::F32, 4);
-            } else {
-                acc.record_op(site_b(), OpClass::F32, 4);
-            }
-        });
+        let stats = run(&[|w, _| {
+            let low = mask_of(|l| l < 16);
+            w.when(low, |w| w.flop32(4));
+            w.when(!low, |w| w.flop32(4));
+        }]);
         assert_eq!(stats.warp_slots, 2);
         assert!((stats.issue_cycles - 8.0).abs() < 1e-12);
         // Scalar FLOP count still reflects actual work: 32 lanes x 4.
@@ -1008,8 +525,8 @@ mod tests {
 
     #[test]
     fn f64_ops_cost_double_issue() {
-        let s32 = run_warp(32, |_, acc| acc.record_op(site_a(), OpClass::F32, 10));
-        let s64 = run_warp(32, |_, acc| acc.record_op(site_a(), OpClass::F64, 10));
+        let s32 = run(&[|w, _| w.flop32(10)]);
+        let s64 = run(&[|w, _| w.flop64(10)]);
         assert!((s64.issue_cycles - 2.0 * s32.issue_cycles).abs() < 1e-12);
     }
 
@@ -1017,11 +534,11 @@ mod tests {
     fn loop_iterations_occupy_distinct_slots() {
         // Each lane executes the same site 3 times: occurrences align
         // across lanes => 3 slots, not 1 or 96.
-        let stats = run_warp(32, |_, acc| {
+        let stats = run(&[|w, _| {
             for _ in 0..3 {
-                acc.record_op(site_a(), OpClass::Int, 1);
+                w.int_op(1);
             }
-        });
+        }]);
         assert_eq!(stats.warp_slots, 3);
         assert_eq!(stats.int_ops, 96);
     }
@@ -1029,9 +546,9 @@ mod tests {
     #[test]
     fn shared_conflict_free_access() {
         // Lane i -> word i: all 32 banks hit once.
-        let stats = run_warp(32, |lane, acc| {
-            acc.record_mem(site_a(), Space::Shared, false, lane as u64 * 4, 4);
-        });
+        let stats = run(&[|w, _| {
+            w.sh_ld_f32(&lanes(|l| 4 * l));
+        }]);
         assert_eq!(stats.shared_accesses, 32);
         assert_eq!(stats.shared_replays, 0);
     }
@@ -1039,48 +556,67 @@ mod tests {
     #[test]
     fn shared_two_way_bank_conflict() {
         // Lane i -> word 2*i: banks 0,2,4,... each hit twice => 1 replay.
-        let stats = run_warp(32, |lane, acc| {
-            acc.record_mem(site_a(), Space::Shared, false, lane as u64 * 8, 4);
-        });
+        let stats = run(&[|w, _| {
+            w.sh_ld_f32(&lanes(|l| 8 * l));
+        }]);
         assert_eq!(stats.shared_replays, 1);
     }
 
     #[test]
     fn shared_broadcast_is_conflict_free() {
         // All lanes read the same word: broadcast, no replay.
-        let stats = run_warp(32, |_, acc| {
-            acc.record_mem(site_a(), Space::Shared, false, 64, 4);
-        });
+        let stats = run(&[|w, _| {
+            w.sh_ld_f32(&[64; WARP_LANES]);
+        }]);
         assert_eq!(stats.shared_replays, 0);
     }
 
     #[test]
     fn local_space_counted_separately() {
-        let stats = run_warp(32, |lane, acc| {
-            acc.record_mem(site_a(), Space::Local, true, lane as u64 * 8, 8);
-        });
+        // One slot's 32 lane copies are contiguous: 256 B, 2 segments.
+        let stats = run(&[|w, _| w.st_local(&[0; WARP_LANES], &[1.0; WARP_LANES])]);
         assert_eq!(stats.local_store_tx, 2);
         assert_eq!(stats.global_store_tx, 0);
     }
 
+    /// The profiled launch's sites in source-line order.
+    fn sites_by_line(report: &LaunchReport) -> Vec<SiteStats> {
+        let mut rows: Vec<_> = report
+            .sites
+            .as_ref()
+            .expect("profiled launch")
+            .iter()
+            .map(|(site, stats)| (site_source(site).unwrap().line, *stats))
+            .collect();
+        rows.sort_by_key(|r| r.0);
+        rows.into_iter().map(|r| r.1).collect()
+    }
+
+    fn profiled() -> LaunchOptions {
+        LaunchOptions {
+            profile_sites: true,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn site_profile_attributes_slots_to_sites() {
-        let mut acc = WarpAccumulator::with_site_profile();
-        let mut stats = KernelStats::default();
-        for lane in 0..32 {
-            acc.begin_lane();
-            // site_a(): divergent branch; site_b(): coalesced f64 store.
-            acc.record_branch(site_a(), lane % 2 == 0);
-            acc.record_mem(site_b(), Space::Global, true, lane as u64 * 8, 8);
-        }
-        acc.end_warp(&cfg(), &mut stats);
-        let profile = acc.take_site_profile().unwrap();
-        assert_eq!(profile.len(), 2);
-        let a = profile.get(sid(site_a())).unwrap();
+        // A divergent branch, then a coalesced f64 store.
+        let report = launch_on(
+            &cfg(),
+            32,
+            &[|w, buf| {
+                w.branch(mask_of(|l| l % 2 == 0));
+                w.st_f64(buf, &lanes(|l| l), &[0.0; WARP_LANES]);
+            }],
+            profiled(),
+        );
+        let (stats, sites) = (&report.stats, sites_by_line(&report));
+        assert_eq!(sites.len(), 2);
+        let (a, b) = (&sites[0], &sites[1]);
         assert_eq!(a.branch_slots, 1);
         assert_eq!(a.divergent_branch_slots, 1);
         assert_eq!(a.transactions, 0);
-        let b = profile.get(sid(site_b())).unwrap();
         assert_eq!(b.transactions, 2); // 256 B coalesced = 2 segments
         assert_eq!(b.bytes_requested, 256);
         assert_eq!(b.branch_slots, 0);
@@ -1091,56 +627,46 @@ mod tests {
 
     #[test]
     fn site_profile_absent_by_default() {
-        let mut acc = WarpAccumulator::new();
-        let mut stats = KernelStats::default();
-        acc.begin_lane();
-        acc.record_op(site_a(), OpClass::Int, 1);
-        acc.end_warp(&cfg(), &mut stats);
-        assert!(acc.take_site_profile().is_none());
+        let report = launch_on(&cfg(), 32, &[|w, _| w.int_op(1)], LaunchOptions::default());
+        assert!(report.sites.is_none());
     }
 
     #[test]
     fn site_profile_survives_multiple_warps() {
-        let mut acc = WarpAccumulator::with_site_profile();
-        let mut stats = KernelStats::default();
-        for _warp in 0..3 {
-            for _lane in 0..32 {
-                acc.begin_lane();
-                acc.record_op(site_a(), OpClass::F64, 2);
-            }
-            acc.end_warp(&cfg(), &mut stats);
-        }
-        let profile = acc.take_site_profile().unwrap();
-        let a = profile.get(sid(site_a())).unwrap();
-        assert_eq!(a.warp_slots, 3);
-        assert_eq!(a.scalar_ops, 3 * 32 * 2);
+        let p: Program = |w, _| w.flop64(2);
+        let report = launch_on(&cfg(), 96, &[p, p, p], profiled());
+        let sites = sites_by_line(&report);
+        assert_eq!(sites.len(), 1);
+        assert_eq!(sites[0].warp_slots, 3);
+        assert_eq!(sites[0].scalar_ops, 3 * 32 * 2);
     }
 
     #[test]
     fn partial_warp_counts_lanes() {
-        let stats = run_warp(7, |lane, acc| {
-            acc.record_mem(site_a(), Space::Global, false, lane as u64 * 8, 8);
-        });
-        assert_eq!(stats.lanes, 7);
-        assert_eq!(stats.global_load_tx, 1); // 56 B within one segment
+        let report = launch_on(
+            &cfg(),
+            7,
+            &[|w, buf| {
+                w.ld_f64(buf, &lanes(|l| l));
+            }],
+            LaunchOptions::default(),
+        );
+        assert_eq!(report.stats.lanes, 7);
+        assert_eq!(report.stats.global_load_tx, 1); // 56 B within one segment
     }
 
-    /// Keys are recorded in the segment size of the config the
-    /// accumulator was set to; folding under another is refused instead
-    /// of counting the wrong segments.
+    /// Keys are recorded in the segment size of the config the fold was
+    /// set to; folding under another is refused instead of counting the
+    /// wrong segments.
     #[test]
     fn end_warp_rejects_a_config_with_another_segment_size() {
-        let mut acc = WarpAccumulator::new();
-        let mut stats = KernelStats::default();
-        acc.begin_lane();
-        acc.record_mem(site_a(), Space::Global, false, 0, 8);
+        let mut fold = SlotFold::new();
+        fold.set_geometry(&cfg());
         let wide = GpuConfig {
             segment_bytes: 256,
             ..cfg()
         };
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            acc.end_warp(&wide, &mut stats)
-        }));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fold.begin(&wide)));
         assert!(r.is_err(), "a 256 B fold of 128 B keys must be refused");
     }
 
@@ -1153,17 +679,13 @@ mod tests {
             shared_banks: 24,
             ..cfg()
         };
-        let mut acc = WarpAccumulator::new();
-        acc.set_geometry(&odd);
-        let mut stats = KernelStats::default();
-        for lane in 0..32u64 {
-            acc.begin_lane();
-            acc.record_mem(site_a(), Space::Global, false, lane * 12 + 5, 8);
-            acc.record_mem(site_b(), Space::Shared, false, lane * 8, 4);
-        }
-        acc.end_warp(&odd, &mut stats);
+        let program: Program = |w, buf| {
+            w.ld_f64(buf, &lanes(|l| 3 * l + 1));
+            w.sh_ld_f32(&lanes(|l| 8 * l));
+        };
+        let stats = launch_on(&odd, 32, &[program], LaunchOptions::default()).stats;
         let segments: std::collections::BTreeSet<u64> = (0..32u64)
-            .flat_map(|l| [(l * 12 + 5) / 96, (l * 12 + 12) / 96])
+            .flat_map(|l| [(l * 24 + 8) / 96, (l * 24 + 15) / 96])
             .collect();
         assert_eq!(stats.global_load_tx, segments.len() as u64);
         // Lane l reads word 2l, on bank 2l % 24.
@@ -1176,205 +698,171 @@ mod tests {
 
     #[test]
     fn accumulator_reuse_across_warps_is_clean() {
-        // The SoA tables persist across warps (occurrence resets, slot
-        // table un-set, access vectors pooled): a second identical warp
-        // must fold identical statistics.
-        let mut acc = WarpAccumulator::new();
-        let mut first = KernelStats::default();
-        let mut second = KernelStats::default();
-        for (warp, stats) in [&mut first, &mut second].into_iter().enumerate() {
-            for lane in 0..32u32 {
-                acc.begin_lane();
+        // The recorder's per-site rows persist across warps: a second
+        // warp running the same sites must fold what a fresh one does.
+        let programs: [Program; 2] = [
+            |w, buf| {
                 for i in 0..3 {
-                    acc.record_op(site_a(), OpClass::Int, i + 1);
+                    w.int_op(i + 1);
                 }
-                acc.record_mem(site_b(), Space::Global, warp == 1, lane as u64 * 8, 8);
-                acc.record_branch(site_a(), lane < 16);
-            }
-            acc.end_warp(&cfg(), stats);
-        }
-        assert_eq!(first.warp_slots, second.warp_slots);
-        assert_eq!(first.int_ops, second.int_ops);
-        assert_eq!(first.global_load_tx, second.global_store_tx);
-        assert_eq!(first.branch_slots, 1);
-        assert_eq!(second.divergent_branch_slots, 1);
+                w.ld_f64(buf, &lanes(|l| l));
+                w.branch(mask_of(|l| l < 16));
+            },
+            |w, buf| {
+                for i in 0..3 {
+                    w.int_op(i + 1);
+                }
+                w.st_f64(buf, &lanes(|l| l), &[0.0; WARP_LANES]);
+                w.branch(mask_of(|l| l < 16));
+            },
+        ];
+        let stats = run(&programs);
+        assert_eq!(stats, fresh(&programs));
+        assert_eq!(stats.global_load_tx, stats.global_store_tx);
+        assert_eq!(stats.branch_slots, 2);
+        assert_eq!(stats.divergent_branch_slots, 2);
     }
 
-    // ---- the slot template across warps ----
+    // ---- recorder rows across warps ----
 
-    /// Lane program of a warp whose halves take different paths, in
-    /// different first-touch orders.
-    fn split_paths(lane: u32, acc: &mut WarpAccumulator) {
-        let l = lane as u64;
-        if lane < 16 {
-            acc.record_op(site_a(), OpClass::F32, lane % 5 + 1);
-            acc.record_mem(site_b(), Space::Global, false, l * 8, 8);
-            acc.record_branch(site_c(), lane.is_multiple_of(2));
-        } else {
-            acc.record_branch(site_c(), lane.is_multiple_of(3));
-            acc.record_mem(site_b(), Space::Global, false, l * 72, 8);
-            acc.record_op(site_a(), OpClass::F32, 2);
-        }
+    // Sites shared by the paths of a warp: each helper is one call site.
+    fn op_a(w: &mut WarpCtx<'_>, counts: &Lanes<u32>) {
+        w.ops(OpClass::F32, counts);
+    }
+    fn mem_b(w: &mut WarpCtx<'_>, buf: Buffer, idx: &Lanes<usize>) {
+        w.ld_f64(buf, idx);
+    }
+    fn branch_c(w: &mut WarpCtx<'_>, cond: Mask) {
+        w.branch(cond);
+    }
+    fn op_d(w: &mut WarpCtx<'_>, counts: &Lanes<u32>) {
+        w.ops(OpClass::F64, counts);
     }
 
-    /// The next warp: the paths swap roles, revisit `site_a` twice and
-    /// touch a site the first warp never did.
-    fn swapped_paths(lane: u32, acc: &mut WarpAccumulator) {
-        let l = lane as u64;
-        if lane >= 8 {
-            acc.record_mem(site_b(), Space::Global, true, l * 72, 8);
-            acc.record_op(site_d(), OpClass::F64, 3);
-        } else {
-            acc.record_op(site_d(), OpClass::F64, lane);
-            acc.record_op(site_a(), OpClass::F32, 1);
-            acc.record_op(site_a(), OpClass::F32, lane + 2);
-        }
+    /// A warp whose halves take different paths through the same three
+    /// sites, in different orders.
+    fn split_paths(w: &mut WarpCtx<'_>, buf: Buffer) {
+        let low = mask_of(|l| l < 16);
+        w.when(low, |w| {
+            op_a(w, &lanes(|l| l as u32 % 5 + 1));
+            mem_b(w, buf, &lanes(|l| l));
+            branch_c(w, mask_of(|l| l % 2 == 0));
+        });
+        w.when(!low, |w| {
+            branch_c(w, mask_of(|l| l % 3 == 0));
+            mem_b(w, buf, &lanes(|l| 9 * l));
+            op_a(w, &[2; WARP_LANES]);
+        });
+    }
+
+    /// The next warp: a site the first never touched, reached by the
+    /// high lanes first, and `op_a` twice on the low lanes only.
+    fn swapped_paths(w: &mut WarpCtx<'_>, buf: Buffer) {
+        let high = mask_of(|l| l >= 8);
+        w.when(high, |w| {
+            w.st_f64(buf, &lanes(|l| 9 * l), &[0.0; WARP_LANES]);
+            op_d(w, &[3; WARP_LANES]);
+        });
+        w.when(!high, |w| {
+            op_d(w, &lanes(|l| l as u32));
+            op_a(w, &[1; WARP_LANES]);
+            op_a(w, &lanes(|l| l as u32 + 2));
+        });
     }
 
     #[test]
     fn warps_with_different_first_touch_orders_fold_like_fresh_accumulators() {
-        let mut acc = WarpAccumulator::new();
-        let programs: [fn(u32, &mut WarpAccumulator); 4] =
-            [split_paths, swapped_paths, split_paths, swapped_paths];
-        for program in programs {
-            let reused = warp_on(&mut acc, 32, program, None);
-            let fresh = warp_on(&mut WarpAccumulator::new(), 32, program, None);
-            assert_eq!(reused, fresh);
-        }
-        // The template kept every slot: a0, b0, c0, plus d0 and a1.
-        assert_eq!(acc.slots.len(), 5);
+        let programs: [Program; 4] = [split_paths, swapped_paths, split_paths, swapped_paths];
+        let stats = run(&programs);
+        assert_eq!(stats, fresh(&programs));
+        // a0, b0, c0; then the store, d0, a0 and a1.
+        assert_eq!(stats.warp_slots, 2 * (3 + 4));
     }
 
     #[test]
-    fn untouched_template_slots_add_nothing() {
-        let mut acc = WarpAccumulator::new();
-        let first = warp_on(&mut acc, 32, split_paths, None);
-        assert_eq!(first.warp_slots, 3);
-        let only_a = |lane: u32, acc: &mut WarpAccumulator| {
-            acc.record_op(site_a(), OpClass::Int, lane);
-        };
-        let reused = warp_on(&mut acc, 32, only_a, None);
-        let fresh = warp_on(&mut WarpAccumulator::new(), 32, only_a, None);
-        assert_eq!(reused, fresh);
-        assert_eq!(reused.warp_slots, 1);
-        assert_eq!(reused.global_load_tx + reused.branch_slots, 0);
-        assert_eq!(acc.slots.len(), 3, "the template keeps the untouched slots");
+    fn rows_of_an_earlier_warp_add_nothing() {
+        let only_a: Program = |w, _| op_a(w, &lanes(|l| l as u32));
+        let empty: Program = |_, _| {};
+        let stats = run(&[split_paths, only_a]);
+        assert_eq!(stats, fresh(&[split_paths, only_a]));
+        assert_eq!(stats.warp_slots, 3 + 1);
+        assert_eq!(stats.global_load_tx, run(&[split_paths]).global_load_tx);
         // A warp that records nothing folds nothing.
-        let empty = warp_on(&mut acc, 32, |_, _| {}, None);
-        assert_eq!(empty.warp_slots, 0);
-        assert_eq!(empty.issue_cycles, 0.0);
-        assert_eq!(empty.lanes, 32);
+        let none = run(&[empty]);
+        assert_eq!(none.warp_slots, 0);
+        assert_eq!(none.issue_cycles, 0.0);
+        assert_eq!(none.lanes, 32);
     }
 
-    /// A one-line L2 makes the fold order visible: the second warp
-    /// touches `site_b`'s segment first, so it hits the line the first
-    /// warp left behind; visiting the slots in template order would
-    /// evict it first and miss twice.
+    /// A one-line L2 makes the fold order visible. Warp 0 leaves segment
+    /// 0 in the line. In warp 1 the high lanes load segment 1 first and
+    /// the low lanes segment 0 after them, so segment 0's slot is the
+    /// later instruction but has the lower lane: folding in per-lane
+    /// first-touch order hits the line, instruction order would evict
+    /// it first and miss twice.
     #[test]
     fn cached_fold_follows_this_warps_first_touch_order() {
-        let first = |_: u32, acc: &mut WarpAccumulator| {
-            acc.record_mem(site_a(), Space::Global, false, 0, 8);
-            acc.record_mem(site_b(), Space::Global, false, 128, 8);
+        let programs: [Program; 2] = [
+            |w, buf| {
+                w.ld_f64(buf, &lanes(|l| l % 16));
+            },
+            |w, buf| {
+                let low = mask_of(|l| l < 16);
+                w.when(!low, |w| {
+                    w.ld_f64(buf, &lanes(|l| l));
+                });
+                w.when(low, |w| {
+                    w.ld_f64(buf, &lanes(|l| l));
+                });
+            },
+        ];
+        let lc = LaunchConfig {
+            blocks: 1,
+            threads_per_block: 64,
         };
-        let second = |_: u32, acc: &mut WarpAccumulator| {
-            acc.record_mem(site_b(), Space::Global, false, 128, 8);
-            acc.record_mem(site_a(), Space::Global, false, 0, 8);
+        let resident = occupancy(&cfg(), &lc, &RESOURCES).unwrap().resident_blocks;
+        // Each block's L2 slice is `l2_bytes / (sms x resident blocks)`.
+        let one_line = GpuConfig {
+            l2_bytes: (cfg().num_sms * resident) as usize * 128,
+            l2_assoc: 1,
+            ..cfg()
         };
-        let one_line = || CacheModel::new(128, 1, 128);
-        let (mut acc, mut cache) = (WarpAccumulator::new(), one_line());
-        let (mut fresh_cache, mut reused) = (one_line(), Vec::new());
-        for program in [first, second] {
-            let stats = warp_on(&mut acc, 32, program, Some(&mut cache));
-            let fresh = warp_on(
-                &mut WarpAccumulator::new(),
-                32,
-                program,
-                Some(&mut fresh_cache),
-            );
-            assert_eq!(stats, fresh);
-            reused.push(stats);
-        }
-        assert_eq!((reused[0].l2_hits, reused[0].l2_misses), (0, 2));
-        assert_eq!((reused[1].l2_hits, reused[1].l2_misses), (1, 1));
+        let stats = launch_on(&one_line, 64, &programs, LaunchOptions::default()).stats;
+        assert_eq!((stats.l2_hits, stats.l2_misses), (1, 2));
     }
 
-    #[test]
-    fn reset_between_kernels_matches_a_fresh_accumulator() {
-        let second_kernel = |lane: u32, acc: &mut WarpAccumulator| {
-            for i in 0..lane % 3 {
-                acc.record_mem(site_d(), Space::Shared, false, (lane * 8 + i) as u64, 4);
-            }
-            acc.record_sync(site_c());
-            acc.record_op(site_a(), OpClass::Int, lane);
-        };
-        let mut acc = WarpAccumulator::with_site_profile();
-        for _ in 0..2 {
-            warp_on(&mut acc, 32, split_paths, None);
-            warp_on(&mut acc, 32, swapped_paths, None);
-        }
-        acc.take_site_profile();
-        acc.reset_template();
-        assert!(acc.slots.is_empty());
-        let mut fresh = WarpAccumulator::with_site_profile();
-        for _ in 0..3 {
-            let reused = warp_on(&mut acc, 32, second_kernel, None);
-            assert_eq!(reused, warp_on(&mut fresh, 32, second_kernel, None));
-        }
-        let (reused, fresh) = (
-            acc.take_site_profile().unwrap(),
-            fresh.take_site_profile().unwrap(),
-        );
-        assert_eq!(reused.len(), 3);
-        for (site, stats) in fresh.iter() {
-            assert_eq!(reused.get(site), Some(stats));
-        }
-        // d0, d1, c0, a0: only the second kernel's slots.
-        assert_eq!(acc.slots.len(), 4);
-    }
-
-    /// Lane 1 starts off the template's order, lands the cursor on
-    /// `site_a`'s second slot while its own next `site_a` event is the
-    /// first occurrence, and later rejoins the cursor path at `site_c`.
+    /// Lane 1 reaches site `b` before its first `a`, so its `a`
+    /// occurrences trail the other lanes' by one instruction: each `a`
+    /// instruction splits across the two slots its lanes are at.
     #[test]
     fn lane_that_leaves_order_and_rejoins_folds_exactly() {
-        type SiteFn = fn() -> &'static Location<'static>;
-        let lanes: [[(SiteFn, u32); 4]; 3] = [
-            [(site_a, 1), (site_b, 10), (site_a, 100), (site_c, 1000)],
-            [(site_b, 20), (site_a, 200), (site_a, 2), (site_c, 2000)],
-            [(site_a, 3), (site_b, 30), (site_a, 300), (site_c, 3000)],
-        ];
-        let mut acc = WarpAccumulator::new();
-        for _ in 0..2 {
-            let stats = warp_on(
-                &mut acc,
-                3,
-                |lane, acc| {
-                    for (site, count) in lanes[lane as usize] {
-                        acc.record_op(site(), OpClass::F32, count);
-                    }
-                },
-                None,
-            );
-            // Slots a0 = max(1, 200, 3), b0 = 30, a1 = 300, c0 = 3000.
-            assert_eq!(stats.warp_slots, 4);
-            assert_eq!(stats.issue_cycles, 3530.0);
-            assert_eq!(stats.flops_f32, 3 * 3530);
+        fn a(w: &mut WarpCtx<'_>, counts: [u32; 3]) {
+            w.ops(OpClass::F32, &lanes(|l| counts[l.min(2)]));
         }
-    }
-
-    /// When the epoch counter wraps, no slot stamped long ago may pass
-    /// as touched by the new warp.
-    #[test]
-    fn epoch_wrap_keeps_warps_apart() {
-        let mut acc = WarpAccumulator::new();
-        acc.epoch = u32::MAX - 1;
-        for program in [split_paths, swapped_paths, split_paths, swapped_paths] {
-            let reused = warp_on(&mut acc, 32, program, None);
-            assert_eq!(
-                reused,
-                warp_on(&mut WarpAccumulator::new(), 32, program, None)
-            );
+        fn b(w: &mut WarpCtx<'_>, counts: [u32; 3]) {
+            w.ops(OpClass::F32, &lanes(|l| counts[l.min(2)]));
         }
-        assert_eq!(acc.epoch, 3);
+        fn c(w: &mut WarpCtx<'_>, counts: [u32; 3]) {
+            w.ops(OpClass::F32, &lanes(|l| counts[l.min(2)]));
+        }
+        let report = launch_on(
+            &cfg(),
+            3,
+            &[|w, _| {
+                // Lanes 0 and 2: a b a c; lane 1: b a a c.
+                w.when(0b101, |w| a(w, [1, 0, 3]));
+                b(w, [10, 20, 30]);
+                a(w, [100, 200, 300]);
+                w.when(0b010, |w| a(w, [0, 2, 0]));
+                c(w, [1000, 2000, 3000]);
+            }],
+            LaunchOptions::default(),
+        );
+        // Slots a0 = max(1, 200, 3), b0 = 30, a1 = max(100, 2, 300),
+        // c0 = 3000.
+        let stats = report.stats;
+        assert_eq!(stats.warp_slots, 4);
+        assert_eq!(stats.issue_cycles, 3530.0);
+        assert_eq!(stats.flops_f32, 3 * 3530);
     }
 }

@@ -188,20 +188,20 @@ proptest! {
     ) {
         use mogpu::sim::KernelStats;
         // Reach the warp analyzer through a micro-kernel run.
-        use mogpu::sim::{launch, DeviceMemory, Kernel, KernelResources, LaunchConfig, ThreadCtx};
+        use mogpu::sim::{lanes, launch, DeviceMemory, KernelResources, LaunchConfig, WarpCtx, WarpKernel};
         let width = [1usize, 4, 8][width_sel];
         struct Strided { buf: mogpu::sim::Buffer, base: u64, stride: u64, width: usize }
-        impl Kernel for Strided {
+        impl WarpKernel for Strided {
             fn resources(&self) -> KernelResources {
                 KernelResources { regs_per_thread: 8, shared_bytes_per_block: 0, local_f64_slots: 0 }
             }
-            fn run(&self, ctx: &mut ThreadCtx<'_>) {
-                let i = ctx.global_thread_id() as u64;
-                let elem = (self.base + i * self.stride) as usize;
+            fn run_warp(&self, w: &mut WarpCtx<'_>) {
+                let i = w.global_thread_id();
+                let elem = lanes(|l| (self.base + i[l] as u64 * self.stride) as usize);
                 match self.width {
-                    1 => { ctx.ld_u8(self.buf, elem); }
-                    4 => { ctx.ld_f32(self.buf, elem); }
-                    _ => { ctx.ld_f64(self.buf, elem); }
+                    1 => { w.ld_u8(self.buf, &elem); }
+                    4 => { w.ld_f32(self.buf, &elem); }
+                    _ => { w.ld_f64(self.buf, &elem); }
                 }
             }
         }

@@ -5,8 +5,8 @@
 
 use mogpu::prelude::*;
 use mogpu::sim::{
-    launch_with, Buffer, DeviceMemory, Kernel, KernelResources, LaunchConfig, LaunchOptions,
-    SanReport, ThreadCtx,
+    lanes, launch_with, mask_of, Buffer, DeviceMemory, KernelResources, LaunchConfig,
+    LaunchOptions, SanReport, WarpCtx, WarpKernel, WARP_LANES,
 };
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -17,7 +17,7 @@ fn sanitized() -> LaunchOptions {
     }
 }
 
-fn run_sanitized<K: Kernel>(
+fn run_sanitized<K: WarpKernel>(
     mem: &mut DeviceMemory,
     blocks: u32,
     threads_per_block: u32,
@@ -66,15 +66,16 @@ fn memcheck_catches_oob_global_store_at_site() {
     struct OobStore {
         buf: Buffer,
     }
-    impl Kernel for OobStore {
+    impl WarpKernel for OobStore {
         fn resources(&self) -> KernelResources {
             SMALL
         }
-        fn run(&self, ctx: &mut ThreadCtx<'_>) {
-            if ctx.global_thread_id() == 0 {
+        fn run_warp(&self, w: &mut WarpCtx<'_>) {
+            let first = mask_of(|l| w.global_thread_id()[l] == 0);
+            w.when(first, |w| {
                 BUG_LINE.store(line!() + 1, Ordering::Relaxed);
-                ctx.st_f64(self.buf, 16, 1.0); // buffer holds 16 elements
-            }
+                w.st_f64(self.buf, &[16; WARP_LANES], &[1.0; WARP_LANES]); // buffer holds 16 elements
+            });
         }
     }
     let mut mem = DeviceMemory::new(1 << 20);
@@ -98,7 +99,7 @@ fn racecheck_catches_unsynced_cross_lane_read_at_site() {
     struct Race {
         out: Buffer,
     }
-    impl Kernel for Race {
+    impl WarpKernel for Race {
         fn resources(&self) -> KernelResources {
             KernelResources {
                 regs_per_thread: 8,
@@ -106,16 +107,16 @@ fn racecheck_catches_unsynced_cross_lane_read_at_site() {
                 local_f64_slots: 0,
             }
         }
-        fn run(&self, ctx: &mut ThreadCtx<'_>) {
-            let t = ctx.thread_idx();
-            ctx.sh_st_u8(t, t as u8);
+        fn run_warp(&self, w: &mut WarpCtx<'_>) {
+            let t = w.thread_idx();
+            w.sh_st_u8(&t, &lanes(|l| t[l] as u8));
             // Threads t > 0 read their neighbor's byte with no barrier in
             // between: a write-read race. Thread 0 re-reads its own byte
             // (no conflict, and never an uninitialized one).
-            let peer = t.saturating_sub(1);
+            let peer = lanes(|l| t[l].saturating_sub(1));
             BUG_LINE.store(line!() + 1, Ordering::Relaxed);
-            let v = ctx.sh_ld_u8(peer);
-            ctx.st_u8(self.out, t, v);
+            let v = w.sh_ld_u8(&peer);
+            w.st_u8(self.out, &t, &v);
         }
     }
     let mut mem = DeviceMemory::new(1 << 20);
@@ -136,7 +137,7 @@ fn racecheck_stays_quiet_when_a_barrier_separates_the_lanes() {
     struct Synced {
         out: Buffer,
     }
-    impl Kernel for Synced {
+    impl WarpKernel for Synced {
         fn resources(&self) -> KernelResources {
             KernelResources {
                 regs_per_thread: 8,
@@ -144,12 +145,12 @@ fn racecheck_stays_quiet_when_a_barrier_separates_the_lanes() {
                 local_f64_slots: 0,
             }
         }
-        fn run(&self, ctx: &mut ThreadCtx<'_>) {
-            let t = ctx.thread_idx();
-            ctx.sh_st_u8(t, t as u8);
-            ctx.sync();
-            let v = ctx.sh_ld_u8(t.saturating_sub(1));
-            ctx.st_u8(self.out, t, v);
+        fn run_warp(&self, w: &mut WarpCtx<'_>) {
+            let t = w.thread_idx();
+            w.sh_st_u8(&t, &lanes(|l| t[l] as u8));
+            w.sync();
+            let v = w.sh_ld_u8(&lanes(|l| t[l].saturating_sub(1)));
+            w.st_u8(self.out, &t, &v);
         }
     }
     let mut mem = DeviceMemory::new(1 << 20);
@@ -169,7 +170,7 @@ fn synccheck_catches_divergent_barrier_at_minority_site() {
     struct Divergent {
         out: Buffer,
     }
-    impl Kernel for Divergent {
+    impl WarpKernel for Divergent {
         fn resources(&self) -> KernelResources {
             KernelResources {
                 regs_per_thread: 8,
@@ -177,17 +178,17 @@ fn synccheck_catches_divergent_barrier_at_minority_site() {
                 local_f64_slots: 0,
             }
         }
-        fn run(&self, ctx: &mut ThreadCtx<'_>) {
-            let t = ctx.thread_idx();
-            if t == 0 {
+        fn run_warp(&self, w: &mut WarpCtx<'_>) {
+            let t = w.thread_idx();
+            let zero = mask_of(|l| t[l] == 0);
+            w.when(zero, |w| {
                 // Only thread 0 syncs here — the minority site the
                 // finding must be attributed to.
                 BUG_LINE.store(line!() + 1, Ordering::Relaxed);
-                ctx.sync();
-            } else {
-                ctx.sync();
-            }
-            ctx.st_u8(self.out, t, t as u8);
+                w.sync();
+            });
+            w.when(!zero, |w| w.sync());
+            w.st_u8(self.out, &t, &lanes(|l| t[l] as u8));
         }
     }
     let mut mem = DeviceMemory::new(1 << 20);
@@ -209,7 +210,7 @@ fn synccheck_allows_early_exit_before_a_barrier() {
     struct EarlyExit {
         out: Buffer,
     }
-    impl Kernel for EarlyExit {
+    impl WarpKernel for EarlyExit {
         fn resources(&self) -> KernelResources {
             KernelResources {
                 regs_per_thread: 8,
@@ -217,13 +218,13 @@ fn synccheck_allows_early_exit_before_a_barrier() {
                 local_f64_slots: 0,
             }
         }
-        fn run(&self, ctx: &mut ThreadCtx<'_>) {
-            let t = ctx.thread_idx();
-            if t >= 16 {
+        fn run_warp(&self, w: &mut WarpCtx<'_>) {
+            let t = w.thread_idx();
+            if !w.keep(mask_of(|l| t[l] < 16)) {
                 return;
             }
-            ctx.sync();
-            ctx.st_u8(self.out, t, 1);
+            w.sync();
+            w.st_u8(self.out, &t, &[1; WARP_LANES]);
         }
     }
     let mut mem = DeviceMemory::new(1 << 20);
@@ -243,7 +244,7 @@ fn initcheck_catches_uninitialized_shared_read_at_site() {
     struct UninitShared {
         out: Buffer,
     }
-    impl Kernel for UninitShared {
+    impl WarpKernel for UninitShared {
         fn resources(&self) -> KernelResources {
             KernelResources {
                 regs_per_thread: 8,
@@ -251,15 +252,15 @@ fn initcheck_catches_uninitialized_shared_read_at_site() {
                 local_f64_slots: 0,
             }
         }
-        fn run(&self, ctx: &mut ThreadCtx<'_>) {
-            let t = ctx.thread_idx();
-            if t == 0 {
+        fn run_warp(&self, w: &mut WarpCtx<'_>) {
+            let t = w.thread_idx();
+            w.when(mask_of(|l| t[l] == 0), |w| {
                 // No thread has written shared memory: its contents are
                 // undefined at block start.
                 BUG_LINE.store(line!() + 1, Ordering::Relaxed);
-                let v = ctx.sh_ld_f64(0);
-                ctx.st_f64(self.out, 0, v);
-            }
+                let v = w.sh_ld_f64(&[0; WARP_LANES]);
+                w.st_f64(self.out, &[0; WARP_LANES], &v);
+            });
         }
     }
     let mut mem = DeviceMemory::new(1 << 20);
@@ -281,17 +282,18 @@ fn initcheck_catches_never_written_global_read() {
         scratch: Buffer,
         out: Buffer,
     }
-    impl Kernel for UninitGlobal {
+    impl WarpKernel for UninitGlobal {
         fn resources(&self) -> KernelResources {
             SMALL
         }
-        fn run(&self, ctx: &mut ThreadCtx<'_>) {
-            if ctx.global_thread_id() == 0 {
+        fn run_warp(&self, w: &mut WarpCtx<'_>) {
+            let first = mask_of(|l| w.global_thread_id()[l] == 0);
+            w.when(first, |w| {
                 // `scratch` was allocated but never uploaded or stored to.
                 BUG_LINE.store(line!() + 1, Ordering::Relaxed);
-                let v = ctx.ld_f64(self.scratch, 3);
-                ctx.st_f64(self.out, 0, v);
-            }
+                let v = w.ld_f64(self.scratch, &[3; WARP_LANES]);
+                w.st_f64(self.out, &[0; WARP_LANES], &v);
+            });
         }
     }
     let mut mem = DeviceMemory::new(1 << 20);

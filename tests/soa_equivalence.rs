@@ -7,23 +7,24 @@
 //! restructuring is a pure representation change, so every counter and
 //! every output byte must survive it untouched.
 //!
-//! A proptest additionally drives the production
-//! [`mogpu::sim::warp::WarpAccumulator`] and the frozen
-//! [`warp_reference::ReferenceAccumulator`] with identical
-//! random event streams and asserts the folded [`KernelStats`] agree
-//! exactly, covering slot shapes no real kernel happens to produce. The
-//! streams mix free events with lanes that run one of a few fixed
-//! branchy programs, so successive warps touch the production
-//! accumulator's retained slot template in different orders and leave
-//! parts of it untouched, and their addresses cluster on a few segments
-//! and bank-sharing shared words, so slots revisit keys non-adjacently.
+//! A proptest additionally runs random warp programs through a test
+//! kernel on the public launch path and feeds each lane's share of the
+//! same program to the frozen [`warp_reference::ReferenceAccumulator`],
+//! asserting the folded [`KernelStats`] agree exactly, covering slot
+//! shapes no real kernel happens to produce. An instruction runs on a
+//! random lane mask; some send the lanes down one of a few fixed
+//! branchy programs, so lanes reach a site's occurrences in different
+//! instructions and slots split, and the addresses cluster on a few
+//! segments and bank-sharing shared words, so slots revisit keys
+//! non-adjacently.
 
 use mogpu::bench::harness::{default_params, run_level, standard_frames, SIM_RESOLUTION};
 use mogpu::core::{AdaptiveGpuMog, GpuMog, OptLevel, RunReport};
 use mogpu::prelude::*;
+use mogpu::sim::kernel::{launch_with, KernelResources, LaunchConfig, LaunchOptions};
 use mogpu::sim::stats::KernelStats;
 use mogpu::sim::trace::{OpClass, Space};
-use mogpu::sim::warp::WarpAccumulator;
+use mogpu::sim::{lanes, mask_of, Buffer, DeviceMemory, Lanes, WarpCtx, WarpKernel, WARP_LANES};
 #[path = "support/warp_reference.rs"]
 mod warp_reference;
 use proptest::prelude::*;
@@ -165,52 +166,274 @@ fn adaptive_path_is_bit_identical_to_seed() {
     assert_matches_golden("adaptive", &report, field(&g, "adaptive"));
 }
 
-// ---- randomized accumulator equivalence ----
+// ---- randomized fold equivalence ----
 
-/// A synthetic warp event applied identically to both accumulators.
-/// Site indices select from a fixed pool of genuinely `'static`
-/// locations; each site keeps one event kind so slot kinds stay
-/// consistent (mixing kinds at one (site, occurrence) is a kernel bug
-/// both accumulators only debug-assert on).
-#[derive(Debug, Clone)]
-enum Ev {
-    /// `begin_lane` on both.
-    Lane,
-    /// `end_warp` (fold + reset) on both.
-    Warp,
-    Op {
+/// One memory accessor of [`WarpCtx`]: space, width and direction.
+const ACCESSORS: [(Space, u8, bool); 14] = [
+    (Space::Global, 1, false),
+    (Space::Global, 4, false),
+    (Space::Global, 8, false),
+    (Space::Global, 1, true),
+    (Space::Global, 4, true),
+    (Space::Global, 8, true),
+    (Space::Shared, 1, false),
+    (Space::Shared, 4, false),
+    (Space::Shared, 8, false),
+    (Space::Shared, 1, true),
+    (Space::Shared, 4, true),
+    (Space::Shared, 8, true),
+    (Space::Local, 8, false),
+    (Space::Local, 8, true),
+];
+
+/// Spill slots the test kernel declares.
+const LOCAL_SLOTS: u64 = 4;
+
+/// Bytes of shared memory the test kernel declares.
+const SHARED_BYTES: usize = 512;
+
+/// What one warp instruction of a random program does.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Operations at op site `site`, of class `class_of(site)`: one
+    /// call site always charges one class.
+    Ops {
         site: usize,
-        class: u8,
-        count: u32,
     },
+    /// One access through `ACCESSORS[access]`.
     Mem {
-        site: usize,
-        space: u8,
-        write: bool,
-        addr: u64,
-        width: u8,
+        access: usize,
     },
-    Branch {
-        site: usize,
-        taken: bool,
-    },
-    Sync {
-        site: usize,
-    },
-    /// `begin_lane`, then the events of lane program `path` with its
-    /// counts, outcomes and addresses drawn from `data`.
-    Path {
-        path: u8,
-        data: u64,
-    },
+    Branch,
+    Sync,
 }
 
-/// Distinct static source locations standing in for kernel call sites.
-/// Each `Location::caller()` expression resolves to its own line, so the
-/// pool entries are distinct non-null `&'static Location`s exactly like
-/// the `#[track_caller]` sites real kernels record.
-fn site_pool() -> [&'static Location<'static>; 8] {
+/// One instruction of a generated program: the lanes that execute it
+/// and each lane's operand — an op count, an element index, a shared
+/// byte offset, a spill slot or a branch outcome.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    mask: u32,
+    op: Op,
+    vals: [u64; 32],
+}
+
+/// A generated instruction before expansion: `paths` runs the lanes
+/// through one of four fixed divergent programs.
+#[derive(Debug, Clone, Copy)]
+enum Instr {
+    Step { mask: u32, op: Op, data: u64 },
+    Paths { mask: u32, data: u64 },
+}
+
+fn arb_instr() -> impl Strategy<Value = Instr> {
+    (0u8..16, 0usize..4, any::<u64>(), any::<u64>(), 0usize..14).prop_map(
+        |(kind, site, data, m, access)| {
+            // Mostly every lane, else a random subset.
+            let mask = if m % 3 == 0 { u32::MAX } else { m as u32 };
+            let op = match kind {
+                0..=3 => Op::Ops { site },
+                4..=8 => Op::Mem { access },
+                9 => Op::Branch,
+                10 => Op::Sync,
+                _ => return Instr::Paths { mask, data },
+            };
+            Instr::Step { mask, op, data }
+        },
+    )
+}
+
+/// Lane `l`'s `i`-th pseudo-random word of `data` (splitmix64).
+fn word(data: u64, l: usize, i: u64) -> u64 {
+    let mut z = data ^ ((l as u64) << 40 | i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A lane operand for `op` drawn from `w`. Global accesses mostly fall
+/// within four 128-byte segments (an access may run into the next one),
+/// shared ones on words 0-3, 32-35 and 64-67, which share four banks, so
+/// one slot's lanes come back to a segment or word after touching
+/// others; now and then a global access lands anywhere in the buffer.
+fn operand(op: Op, w: u64) -> u64 {
+    let r = w >> 3;
+    match op {
+        Op::Ops { .. } => w % 65,
+        Op::Branch | Op::Sync => w & 1,
+        Op::Mem { access } => {
+            let (space, width, _) = ACCESSORS[access];
+            match space {
+                Space::Global => {
+                    let off = if w.is_multiple_of(8) {
+                        r % 60_000
+                    } else {
+                        r % 4 * 128 + (r >> 2) % 136
+                    };
+                    off / width as u64
+                }
+                Space::Shared => (r % 3 * 32 + (r >> 2) % 4) * 4 + (r >> 4) % 4,
+                Space::Local => r % LOCAL_SLOTS,
+            }
+        }
+    }
+}
+
+/// A step of `op` on the lanes of `mask`, operand `i` of `data`.
+fn step(mask: u32, op: Op, data: u64, i: u64) -> Step {
+    Step {
+        mask,
+        op,
+        vals: std::array::from_fn(|l| operand(op, word(data, l, i))),
+    }
+}
+
+/// Expands a warp's instructions into steps for a warp of `lanes`
+/// lanes. A `Paths` instruction sends each of its lanes down one of four
+/// programs that start alike and branch, then touch shared sites in
+/// different orders and counts, like the arms of a divergent kernel.
+fn expand(instrs: &[Instr], lanes: u32) -> Vec<Step> {
+    let warp = if lanes == 32 {
+        u32::MAX
+    } else {
+        (1 << lanes) - 1
+    };
+    let mut steps = Vec::new();
+    for &instr in instrs {
+        match instr {
+            Instr::Step { mask, op, data } => {
+                if mask & warp != 0 {
+                    steps.push(step(mask & warp, op, data, 0));
+                }
+            }
+            Instr::Paths { mask, data } => {
+                let path = |l: usize| word(data, l, 99) % 4;
+                for p in 0..4 {
+                    let m = (0..32)
+                        .filter(|&l| path(l) == p)
+                        .fold(0u32, |m, l| m | 1 << l);
+                    let m = m & mask & warp;
+                    if m == 0 {
+                        continue;
+                    }
+                    let ops = |site: usize| Op::Ops { site };
+                    let mem = |access| Op::Mem { access };
+                    let program: &[Op] = match p {
+                        0 => &[ops(0), Op::Branch, mem(2), ops(1), mem(5)],
+                        1 => &[ops(0), Op::Branch, ops(2), ops(2), mem(7), ops(1)],
+                        2 => &[mem(7), ops(0), ops(3), Op::Branch, ops(0), mem(1)],
+                        _ => &[ops(0), Op::Branch, Op::Sync],
+                    };
+                    for (i, &op) in program.iter().enumerate() {
+                        steps.push(step(m, op, data, i as u64));
+                    }
+                    if p == 3 {
+                        // A loop of one to three trips per lane.
+                        for t in 0..3 {
+                            let live = (0..32)
+                                .filter(|&l| word(data, l, 98) % 3 >= t)
+                                .fold(0u32, |a, l| a | 1 << l);
+                            if m & live != 0 {
+                                steps.push(step(m & live, ops(1), data, 10 + t));
+                            }
+                        }
+                        steps.push(step(m, mem(8), data, 20));
+                    }
+                }
+            }
+        }
+    }
+    steps
+}
+
+/// Runs warp `w`'s steps: warp `w` of its one block runs `warps[w]`.
+struct Program {
+    warps: Vec<Vec<Step>>,
+    buf: Buffer,
+}
+
+impl WarpKernel for Program {
+    fn resources(&self) -> KernelResources {
+        KernelResources {
+            regs_per_thread: 16,
+            shared_bytes_per_block: SHARED_BYTES,
+            local_f64_slots: LOCAL_SLOTS as usize,
+        }
+    }
+
+    fn run_warp(&self, w: &mut WarpCtx<'_>) {
+        for s in &self.warps[w.thread_idx()[0] / 32] {
+            let v = lanes(|l| s.vals[l] as usize);
+            w.when(s.mask, |w| match s.op {
+                Op::Ops { site } => op_at(w, site, class_of(site), &lanes(|l| v[l] as u32)),
+                Op::Mem { access } => access_at(w, self.buf, access, &v),
+                Op::Branch => {
+                    w.branch(mask_of(|l| v[l] == 1));
+                }
+                Op::Sync => w.sync(),
+            });
+        }
+    }
+}
+
+/// `ops` at one of four call sites.
+fn op_at(w: &mut WarpCtx<'_>, site: usize, class: OpClass, counts: &Lanes<u32>) {
+    match site {
+        0 => w.ops(class, counts),
+        1 => w.ops(class, counts),
+        2 => w.ops(class, counts),
+        _ => w.ops(class, counts),
+    }
+}
+
+/// One access through `ACCESSORS[k]`: `at` holds element indices,
+/// shared byte offsets or spill slots.
+fn access_at(w: &mut WarpCtx<'_>, buf: Buffer, k: usize, at: &Lanes<usize>) {
+    match k {
+        0 => drop(w.ld_u8(buf, at)),
+        1 => drop(w.ld_f32(buf, at)),
+        2 => drop(w.ld_f64(buf, at)),
+        3 => w.st_u8(buf, at, &[1; WARP_LANES]),
+        4 => w.st_f32(buf, at, &[1.0; WARP_LANES]),
+        5 => w.st_f64(buf, at, &[1.0; WARP_LANES]),
+        6 => drop(w.sh_ld_u8(at)),
+        7 => drop(w.sh_ld_f32(at)),
+        8 => drop(w.sh_ld_f64(at)),
+        9 => w.sh_st_u8(at, &[1; WARP_LANES]),
+        10 => w.sh_st_f32(at, &[1.0; WARP_LANES]),
+        11 => w.sh_st_f64(at, &[1.0; WARP_LANES]),
+        12 => drop(w.ld_local(at)),
+        _ => w.st_local(at, &[1.0; WARP_LANES]),
+    }
+}
+
+fn class_of(site: usize) -> OpClass {
+    match site % 3 {
+        0 => OpClass::Int,
+        1 => OpClass::F32,
+        _ => OpClass::F64,
+    }
+}
+
+/// Distinct static source locations standing in for the test kernel's
+/// call sites in the reference: four op sites, one per accessor, the
+/// branch and the barrier. Each `Location::caller()` expression
+/// resolves to its own line, so the entries are distinct, like the
+/// `#[track_caller]` sites the kernel records.
+fn site_pool() -> [&'static Location<'static>; 20] {
     [
+        Location::caller(),
+        Location::caller(),
+        Location::caller(),
+        Location::caller(),
+        Location::caller(),
+        Location::caller(),
+        Location::caller(),
+        Location::caller(),
+        Location::caller(),
+        Location::caller(),
+        Location::caller(),
+        Location::caller(),
         Location::caller(),
         Location::caller(),
         Location::caller(),
@@ -222,178 +445,72 @@ fn site_pool() -> [&'static Location<'static>; 8] {
     ]
 }
 
-fn arb_event() -> impl Strategy<Value = Ev> {
-    (0u8..16, 0usize..8, any::<u64>(), any::<u8>(), any::<bool>()).prop_map(
-        |(kind, site, a, b, flag)| match kind {
-            0 => Ev::Warp,
-            1 => Ev::Lane,
-            2 | 3 => Ev::Op {
-                site,
-                class: b % 3,
-                count: (a % 65) as u32,
-            },
-            4..=6 => Ev::Mem {
-                site,
-                space: b % 3,
-                write: flag,
-                addr: clustered_addr(a),
-                width: (b % 8) + 1,
-            },
-            7 => Ev::Branch { site, taken: flag },
-            8 => Ev::Sync { site },
-            _ => Ev::Path {
-                path: b % 4,
-                data: a,
-            },
-        },
-    )
-}
-
-/// An access address: mostly within four 128-byte segments (an access
-/// may run into the next one) or on shared words 0-3, 32-35 and 64-67,
-/// which fall on the same four banks, so one slot's lanes come back to a
-/// segment or word after touching others; now and then anywhere below
-/// 2^40, which keeps `addr + width` from overflowing in either
-/// implementation.
-fn clustered_addr(a: u64) -> u64 {
-    let r = a >> 3;
-    match a % 8 {
-        0 => r % (1 << 40),
-        1..=4 => r % 4 * 128 + (r >> 2) % 136,
-        _ => (r % 3 * 32 + (r >> 2) % 4) * 4 + (r >> 4) % 4,
-    }
-}
-
-/// The events of one lane running program `path`: each starts alike
-/// and branches, then the programs touch the shared sites in different
-/// orders and counts, like the arms of a divergent kernel.
-fn path_events(path: u8, data: u64) -> Vec<Ev> {
-    let word = |i: u32| data.rotate_left(11 * i);
-    let op = |site: usize, i: u32| Ev::Op {
-        site,
-        class: site as u8 % 3,
-        count: (word(i) % 9) as u32,
-    };
-    let global = |i: u32, write: bool| Ev::Mem {
-        site: 0,
-        space: 1,
-        write,
-        addr: clustered_addr(word(i)),
-        width: 1 << ((word(i) >> 60) % 4),
-    };
-    let shared = |i: u32| Ev::Mem {
-        site: 1,
-        space: 0,
-        write: false,
-        addr: clustered_addr(word(i)),
-        width: 4,
-    };
-    let branch = Ev::Branch {
-        site: 0,
-        taken: data & 1 == 1,
-    };
-    let mut events = vec![Ev::Lane];
-    match path {
-        0 => events.extend([
-            op(0, 1),
-            branch,
-            global(2, false),
-            op(1, 3),
-            global(4, true),
-        ]),
-        1 => events.extend([op(0, 1), branch, op(2, 2), op(2, 3), shared(4), op(1, 5)]),
-        2 => events.extend([
-            shared(1),
-            op(0, 2),
-            op(3, 3),
-            branch,
-            op(0, 4),
-            global(5, false),
-        ]),
-        _ => {
-            events.extend([op(0, 1), branch, Ev::Sync { site: 0 }]);
-            events.extend((0..1 + data % 3).map(|i| op(1, 2 + i as u32)));
-            events.push(global(6, false));
+/// Feeds lane `l` of warp `warp` through `steps` to the reference, as a
+/// per-thread executor would record it. Local addresses follow the
+/// interleaved spill layout: the 32 lanes' copies of one slot are
+/// contiguous 8-byte words above `1 << 40`.
+fn record_lane(reference: &mut ReferenceAccumulator, steps: &[Step], warp: u64, l: usize) {
+    let sites = site_pool();
+    reference.begin_lane();
+    for s in steps.iter().filter(|s| s.mask >> l & 1 == 1) {
+        let v = s.vals[l];
+        match s.op {
+            Op::Ops { site } => reference.record_op(sites[site], class_of(site), v as u32),
+            Op::Mem { access } => {
+                let (space, width, write) = ACCESSORS[access];
+                let addr = match space {
+                    Space::Global => v * width as u64,
+                    Space::Shared => v,
+                    Space::Local => (1 << 40) + ((warp * LOCAL_SLOTS + v) * 32 + l as u64) * 8,
+                };
+                reference.record_mem(sites[4 + access], space, write, addr, width);
+            }
+            Op::Branch => reference.record_branch(sites[18], v == 1),
+            Op::Sync => reference.record_sync(sites[19]),
         }
-    }
-    events
-}
-
-fn space_of(ix: u8) -> Space {
-    match ix {
-        0 => Space::Shared,
-        1 => Space::Global,
-        _ => Space::Local,
-    }
-}
-
-fn class_of(ix: u8) -> OpClass {
-    match ix {
-        0 => OpClass::Int,
-        1 => OpClass::F32,
-        _ => OpClass::F64,
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// For any event stream, the SoA accumulator folds exactly the same
-    /// statistics as the frozen reference accumulator — including exact
-    /// f64 issue-cycle equality.
+    /// For any warp program, the kernel executor folds exactly the same
+    /// statistics as the frozen per-thread reference fold fed each
+    /// lane's share of the program — including exact f64 issue cycles.
     #[test]
-    fn soa_accumulator_matches_reference_on_random_event_streams(
-        events in proptest::collection::vec(arb_event(), 0..400),
+    fn warp_executor_matches_reference_on_random_warp_programs(
+        programs in proptest::collection::vec(proptest::collection::vec(arb_instr(), 0..24), 1..4),
+        last_lanes in 1u32..=32,
+        odd in any::<bool>(),
     ) {
-        let sites = site_pool();
-        let cfg = GpuConfig::tesla_c2075();
-        let mut soa = WarpAccumulator::new();
+        let cfg = if odd {
+            GpuConfig { segment_bytes: 96, shared_banks: 24, ..GpuConfig::tesla_c2075() }
+        } else {
+            GpuConfig::tesla_c2075()
+        };
+        let n = programs.len();
+        let threads = 32 * (n as u32 - 1) + last_lanes;
+        let warps: Vec<Vec<Step>> = programs
+            .iter()
+            .enumerate()
+            .map(|(w, p)| expand(p, if w + 1 == n { last_lanes } else { 32 }))
+            .collect();
+        let mut mem = DeviceMemory::new(1 << 17);
+        let buf = mem.alloc(1 << 16).unwrap();
+        prop_assert_eq!(buf.addr(), 0);
+        let lc = LaunchConfig { blocks: 1, threads_per_block: threads };
+        let kernel = Program { warps, buf };
+        let got = launch_with(&mut mem, &cfg, lc, &kernel, LaunchOptions::default()).unwrap().stats;
+
         let mut reference = ReferenceAccumulator::new();
-        let mut soa_stats = KernelStats::default();
-        let mut ref_stats = KernelStats::default();
-        soa.begin_lane();
-        reference.begin_lane();
-        let expanded = events.iter().flat_map(|ev| match *ev {
-            Ev::Path { path, data } => path_events(path, data),
-            ref other => vec![other.clone()],
-        });
-        for ev in expanded {
-            match ev {
-                Ev::Lane => {
-                    soa.begin_lane();
-                    reference.begin_lane();
-                }
-                Ev::Warp => {
-                    soa.end_warp(&cfg, &mut soa_stats);
-                    reference.end_warp(&cfg, &mut ref_stats);
-                    prop_assert_eq!(&soa_stats, &ref_stats);
-                }
-                Ev::Op { site, class, count } => {
-                    // One kind per site: ops use the low half of the pool.
-                    let loc = sites[site % 4];
-                    soa.record_op(loc, class_of(class), count);
-                    reference.record_op(loc, class_of(class), count);
-                }
-                Ev::Mem { site, space, write, addr, width } => {
-                    let loc = sites[4 + site % 2];
-                    soa.record_mem(loc, space_of(space), write, addr, width);
-                    reference.record_mem(loc, space_of(space), write, addr, width);
-                }
-                Ev::Branch { site, taken } => {
-                    let _ = site;
-                    soa.record_branch(sites[6], taken);
-                    reference.record_branch(sites[6], taken);
-                }
-                Ev::Sync { site } => {
-                    let _ = site;
-                    soa.record_sync(sites[7]);
-                    reference.record_sync(sites[7]);
-                }
-                Ev::Path { .. } => unreachable!("paths are expanded above"),
+        let mut want = KernelStats { blocks: 1, ..Default::default() };
+        for (w, steps) in kernel.warps.iter().enumerate() {
+            let lanes = if w + 1 == n { last_lanes } else { 32 };
+            for l in 0..lanes as usize {
+                record_lane(&mut reference, steps, w as u64, l);
             }
+            reference.end_warp(&cfg, &mut want);
         }
-        soa.end_warp(&cfg, &mut soa_stats);
-        reference.end_warp(&cfg, &mut ref_stats);
-        prop_assert_eq!(&soa_stats, &ref_stats);
+        prop_assert_eq!(&got, &want);
     }
 }

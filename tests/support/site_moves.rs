@@ -1,12 +1,12 @@
-//! The kernel source lines the warp-form port of the ladder kernels
-//! moved, and the rewrite that maps documents pinned before the port onto
-//! today's lines.
+//! The kernel source lines the warp-form ports of the kernels moved, and
+//! the rewrite that maps documents pinned before the ports onto today's
+//! lines.
 //!
 //! Profile reports, hotspot tables and diff expositions name sites as
-//! `crates/core/src/kernels/<file>.rs:<line>`. Porting levels A–F and W to
-//! the warp executor kept every site and its counters but moved the
-//! lines of most of them, so the goldens captured before the port differ
-//! from today's output in exactly those strings. The goldens stay
+//! `crates/core/src/kernels/<file>.rs:<line>`. Porting levels A–F, W and
+//! the adaptive kernel to warp form kept every site and its counters but
+//! moved the lines of most of them, so the goldens captured before the
+//! ports differ from today's output in exactly those strings. The goldens stay
 //! byte-identical; the tests rewrite them through [`SITE_MOVES`] before
 //! the exact compare. Each new line was placed so that the sites of one
 //! file sort in the same order as before, since reports break ties
@@ -14,6 +14,42 @@
 
 /// Per kernel file: `(old line, new line)` of every site that moved.
 pub const SITE_MOVES: &[(&str, &[(u32, u32)])] = &[
+    (
+        "adaptive",
+        &[
+            (53, 49),
+            (54, 50),
+            (55, 51),
+            (56, 52),
+            (57, 53),
+            (59, 55),
+            (61, 57),
+            (62, 58),
+            (64, 63),
+            (66, 65),
+            (68, 67),
+            (70, 69),
+            (72, 73),
+            (74, 75),
+            (78, 80),
+            (82, 84),
+            (83, 86),
+            (90, 93),
+            (113, 120),
+            (114, 121),
+            (115, 122),
+            (129, 137),
+            (130, 138),
+            (131, 139),
+            (132, 140),
+            (133, 141),
+            (135, 143),
+            (140, 148),
+            (141, 149),
+            (143, 152),
+            (148, 156),
+        ],
+    ),
     (
         "mod",
         &[

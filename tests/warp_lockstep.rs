@@ -1,14 +1,15 @@
-//! Differential test of the two executors: test kernels written once per
-//! thread ([`Kernel`]) and once per warp ([`WarpKernel`]) run on the lane
-//! and the warp executor with profiling, the sanitizer and dataflow
-//! capture on, and must agree on everything a launch reports — the
-//! [`KernelStats`], every site's counters, the sanitizer findings, the
-//! dataflow access sets — and on the memory they leave behind.
+//! The kernel executor against the answers of the per-lane executor it
+//! replaced. `tests/data/lane_executor_golden.json` holds what that
+//! executor reported — the [`KernelStats`], every site's counters, the
+//! sanitizer findings, the dataflow access sets and a digest of the
+//! memory left behind — for the `Mixed` test kernel below and for the
+//! morphology kernel, with profiling, the sanitizer and dataflow capture
+//! on. It was written once, from the per-thread forms of both kernels,
+//! and is never regenerated; the warp forms must reproduce it exactly.
 //!
-//! The two forms of a kernel sit at different source lines, so sites are
-//! paired by order: the k-th site of the lane form (by line) is the k-th
-//! of the warp form, and findings are compared with the warp form's
-//! `file:line` strings rewritten to the lane form's.
+//! The golden names sites by their rank among the lines of the kernel's
+//! file that the launch mentions, so the comparison survives line moves
+//! as long as each form keeps its sites in the same order.
 //!
 //! `Mixed` covers uniform code, a divergent `if`/`else`, nested loops
 //! whose inner trip count depends on the outer index (lanes reach one
@@ -22,17 +23,16 @@
 use mogpu::core::kernels::{gpu_morph_with, MorphOp};
 use mogpu::json::Value;
 use mogpu::prelude::*;
-use mogpu::sim::kernel::{launch_with, Kernel, KernelRef, KernelResources, LaunchConfig};
+use mogpu::sim::kernel::{launch_with, KernelResources, LaunchConfig};
 use mogpu::sim::profile::SiteProfile;
 use mogpu::sim::stats::KernelStats;
 use mogpu::sim::trace::OpClass;
 use mogpu::sim::{
     blend, lanes, mask_of, site_source, Buffer, DeviceMemory, LaunchAccess, LaunchOptions,
-    SanReport, ThreadCtx, WarpCtx, WarpKernel, WARP_LANES,
+    SanReport, WarpCtx, WarpKernel, WARP_LANES,
 };
-use proptest::prelude::*;
 
-/// Buffers and shape shared by both forms of [`Mixed`].
+/// Buffers and shape of [`Mixed`].
 #[derive(Debug, Clone, Copy)]
 struct MixedArgs {
     /// Per-thread control byte (trip counts and branch parity).
@@ -61,73 +61,10 @@ impl MixedArgs {
     }
 }
 
-/// The lane form.
-struct MixedLane(MixedArgs);
+/// The test kernel.
+struct Mixed(MixedArgs);
 
-/// The warp form.
-struct MixedWarp(MixedArgs);
-
-impl Kernel for MixedLane {
-    fn resources(&self) -> KernelResources {
-        self.0.resources()
-    }
-
-    fn run(&self, ctx: &mut ThreadCtx<'_>) {
-        let a = &self.0;
-        let i = ctx.global_thread_id();
-        let t = ctx.thread_idx();
-        ctx.int_op(2);
-        if !ctx.branch(i < a.n) {
-            return;
-        }
-        let trips = ctx.ld_u8(a.trips, i) as usize;
-        let mut acc = ctx.ld_f64(a.data, i);
-        let stale = ctx.ld_f64(a.out, i);
-        ctx.flop64(1);
-        if ctx.branch(trips.is_multiple_of(2)) {
-            ctx.flop64(3);
-            acc = acc * 2.0 + stale;
-            ctx.st_f64(a.out, i, acc);
-        } else {
-            ctx.int_op(1);
-            acc += 1.0;
-            ctx.st_local(trips % 4, acc);
-        }
-        for o in 0..trips % 4 {
-            ctx.int_op(1);
-            for b in 0..(trips / 4) % 3 + o {
-                ctx.flop64(2);
-                acc += (o * b) as f64;
-                ctx.st_local(b % 4, acc);
-            }
-            let spill = ctx.ld_local(o % 4);
-            acc += spill * 0.5;
-        }
-        ctx.int_op(trips as u32 % 5 + 1);
-        for k in 0..4 {
-            ctx.int_op(1);
-            if ctx.branch(acc < (k * trips) as f64) {
-                break;
-            }
-            acc -= 0.25;
-        }
-        ctx.sh_st_f64(t * 16, acc);
-        ctx.sh_st_u8(a.race_off(), 1);
-        ctx.sync();
-        let prev = if t > 0 {
-            ctx.sh_ld_f64((t - 1) * 16)
-        } else {
-            0.0
-        };
-        ctx.flop64(1);
-        if a.oob {
-            ctx.st_f64(a.out, i + a.n, 0.0);
-        }
-        ctx.st_f64(a.out, i, acc + prev);
-    }
-}
-
-impl WarpKernel for MixedWarp {
+impl WarpKernel for Mixed {
     fn resources(&self) -> KernelResources {
         self.0.resources()
     }
@@ -220,8 +157,8 @@ struct Outcome {
     out: Vec<u8>,
 }
 
-/// One launch of `Mixed` in the form `warp` picks, on fresh memory.
-fn run(warp: bool, cfg: &GpuConfig, trips: &[u8], n: usize, tpb: u32, sanitize: bool) -> Outcome {
+/// One launch of `Mixed` on fresh memory.
+fn run(cfg: &GpuConfig, trips: &[u8], n: usize, tpb: u32, sanitize: bool) -> Outcome {
     let threads = trips.len();
     let mut mem = DeviceMemory::new(1 << 22);
     let trips_buf = mem.alloc(threads).unwrap();
@@ -231,27 +168,21 @@ fn run(warp: bool, cfg: &GpuConfig, trips: &[u8], n: usize, tpb: u32, sanitize: 
     for j in 0..threads {
         mem.write_f64(data, j, (j as f64 * 0.37).sin() * 8.0);
     }
-    let args = MixedArgs {
+    let kernel = Mixed(MixedArgs {
         trips: trips_buf,
         data,
         out,
         n,
         threads_per_block: tpb as usize,
         oob: sanitize,
-    };
-    let (lane, warp_form) = (MixedLane(args), MixedWarp(args));
-    let kernel: KernelRef<'_> = if warp {
-        KernelRef::Warp(&warp_form)
-    } else {
-        KernelRef::Lane(&lane)
-    };
+    });
     let opts = LaunchOptions {
         profile_sites: true,
         sanitize,
         dataflow: true,
     };
     let lc = LaunchConfig::cover(threads, tpb);
-    let report = launch_with(&mut mem, cfg, lc, kernel, opts).unwrap();
+    let report = launch_with(&mut mem, cfg, lc, &kernel, opts).unwrap();
     Outcome {
         stats: report.stats,
         sites: report.sites.unwrap(),
@@ -261,77 +192,9 @@ fn run(warp: bool, cfg: &GpuConfig, trips: &[u8], n: usize, tpb: u32, sanitize: 
     }
 }
 
-/// The profile's sites as `(line, counters)` in line order.
-fn site_rows(sites: &SiteProfile) -> Vec<(u32, mogpu::sim::SiteStats)> {
-    let mut rows: Vec<_> = sites
-        .iter()
-        .map(|(site, stats)| (site_source(site).expect("resolved site").line, *stats))
-        .collect();
-    rows.sort_by_key(|r| r.0);
-    rows
-}
-
-/// Runs both forms and asserts they agree on everything.
-fn assert_forms_agree(cfg: &GpuConfig, trips: &[u8], n: usize, tpb: u32, sanitize: bool) {
-    let lane = run(false, cfg, trips, n, tpb, sanitize);
-    let warp = run(true, cfg, trips, n, tpb, sanitize);
-    assert_eq!(lane.stats, warp.stats, "kernel counters");
-    assert_eq!(lane.out, warp.out, "output bytes");
-    assert_eq!(lane.access, warp.access, "dataflow access sets");
-    let (lane_rows, warp_rows) = (site_rows(&lane.sites), site_rows(&warp.sites));
-    assert_eq!(lane_rows.len(), warp_rows.len(), "site count");
-    for ((ll, ls), (wl, ws)) in lane_rows.iter().zip(&warp_rows) {
-        assert_eq!(ls, ws, "site counters of lane line {ll} / warp line {wl}");
-    }
-    // Findings name sites as file:line; read the warp form's through
-    // the pairing (longest line numbers first, so 123 is not hit by 12).
-    let mut pairs: Vec<(u32, u32)> = warp_rows
-        .iter()
-        .zip(&lane_rows)
-        .map(|(w, l)| (w.0, l.0))
-        .collect();
-    pairs.sort_by_key(|p| std::cmp::Reverse(p.0.to_string().len()));
-    let mut warp_san = format!("{:?}", mogpu::json::to_value(&warp.san).unwrap());
-    for (wl, ll) in pairs {
-        warp_san = warp_san.replace(
-            &format!("warp_lockstep.rs:{wl}\""),
-            &format!("warp_lockstep.rs:{ll}\""),
-        );
-        warp_san = warp_san.replace(
-            &format!("warp_lockstep.rs:{wl} "),
-            &format!("warp_lockstep.rs:{ll} "),
-        );
-    }
-    let lane_san = format!("{:?}", mogpu::json::to_value(&lane.san).unwrap());
-    assert_eq!(lane_san, warp_san, "sanitizer findings");
-    assert_eq!(lane.san.len(), warp.san.len());
-}
-
 /// Control bytes that spread lanes over every trip count and parity.
 fn spread(threads: usize) -> Vec<u8> {
     (0..threads).map(|j| (j * 7 + j / 5) as u8).collect()
-}
-
-#[test]
-fn forms_agree_on_divergent_nested_code() {
-    let cfg = GpuConfig::tesla_c2075();
-    assert_forms_agree(&cfg, &spread(256), 250, 128, false);
-    assert_forms_agree(&cfg, &spread(256), 250, 128, true);
-}
-
-#[test]
-fn forms_agree_on_partial_warps() {
-    // 48 threads per block: every block's second warp has 16 lanes.
-    let cfg = GpuConfig::tesla_c2075();
-    assert_forms_agree(&cfg, &spread(144), 140, 48, true);
-    assert_forms_agree(&cfg, &spread(96), 96, 48, false);
-}
-
-#[test]
-fn forms_agree_under_an_l2_where_segment_order_matters() {
-    let cfg = GpuConfig::tesla_c2075_with_l2();
-    assert_forms_agree(&cfg, &spread(320), 300, 64, true);
-    assert_forms_agree(&cfg, &spread(192), 192, 96, false);
 }
 
 /// The test kernel really does exercise what the module docs promise:
@@ -340,7 +203,7 @@ fn forms_agree_under_an_l2_where_segment_order_matters() {
 #[test]
 fn mixed_kernel_covers_the_interesting_cases() {
     let cfg = GpuConfig::tesla_c2075_with_l2();
-    let o = run(true, &cfg, &spread(256), 250, 128, true);
+    let o = run(&cfg, &spread(256), 250, 128, true);
     assert!(o.stats.divergent_branch_slots > 0);
     assert!(o.stats.shared_replays > 0);
     assert!(o.stats.local_load_tx > 0 && o.stats.local_store_tx > 0);
@@ -351,32 +214,8 @@ fn mixed_kernel_covers_the_interesting_cases() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+// ---- the golden ----
 
-    /// Random per-lane trip counts, problem sizes and block shapes.
-    #[test]
-    fn forms_agree_on_random_trip_counts(
-        trips in proptest::collection::vec(any::<u8>(), 1..200),
-        cut in 0usize..40,
-        tpb_ix in 0usize..4,
-        l2 in any::<bool>(),
-        sanitize in any::<bool>(),
-    ) {
-        let cfg = if l2 { GpuConfig::tesla_c2075_with_l2() } else { GpuConfig::tesla_c2075() };
-        let tpb = [32, 48, 64, 96][tpb_ix];
-        let n = trips.len().saturating_sub(cut).max(1);
-        assert_forms_agree(&cfg, &trips, n, tpb, sanitize);
-    }
-}
-
-// ---- the lane executor's answers, frozen ----
-
-/// `tests/data/lane_executor_golden.json`: what the lane executor
-/// reported for `Mixed` (the six fixed cases above plus seeded random
-/// trip-count vectors) and for the morphology kernel. Sites and findings
-/// are keyed by their order in the kernel's source file, so the file
-/// stays valid when the kernels' lines move.
 const GOLDEN: &str = include_str!("data/lane_executor_golden.json");
 
 /// FNV-1a 64-bit over `bytes`.
@@ -496,8 +335,7 @@ impl MixedCase {
     }
 }
 
-/// The six fixed cases of the tests above, then 48 seeded draws of the
-/// proptest's shape: 1..200 random control bytes, a problem size cut by
+/// Six fixed cases, then 48 seeded draws of random shape: 1..200 random control bytes, a problem size cut by
 /// 0..40 threads, one of four block sizes, with or without an L2 and
 /// the sanitizer.
 fn mixed_cases() -> Vec<MixedCase> {
@@ -610,14 +448,22 @@ fn morph_cases() -> Vec<(String, Value, Outcome)> {
     cases
 }
 
-/// The golden entry `name` of `section`.
-fn golden_entry<'a>(golden: &'a Value, section: &str, name: &str) -> &'a Value {
-    let field = |v: &'a Value, key: &str| match v {
+/// Field `key` of object `v`.
+fn field<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
+    match v {
         Value::Object(f) => f.iter().find(|(k, _)| k == key).map(|(_, v)| v),
         _ => None,
-    };
-    field(golden, section)
-        .and_then(|s| field(s, name))
+    }
+}
+
+/// The golden's `section`.
+fn golden_entry_section<'a>(golden: &'a Value, section: &str) -> &'a Value {
+    field(golden, section).unwrap_or_else(|| panic!("golden has no {section}"))
+}
+
+/// The golden entry `name` of `section`.
+fn golden_entry<'a>(golden: &'a Value, section: &str, name: &str) -> &'a Value {
+    field(golden_entry_section(golden, section), name)
         .unwrap_or_else(|| panic!("golden has no {section}.{name}"))
 }
 
@@ -643,39 +489,66 @@ fn assert_golden(golden: &Value, section: &str, name: &str, input: Value, o: &Ou
     );
 }
 
-#[test]
-fn lane_executor_golden_pins_both_forms() {
+/// Asserts the `Mixed` cases whose names `pick` selects (at least one)
+/// reproduce the golden.
+fn assert_mixed(pick: impl Fn(&str) -> bool) {
     let golden: Value = mogpu::json::from_str(GOLDEN).unwrap();
-    for c in mixed_cases() {
-        for warp in [false, true] {
-            let o = run(warp, &c.cfg(), &c.trips, c.n, c.tpb, c.sanitize);
-            assert_golden(&golden, "mixed", &c.name, c.input(), &o, "warp_lockstep.rs");
-        }
+    let cases: Vec<MixedCase> = mixed_cases()
+        .into_iter()
+        .filter(|c| pick(&c.name))
+        .collect();
+    assert!(!cases.is_empty());
+    for c in cases {
+        let o = run(&c.cfg(), &c.trips, c.n, c.tpb, c.sanitize);
+        assert_golden(&golden, "mixed", &c.name, c.input(), &o, "warp_lockstep.rs");
     }
+}
+
+#[test]
+fn forms_agree_on_divergent_nested_code() {
+    assert_mixed(|name| name.starts_with("divergent"));
+}
+
+#[test]
+fn forms_agree_on_partial_warps() {
+    // 48 threads per block: every block's second warp has 16 lanes.
+    assert_mixed(|name| name.starts_with("partial"));
+}
+
+#[test]
+fn forms_agree_under_an_l2_where_segment_order_matters() {
+    assert_mixed(|name| name.starts_with("l2"));
+}
+
+#[test]
+fn forms_agree_on_random_trip_counts() {
+    assert_mixed(|name| name.starts_with("seeded_"));
+}
+
+#[test]
+fn morphology_matches_the_lane_executor() {
+    let golden: Value = mogpu::json::from_str(GOLDEN).unwrap();
     for (name, input, o) in morph_cases() {
         assert_golden(&golden, "morph", &name, input, &o, "morph.rs");
     }
 }
 
+/// Every golden entry is one of the cases the tests above run.
 #[test]
-#[ignore]
-fn write_lane_executor_golden() {
-    let mixed = mixed_cases()
-        .into_iter()
-        .map(|c| {
-            let o = run(false, &c.cfg(), &c.trips, c.n, c.tpb, c.sanitize);
-            (c.name.clone(), entry(c.input(), &o, "warp_lockstep.rs"))
-        })
-        .collect();
-    let morph = morph_cases()
-        .into_iter()
-        .map(|(name, input, o)| (name, entry(input, &o, "morph.rs")))
-        .collect();
-    let doc = Value::Object(vec![
-        ("mixed".into(), Value::Object(mixed)),
-        ("morph".into(), Value::Object(morph)),
-    ]);
-    let mut text = mogpu::json::to_string_canonical_pretty(&doc).unwrap();
-    text.push('\n');
-    std::fs::write("tests/data/lane_executor_golden.json", text).unwrap();
+fn golden_holds_exactly_the_tested_cases() {
+    let golden: Value = mogpu::json::from_str(GOLDEN).unwrap();
+    let names = |section: &str| -> Vec<String> {
+        match golden_entry_section(&golden, section) {
+            Value::Object(f) => {
+                let mut keys: Vec<String> = f.iter().map(|(k, _)| k.clone()).collect();
+                keys.sort();
+                keys
+            }
+            other => panic!("{section} is not an object: {other:?}"),
+        }
+    };
+    let mut mixed: Vec<String> = mixed_cases().into_iter().map(|c| c.name).collect();
+    mixed.sort();
+    assert_eq!(names("mixed"), mixed);
+    assert_eq!(names("morph").len(), morph_cases().len());
 }
