@@ -17,9 +17,7 @@ use crate::dataflow::{IntervalCollector, IntervalSet, LaunchAccess};
 use crate::lockstep::{
     lanes_in, Lanes, LockstepRecorder, Mask, ReadLog, WarpCtx, WarpKernel, WARP_LANES,
 };
-use crate::memory::{
-    Buffer, DeviceMemory, InitMask, PublishRange, LINE_BYTES, PAGE_BYTES, PAGE_LINES,
-};
+use crate::memory::{DeviceMemory, InitMask, PublishRange, LINE_BYTES, PAGE_BYTES, PAGE_LINES};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::profile::SiteProfile;
 use crate::sancheck::{BlockSan, SanReport, WarpSanLog};
@@ -511,22 +509,6 @@ impl Drop for PooledScratch {
     }
 }
 
-/// Virtual base address of the per-thread local (spill) space; far above
-/// any global allocation so segment sets never collide.
-pub(crate) const LOCAL_BASE: u64 = 1 << 40;
-
-/// The message of an out-of-bounds global access.
-pub(crate) fn global_oob_detail(buf: Buffer, idx: usize, width: usize, store: bool) -> String {
-    let dir = if store { "store" } else { "load" };
-    format!(
-        "global {dir} of {width} B at element {idx} is out of bounds for buffer @0x{:x} \
-         (+{} B, {} elements)",
-        buf.addr(),
-        buf.len(),
-        buf.len() / width.max(1)
-    )
-}
-
 /// Launches `kernel` over `lc` on the device, returning profiler counters,
 /// occupancy, and a modelled execution time.
 ///
@@ -891,6 +873,7 @@ fn publish_split(mem: &mut DeviceMemory, blocks: &[Vec<OverlayPage>], parts: usi
 mod tests {
     use super::*;
     use crate::lockstep::{lanes, mask_of};
+    use crate::memory::Buffer;
 
     /// A footprint of `regs` registers, `shared` bytes and `local` slots.
     fn small(regs: u32, shared: usize, local: usize) -> KernelResources {
@@ -1613,6 +1596,7 @@ mod tests {
 mod determinism_tests {
     use super::*;
     use crate::lockstep::{lanes, mask_of};
+    use crate::memory::Buffer;
 
     /// Launches are bit-deterministic: same inputs, same stats, same
     /// memory — across the rayon-parallel block execution.
@@ -1676,6 +1660,7 @@ mod determinism_tests {
 mod overlay_tests {
     use super::*;
     use crate::lockstep::{lanes, mask_of};
+    use crate::memory::Buffer;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 

@@ -44,7 +44,7 @@
 
 use crate::config::GpuConfig;
 use crate::dataflow::IntervalCollector;
-use crate::kernel::{global_oob_detail, low_bits, KernelResources, WriteOverlay, LOCAL_BASE};
+use crate::kernel::{low_bits, KernelResources, WriteOverlay};
 use crate::memory::{Buffer, InitMask};
 use crate::profile::SiteProfile;
 use crate::sancheck::{LaneCheck, WarpSanLog};
@@ -56,6 +56,22 @@ use std::panic::Location;
 /// Lanes per warp the executor runs (the warp size of every shipped
 /// [`GpuConfig`]).
 pub const WARP_LANES: usize = 32;
+
+/// Virtual base address of the per-thread local (spill) space; far above
+/// any global allocation so segment sets never collide.
+const LOCAL_BASE: u64 = 1 << 40;
+
+/// The message of an out-of-bounds global access.
+fn global_oob_detail(buf: Buffer, idx: usize, width: usize, store: bool) -> String {
+    let dir = if store { "store" } else { "load" };
+    format!(
+        "global {dir} of {width} B at element {idx} is out of bounds for buffer @0x{:x} \
+         (+{} B, {} elements)",
+        buf.addr(),
+        buf.len(),
+        buf.len() / width.max(1)
+    )
+}
 
 /// One value per lane of a warp.
 pub type Lanes<T> = [T; WARP_LANES];

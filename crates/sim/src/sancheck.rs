@@ -719,8 +719,8 @@ mod tests {
     #[test]
     fn backward_barrier_ordered_flow_is_reported_stale() {
         // Thread 0 reads in epoch 1 what thread 1 writes in epoch 0:
-        // race-free under CUDA barriers, but sequential-lane execution
-        // runs the read first — the write-side check must flag it.
+        // race-free under CUDA barriers, but the shadow sees thread 0's
+        // read first — the write-side check must flag it.
         let (w, s, r) = (here(), here(), here());
         let mut san = BlockSan::new(0, 2, 8);
         san.begin_thread(0);

@@ -560,6 +560,12 @@ mod tests {
             w.sh_ld_f32(&lanes(|l| 8 * l));
         }]);
         assert_eq!(stats.shared_replays, 1);
+        // Lanes alternate between words 0 and 32, both on bank 0: two
+        // distinct words, however often each recurs.
+        let stats = run(&[|w, _| {
+            w.sh_ld_f32(&lanes(|l| l % 2 * 128));
+        }]);
+        assert_eq!(stats.shared_replays, 1);
     }
 
     #[test]
