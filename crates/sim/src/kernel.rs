@@ -6,7 +6,7 @@
 //! an active mask (see [`crate::lockstep`]). The context performs
 //! *functional* loads/stores against simulated device memory while
 //! recording the warp instructions that drive the architectural analysis
-//! (see [`crate::warp`]).
+//! (see [`crate::lockstep`]).
 //!
 //! Like a CUDA kernel, the body covers every thread of the grid; lanes
 //! past the problem size must retire themselves

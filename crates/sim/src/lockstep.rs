@@ -12,7 +12,7 @@
 //! Every instruction records one event — its site, mask, per-lane op
 //! counts or addresses, and branch outcomes — into a lockstep recorder,
 //! which groups the warp's instructions into the slots the warp-end fold
-//! ([`crate::warp`]) turns into counters. The slots are those of a SIMT
+//! (`crates/sim/src/warp.rs`) turns into counters. The slots are those of a SIMT
 //! machine that issues each lane's instruction stream in order:
 //!
 //! - **Occurrence splitting.** A slot is a `(site, per-lane occurrence)`

@@ -164,9 +164,9 @@ impl Hasher for PtrHasher {
 /// `BuildHasher` for [`PtrHasher`].
 pub type BuildPtrHasher = BuildHasherDefault<PtrHasher>;
 
-/// Interns [`Site`] pointers to dense small indices so the warp
-/// accumulator can keep all per-site state in flat arrays instead of hash
-/// maps (see [`crate::warp`]).
+/// Interns [`Site`] pointers to dense small indices so the lockstep
+/// recorder and the slot fold can keep all per-site state in flat arrays
+/// instead of hash maps (see [`crate::lockstep`]).
 ///
 /// A kernel has a few dozen static sites, so the open-addressing table
 /// stays tiny and the hot lookup is one multiply, one shift, and — for
