@@ -23,13 +23,16 @@
 //! on the serving path). Memory footprints come from the probes'
 //! [`GpuMog::device_allocated`].
 //!
-//! Like the multi-stream pipeline, the functional pass rides on
-//! `GpuMog`'s cached launch plan ([`mogpu_sim::BatchLauncher`]): launch
+//! The functional pass is the multi-stream pipeline's stream loop
+//! (`streams::process_streams`): every stream's frames are checked before
+//! any stream runs, then the streams run in parallel, each on `GpuMog`'s
+//! cached launch plan ([`mogpu_sim::BatchLauncher`]), so launch
 //! validation and occupancy are derived once per stream, not per frame.
 
 use crate::device::DeviceReal;
 use crate::levels::OptLevel;
 use crate::pipeline::{GpuMog, PipelineError};
+use crate::streams::process_streams;
 use mogpu_frame::{Frame, Resolution};
 use mogpu_mog::MogParams;
 use mogpu_sim::fleet::{
@@ -38,8 +41,6 @@ use mogpu_sim::fleet::{
 use mogpu_sim::serving::{ServingWindowConfig, SloConfig};
 use mogpu_sim::streams::{StageTimes, StreamInput, DOUBLE_BUFFER};
 use mogpu_sim::GpuConfig;
-use rayon::prelude::*;
-use std::sync::Mutex;
 
 /// Result of a fleet run: the sim-layer [`FleetReport`] plus the ranked
 /// which-device-to-add advisories derived from it.
@@ -202,49 +203,20 @@ impl<T: DeviceReal> FleetPipeline<T> {
 
     /// Runs the functional pass (stream-parallel, reference class),
     /// probes each class's timing, shards the streams across the fleet
-    /// and assembles the [`FleetRunReport`] with advisories.
+    /// and assembles the [`FleetRunReport`] with advisories. Frames are
+    /// checked before any stream runs, so an invalid one leaves every
+    /// stream's model untouched.
     ///
     /// # Errors
-    /// Mismatched stream count, empty streams, per-stream pipeline
-    /// errors, and demand validation errors from the dispatcher.
+    /// Mismatched stream count, empty streams, a frame of the wrong
+    /// resolution, per-stream pipeline errors, and demand validation
+    /// errors from the dispatcher.
     pub fn process_all(
         &mut self,
         frames_per_stream: &[Vec<Frame<u8>>],
     ) -> Result<FleetRunReport, PipelineError> {
-        if frames_per_stream.len() != self.streams.len() {
-            return Err(PipelineError::Config(format!(
-                "{} frame sequences for {} streams",
-                frames_per_stream.len(),
-                self.streams.len()
-            )));
-        }
-        if frames_per_stream.iter().any(Vec::is_empty) {
-            return Err(PipelineError::Config(
-                "every stream needs at least one frame".into(),
-            ));
-        }
-
-        // Functional + reference-timing pass, stream-parallel exactly as
-        // in MultiGpuMog.
-        type Slot<'a, T> = Mutex<(&'a mut GpuMog<T>, &'a [Frame<u8>])>;
-        let slots: Vec<Slot<'_, T>> = self
-            .streams
-            .iter_mut()
-            .zip(frames_per_stream)
-            .map(|(gpu, frames)| Mutex::new((gpu, frames.as_slice())))
-            .collect();
-        let results: Vec<Result<_, PipelineError>> = (0..slots.len())
-            .into_par_iter()
-            .map(|s| {
-                let mut slot = slots[s].lock().expect("stream slot poisoned");
-                let (gpu, frames) = &mut *slot;
-                gpu.process_all(frames)
-            })
-            .collect();
-        let mut reports = Vec::with_capacity(results.len());
-        for r in results {
-            reports.push(r?);
-        }
+        // Functional + reference-timing pass.
+        let reports = process_streams(&mut self.streams, frames_per_stream)?;
 
         // One-frame probe per class: measured kernel + transfer times on
         // that class, and the stream memory footprint.

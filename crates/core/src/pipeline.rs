@@ -31,7 +31,7 @@ use mogpu_sim::telemetry::{sample_schedule, PipelineTelemetry, TelemetryConfig};
 use mogpu_sim::{
     BatchLauncher, Buffer, DataflowGraph, DataflowRecorder, DerivedMetrics, DeviceMemory,
     GpuConfig, IntervalSet, KernelResources, KernelStats, LaunchConfig, LaunchError, LaunchOptions,
-    LaunchReport, MemoryError, Occupancy, SanReport, SiteProfile, WarpKernel,
+    LaunchReport, MemoryError, Occupancy, SanReport, WarpKernel,
 };
 
 /// Threads per block, as the paper selects.
@@ -515,8 +515,9 @@ impl<T: DeviceReal, P: KernelPlan> Pipeline<T, P> {
     /// Processes a group of up to `plan.group()` frames (`base` =
     /// absolute index of the group's first frame): upload, the plan's
     /// launch, the optional erode and dilate steps per slot, download.
-    /// Returns the masks and the plan launch's report; the opening's
-    /// reports stay out of it.
+    /// Returns the masks and the plan launch's report with the opening's
+    /// sanitizer findings merged in; the opening's counters stay out of
+    /// it.
     fn process_group(
         &mut self,
         frames: &[Frame<u8>],
@@ -548,7 +549,7 @@ impl<T: DeviceReal, P: KernelPlan> Pipeline<T, P> {
         let kernel = self.plan.kernel(pass, frames, fgs);
         // A grouped (level-W) launch covers the whole chunk; attribute it
         // to the group's first frame.
-        let report = self.step(launchers.plan, &*kernel, self.plan.node(), base, opts);
+        let mut report = self.step(launchers.plan, &*kernel, self.plan.node(), base, opts);
 
         let mut outs = self.fg_bufs[..n].to_vec();
         if let Some(opening) = launchers.opening {
@@ -565,7 +566,12 @@ impl<T: DeviceReal, P: KernelPlan> Pipeline<T, P> {
                         height: self.resolution.height,
                         op,
                     };
-                    self.step(opening, &k, "morphology", base + slot, opts);
+                    let step = self.step(opening, &k, "morphology", base + slot, opts);
+                    report.merge(&LaunchReport {
+                        stats: KernelStats::default(),
+                        sites: None,
+                        ..step
+                    });
                 }
                 *out = opened;
             }
@@ -586,14 +592,9 @@ impl<T: DeviceReal, P: KernelPlan> Pipeline<T, P> {
         (masks, report)
     }
 
-    /// Processes a frame sequence, returning masks plus the full
-    /// performance report. Every frame is validated before the first one
-    /// runs, so a rejected call leaves the model and the dataflow graph
-    /// untouched.
-    ///
-    /// # Errors
-    /// An empty sequence, resolution mismatches, launch failures.
-    pub fn process_all(&mut self, frames: &[Frame<u8>]) -> Result<RunReport, PipelineError> {
+    /// Rejects a sequence [`Pipeline::process_all`] cannot run: an empty
+    /// one, or one holding a frame of another resolution.
+    pub(crate) fn check_frames(&self, frames: &[Frame<u8>]) -> Result<(), PipelineError> {
         if let Some(f) = frames.iter().find(|f| f.resolution() != self.resolution) {
             return Err(PipelineError::Config(format!(
                 "frame resolution {} differs from pipeline resolution {}",
@@ -606,6 +607,18 @@ impl<T: DeviceReal, P: KernelPlan> Pipeline<T, P> {
                 "no frames processed; cannot report occupancy".into(),
             ));
         }
+        Ok(())
+    }
+
+    /// Processes a frame sequence, returning masks plus the full
+    /// performance report. Every frame is validated before the first one
+    /// runs, so a rejected call leaves the model and the dataflow graph
+    /// untouched.
+    ///
+    /// # Errors
+    /// An empty sequence, resolution mismatches, launch failures.
+    pub fn process_all(&mut self, frames: &[Frame<u8>]) -> Result<RunReport, PipelineError> {
+        self.check_frames(frames)?;
         let launchers = self.launchers()?;
         let occupancy = launchers.plan.occupancy();
         let opts = LaunchOptions {
@@ -613,30 +626,21 @@ impl<T: DeviceReal, P: KernelPlan> Pipeline<T, P> {
             sanitize: self.sanitize,
             dataflow: self.dataflow.is_some(),
         };
-        let mut stats = KernelStats::default();
         let mut kernel_time = 0.0f64;
         let mut per_frame_kernel_times = Vec::with_capacity(frames.len());
         let mut masks = Vec::with_capacity(frames.len());
         let mut launches: Vec<LaunchProfile> = Vec::new();
-        let mut sites = SiteProfile::new();
-        let mut san = self.sanitize.then(SanReport::new);
+        let mut call: Option<LaunchReport> = None;
         for chunk in frames.chunks(self.plan.group()) {
             let base = self.frames_seen;
             self.frames_seen += chunk.len();
-            let (group_masks, mut report) = self.process_group(chunk, base, launchers, opts);
-            if let (Some(acc), Some(r)) = (san.as_mut(), report.sanitizer.take()) {
-                acc.merge(&r);
-            }
-            stats.merge(&report.stats);
+            let (group_masks, report) = self.process_group(chunk, base, launchers, opts);
             kernel_time += report.timing.total;
             per_frame_kernel_times.extend(std::iter::repeat_n(
                 report.timing.total / chunk.len() as f64,
                 chunk.len(),
             ));
             if self.profile.is_on() {
-                if let Some(s) = report.sites.take() {
-                    sites.merge(&s);
-                }
                 launches.push(LaunchProfile {
                     index: launches.len(),
                     frames: chunk.len(),
@@ -647,7 +651,13 @@ impl<T: DeviceReal, P: KernelPlan> Pipeline<T, P> {
                 });
             }
             masks.extend(group_masks);
+            match call.as_mut() {
+                Some(total) => total.merge(&report),
+                None => call = Some(report),
+            }
         }
+        let call = call.expect("a nonempty call launches");
+        let stats = call.stats;
 
         let t_dir = transfer_time(self.resolution.pixels(), &self.cfg);
         let schedule = pipeline_schedule(
@@ -683,12 +693,12 @@ impl<T: DeviceReal, P: KernelPlan> Pipeline<T, P> {
                 t_dir,
                 schedule,
                 launches,
-                sites,
+                call.sites.unwrap_or_default(),
                 &fusion,
                 &self.cfg,
             )
         });
-        self.last_san = san;
+        self.last_san = call.sanitizer;
         Ok(RunReport {
             masks,
             frames: frames.len(),
@@ -754,8 +764,9 @@ impl<T: DeviceReal> GpuMog<T> {
     /// memory, so the MoG→morphology round trip is visible to the
     /// dataflow recorder. Downloaded masks become the opened masks.
     /// Morphology counters are recorded per launch in the dataflow graph
-    /// but kept out of the run's MoG kernel stats, so per-level profile
-    /// metrics keep their meaning.
+    /// but kept out of the run's MoG kernel stats and profile, so
+    /// per-level profile metrics keep their meaning; under
+    /// [`Pipeline::set_sanitize`] its findings join the run's report.
     ///
     /// # Errors
     /// Device out-of-memory for the per-slot scratch masks.

@@ -8,10 +8,13 @@
 //! of silently over-committing. Each stream also inherits `GpuMog`'s
 //! cached [`mogpu_sim::BatchLauncher`]: the grid is validated and
 //! occupancy derived once per stream, then every frame of the stream's
-//! sequence reuses that plan instead of re-deriving the launch setup. Frames are executed *functionally* in
-//! parallel across streams (rayon; streams share no model state), while
-//! *timing* is serialized through the [`StreamScheduler`]: one compute
-//! engine and `cfg.copy_engines` copy engines are list-scheduled across
+//! sequence reuses that plan instead of re-deriving the launch setup.
+//!
+//! Frames are executed *functionally* by one stream loop,
+//! `process_streams`, which [`crate::FleetPipeline`] runs too: it checks
+//! every stream's frames before any stream runs, then runs the streams in
+//! parallel (they share no model state). *Timing* is serialized through
+//! the [`StreamScheduler`]: one compute engine and `cfg.copy_engines` copy engines are list-scheduled across
 //! every stream's upload/kernel/download stages with a bounded in-flight
 //! buffer count per stream, exactly as CUDA streams share a device.
 //!
@@ -22,7 +25,7 @@
 
 use crate::device::DeviceReal;
 use crate::levels::OptLevel;
-use crate::pipeline::{GpuMog, PipelineError, RunReport};
+use crate::pipeline::{GpuMog, KernelPlan, Pipeline, PipelineError, RunReport};
 use mogpu_frame::{Frame, Mask, Resolution};
 use mogpu_mog::MogParams;
 use mogpu_sim::serving::{serving_report, ServingReport, ServingWindowConfig, SloConfig};
@@ -210,50 +213,17 @@ impl<T: DeviceReal> MultiGpuMog<T> {
 
     /// Processes each stream's frame sequence: functional execution is
     /// stream-parallel (independent model states), timing is serialized
-    /// through the shared-engine [`StreamScheduler`].
+    /// through the shared-engine [`StreamScheduler`]. A rejected call
+    /// leaves every stream's model untouched.
     ///
     /// # Errors
-    /// Mismatched stream count, empty streams, and any per-stream
-    /// pipeline error.
+    /// Mismatched stream count, empty streams, a frame of the wrong
+    /// resolution, and any per-stream pipeline error.
     pub fn process_all(
         &mut self,
         frames_per_stream: &[Vec<Frame<u8>>],
     ) -> Result<MultiStreamReport, PipelineError> {
-        if frames_per_stream.len() != self.streams.len() {
-            return Err(PipelineError::Config(format!(
-                "{} frame sequences for {} streams",
-                frames_per_stream.len(),
-                self.streams.len()
-            )));
-        }
-        if frames_per_stream.iter().any(Vec::is_empty) {
-            return Err(PipelineError::Config(
-                "every stream needs at least one frame".into(),
-            ));
-        }
-
-        // Functional pass: streams share no model state, so their
-        // kernels execute in parallel; each slot is locked exactly once
-        // by its own index.
-        type Slot<'a, T> = Mutex<(&'a mut GpuMog<T>, &'a [Frame<u8>])>;
-        let slots: Vec<Slot<'_, T>> = self
-            .streams
-            .iter_mut()
-            .zip(frames_per_stream)
-            .map(|(gpu, frames)| Mutex::new((gpu, frames.as_slice())))
-            .collect();
-        let results: Vec<Result<RunReport, PipelineError>> = (0..slots.len())
-            .into_par_iter()
-            .map(|s| {
-                let mut slot = slots[s].lock().expect("stream slot poisoned");
-                let (gpu, frames) = &mut *slot;
-                gpu.process_all(frames)
-            })
-            .collect();
-        let mut reports = Vec::with_capacity(results.len());
-        for r in results {
-            reports.push(r?);
-        }
+        let reports = process_streams(&mut self.streams, frames_per_stream)?;
 
         // Timing pass: place every stream's stages on the shared engines.
         let inputs: Vec<StreamInput> = reports
@@ -325,6 +295,48 @@ impl<T: DeviceReal> MultiGpuMog<T> {
             serving,
         })
     }
+}
+
+/// The functional pass of a multi-stream call: each stream's frames
+/// through its own pipeline, the streams in parallel since they share no
+/// model state. Every stream's frames are checked before any stream
+/// runs, so a rejected call leaves every stream untouched. Errors come in
+/// stream order.
+pub(crate) fn process_streams<T: DeviceReal, P: KernelPlan + Send>(
+    streams: &mut [Pipeline<T, P>],
+    frames_per_stream: &[Vec<Frame<u8>>],
+) -> Result<Vec<RunReport>, PipelineError> {
+    if frames_per_stream.len() != streams.len() {
+        return Err(PipelineError::Config(format!(
+            "{} frame sequences for {} streams",
+            frames_per_stream.len(),
+            streams.len()
+        )));
+    }
+    if frames_per_stream.iter().any(Vec::is_empty) {
+        return Err(PipelineError::Config(
+            "every stream needs at least one frame".into(),
+        ));
+    }
+    for (gpu, frames) in streams.iter().zip(frames_per_stream) {
+        gpu.check_frames(frames)?;
+    }
+    // Each slot is locked exactly once, by its own index.
+    type Slot<'a, T, P> = Mutex<(&'a mut Pipeline<T, P>, &'a [Frame<u8>])>;
+    let slots: Vec<Slot<'_, T, P>> = streams
+        .iter_mut()
+        .zip(frames_per_stream)
+        .map(|(gpu, frames)| Mutex::new((gpu, frames.as_slice())))
+        .collect();
+    let results: Vec<Result<RunReport, PipelineError>> = (0..slots.len())
+        .into_par_iter()
+        .map(|s| {
+            let mut slot = slots[s].lock().expect("stream slot poisoned");
+            let (gpu, frames) = &mut *slot;
+            gpu.process_all(frames)
+        })
+        .collect();
+    results.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -420,6 +432,23 @@ mod tests {
         assert!(
             matches!(err, Err(PipelineError::Memory(_))),
             "over-committing the device must fail"
+        );
+    }
+
+    /// A frame of the wrong resolution in stream 1 rejects the call
+    /// before stream 0 runs: its model is still the freshly seeded one.
+    #[test]
+    fn rejected_call_leaves_every_stream_untouched() {
+        let (a, b) = (scene_frames(5, 4), scene_frames(6, 4));
+        let mut m = multi(&[a.clone(), b.clone()], OptLevel::F);
+        let wrong = Frame::new(Resolution::new(8, 8));
+        let err = m.process_all(&[a[1..].to_vec(), vec![b[1].clone(), wrong]]);
+        assert!(matches!(err, Err(PipelineError::Config(_))));
+        let fresh = multi(std::slice::from_ref(&a), OptLevel::F);
+        let seed = a[0].as_slice();
+        assert!(
+            m.streams[0].download_model(seed) == fresh.streams[0].download_model(seed),
+            "stream 0's model advanced in a rejected call"
         );
     }
 

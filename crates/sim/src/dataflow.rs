@@ -212,13 +212,6 @@ impl IntervalCollector {
         }
     }
 
-    /// Appends every run of a normalized set.
-    pub(crate) fn extend_set(&mut self, set: &IntervalSet) {
-        for &(s, e) in set.runs() {
-            self.record_run(s, e);
-        }
-    }
-
     /// Drains the collector into a normalized [`IntervalSet`], keeping
     /// the allocation for the next block.
     pub(crate) fn take_set(&mut self) -> IntervalSet {

@@ -13,14 +13,14 @@
 //! (`if !w.keep(mask_of(|l| i[l] < n)) { return; }`).
 
 use crate::config::GpuConfig;
-use crate::dataflow::{IntervalCollector, IntervalSet, LaunchAccess};
+use crate::dataflow::{IntervalCollector, LaunchAccess};
 use crate::lockstep::{
-    lanes_in, Lanes, LockstepRecorder, Mask, ReadLog, WarpCtx, WarpKernel, WARP_LANES,
+    lanes_in, LaneLog, Lanes, LockstepRecorder, Mask, WarpCtx, WarpKernel, WARP_LANES,
 };
 use crate::memory::{DeviceMemory, InitMask, PublishRange, LINE_BYTES, PAGE_BYTES, PAGE_LINES};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::profile::SiteProfile;
-use crate::sancheck::{BlockSan, SanReport, WarpSanLog};
+use crate::sancheck::{BlockSan, SanReport};
 use crate::stats::KernelStats;
 use crate::timing::{kernel_time, KernelTiming};
 use rayon::prelude::*;
@@ -132,6 +132,26 @@ pub struct LaunchReport {
     /// Global-memory access summary, present when
     /// [`LaunchOptions::dataflow`] was set.
     pub access: Option<LaunchAccess>,
+}
+
+impl LaunchReport {
+    /// Folds in `other`, which ran after this one: counters add, and each
+    /// observer output both carry merges. Launches fold their blocks in
+    /// block order, pipeline calls their launches in launch order.
+    /// Occupancy and timing stay this report's.
+    pub fn merge(&mut self, other: &LaunchReport) {
+        self.stats.merge(&other.stats);
+        if let (Some(total), Some(more)) = (&mut self.sites, &other.sites) {
+            total.merge(more);
+        }
+        if let (Some(total), Some(more)) = (&mut self.sanitizer, &other.sanitizer) {
+            total.merge(more);
+        }
+        if let (Some(total), Some(more)) = (&mut self.access, &other.access) {
+            total.reads.union_in_place(&more.reads);
+            total.writes.union_in_place(&more.writes);
+        }
+    }
 }
 
 /// Byte-granular read-your-writes overlay for one block's global stores.
@@ -472,9 +492,8 @@ struct BlockScratch {
     shared: Vec<u8>,
     local: Vec<f64>,
     rec: LockstepRecorder,
-    san_log: WarpSanLog,
-    read_log: ReadLog,
-    reads: IntervalCollector,
+    log: LaneLog,
+    collector: IntervalCollector,
 }
 
 thread_local! {
@@ -499,6 +518,10 @@ impl PooledScratch {
 
 impl Drop for PooledScratch {
     fn drop(&mut self) {
+        // A kernel that panicked left the scratch mid-warp.
+        if std::thread::panicking() {
+            return;
+        }
         let scratch = std::mem::take(&mut self.0);
         SCRATCH_POOL.with(|p| {
             let mut pool = p.borrow_mut();
@@ -643,15 +666,13 @@ impl BatchLauncher {
     }
 }
 
-/// What one block hands back to the launch: its overlay pages, counters
-/// and observer outputs.
-type BlockResult = (
-    Vec<OverlayPage>,
-    KernelStats,
-    Option<SiteProfile>,
-    Option<SanReport>,
-    Option<IntervalSet>,
-);
+/// What one block hands back to the launch: its overlay pages, and its
+/// counters and observer outputs as a one-block report (the launch
+/// derives its own timing from the merged counters).
+struct BlockResult {
+    pages: Vec<OverlayPage>,
+    report: LaunchReport,
+}
 
 /// Shared launch body: executes the grid described by a validated plan.
 fn launch_prepared(
@@ -661,49 +682,26 @@ fn launch_prepared(
     kernel: &dyn WarpKernel,
     opts: LaunchOptions,
 ) -> LaunchReport {
-    let lc = plan.lc;
-    let occ = plan.occ;
     let snapshot: &[u8] = mem.raw();
     let init: &InitMask = mem.init_mask();
-    let results: Vec<BlockResult> = (0..lc.blocks)
+    let results: Vec<BlockResult> = (0..plan.lc.blocks)
         .into_par_iter()
         .map_init(PooledScratch::take, |scratch, b| {
             run_block(&mut scratch.0, cfg, plan, kernel, opts, snapshot, init, b)
         })
         .collect();
 
-    let mut stats = KernelStats::default();
-    let mut sites = opts.profile_sites.then(SiteProfile::new);
-    let mut sanitizer = opts.sanitize.then(SanReport::new);
-    for (_, s, block_sites, block_san, _) in &results {
-        stats.merge(s);
-        if let (Some(total), Some(block)) = (&mut sites, block_sites) {
-            total.merge(block);
-        }
-        if let (Some(total), Some(block)) = (&mut sanitizer, block_san) {
-            total.merge(block);
+    let mut pages = Vec::with_capacity(results.len());
+    let mut report: Option<LaunchReport> = None;
+    for block in results {
+        pages.push(block.pages);
+        match report.as_mut() {
+            Some(total) => total.merge(&block.report),
+            None => report = Some(block.report),
         }
     }
-    // The dataflow write set is read off the same mask words that
-    // publication applies, so it is exactly the published bytes.
-    let access = opts.dataflow.then(|| {
-        let (mut rcol, mut wcol) = (IntervalCollector::default(), IntervalCollector::default());
-        for (pages, _, _, _, block_reads) in &results {
-            if let Some(r) = block_reads {
-                rcol.extend_set(r);
-            }
-            for p in pages {
-                for (l, &m) in p.mask.iter().enumerate() {
-                    wcol.record_mask(p.base + (l * LINE_BYTES) as u64, m);
-                }
-            }
-        }
-        LaunchAccess {
-            reads: rcol.take_set(),
-            writes: wcol.take_set(),
-        }
-    });
-    let pages: Vec<Vec<OverlayPage>> = results.into_iter().map(|r| r.0).collect();
+    let mut report = report.expect("a validated grid has a block");
+    report.timing = kernel_time(&report.stats, &plan.occ, cfg);
     publish(mem, &pages);
     // Emptied page vectors go back to the pool for the next block's
     // `take_pages` on this thread.
@@ -717,20 +715,12 @@ fn launch_prepared(
             pool.push(block);
         }
     });
-
-    let timing = kernel_time(&stats, &occ, cfg);
-    LaunchReport {
-        stats,
-        occupancy: occ,
-        timing,
-        sites,
-        sanitizer,
-        access,
-    }
+    report
 }
 
 /// Runs block `b` of the launch on one worker's scratch: warp after
-/// warp, each warp's body once over its lanes.
+/// warp, each warp's body once over its lanes, then the warp's lane log
+/// replayed into the block's observers.
 #[allow(clippy::too_many_arguments)]
 fn run_block(
     scratch: &mut BlockScratch,
@@ -751,21 +741,24 @@ fn run_block(
         shared,
         local,
         rec,
-        san_log,
-        read_log,
-        reads,
+        log,
+        collector,
     } = scratch;
     shared.clear();
     shared.resize(res.shared_bytes_per_block, 0);
-    if opts.dataflow {
-        reads.clear();
-    }
     rec.set_profiling(opts.profile_sites);
     rec.set_geometry(cfg);
-    let mut stats = KernelStats::default();
+    log.sanitize = opts.sanitize;
+    log.dataflow = opts.dataflow;
+    let mut log = (opts.sanitize || opts.dataflow).then_some(log);
     let mut san = opts
         .sanitize
         .then(|| BlockSan::new(b, tpb, res.shared_bytes_per_block));
+    let mut reads = opts.dataflow.then(|| {
+        collector.clear();
+        &mut *collector
+    });
+    let mut stats = KernelStats::default();
     // Optional L2: each block simulates a private slice of the shared
     // cache (see crate::cache for the approximation).
     let mut cache = if cfg.l2_bytes > 0 {
@@ -798,28 +791,40 @@ fn run_block(
             shared: shared.as_mut_slice(),
             local: local.as_mut_slice(),
             rec: &mut *rec,
-            san: san.is_some().then_some(&mut *san_log),
-            reads: opts.dataflow.then_some(&mut *read_log),
+            log: log.as_deref_mut(),
         };
         kernel.run_warp(&mut ctx);
         rec.end_warp(cfg, &mut stats, cache.as_mut(), lanes);
-        if let Some(s) = san.as_mut() {
-            san_log.replay(s, first, lanes);
-        }
-        if opts.dataflow {
-            read_log.replay(reads);
+        if let Some(log) = log.as_deref_mut() {
+            log.replay(san.as_mut(), reads.as_deref_mut(), first, lanes);
         }
     }
     stats.blocks = 1;
-    let sites = rec.take_site_profile();
-    let block_reads = opts.dataflow.then(|| reads.take_set());
-    (
-        writes.take_pages(),
-        stats,
-        sites,
-        san.map(BlockSan::into_report),
-        block_reads,
-    )
+    // The dataflow write set is read off the same mask words that
+    // publication applies, so it is exactly the published bytes.
+    let access = reads.map(|collector| {
+        let reads = collector.take_set();
+        for p in &writes.pages {
+            for (l, &m) in p.mask.iter().enumerate() {
+                collector.record_mask(p.base + (l * LINE_BYTES) as u64, m);
+            }
+        }
+        LaunchAccess {
+            reads,
+            writes: collector.take_set(),
+        }
+    });
+    BlockResult {
+        pages: writes.take_pages(),
+        report: LaunchReport {
+            timing: kernel_time(&stats, &occ, cfg),
+            stats,
+            occupancy: occ,
+            sites: rec.take_site_profile(),
+            sanitizer: san.map(BlockSan::into_report),
+            access,
+        },
+    }
 }
 
 /// Overlay pages each publish worker gets at least. A helper thread
@@ -872,6 +877,7 @@ fn publish_split(mem: &mut DeviceMemory, blocks: &[Vec<OverlayPage>], parts: usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataflow::IntervalSet;
     use crate::lockstep::{lanes, mask_of};
     use crate::memory::Buffer;
 

@@ -33,12 +33,12 @@
 //! against the answers of the per-lane executor this one replaced
 //! (`tests/data/lane_executor_golden.json`).
 //!
-//! Sanitizer hooks and dataflow's external reads are buffered per lane
-//! and replayed in lane order at the end of the warp, so racecheck,
-//! synccheck, the first-occurrence fields of findings and the read
-//! collector's runs see each thread's accesses as one sequence. Loads
-//! and stores act on memory instruction by instruction, so lanes of one
-//! warp that exchange data through global or shared memory without a
+//! The sanitizer's and dataflow's per-lane events go into one
+//! [`LaneLog`], replayed in lane order at the end of the warp, so
+//! racecheck, synccheck, the first-occurrence fields of findings and the
+//! read collector's runs see each thread's accesses as one sequence.
+//! Loads and stores act on memory instruction by instruction, so lanes of
+//! one warp that exchange data through global or shared memory without a
 //! barrier see lockstep (hardware) order; such kernels are races on a
 //! real GPU and draw racecheck findings.
 
@@ -47,7 +47,7 @@ use crate::dataflow::IntervalCollector;
 use crate::kernel::{low_bits, KernelResources, WriteOverlay};
 use crate::memory::{Buffer, InitMask};
 use crate::profile::SiteProfile;
-use crate::sancheck::{LaneCheck, WarpSanLog};
+use crate::sancheck::BlockSan;
 use crate::stats::KernelStats;
 use crate::trace::{OpClass, Site, SiteInterner, Space};
 use crate::warp::{MemSlot, SegmentGeometry, SlotFold};
@@ -151,7 +151,8 @@ pub trait WarpKernel: Sync {
 }
 
 /// Per-warp execution context: the warp's identity, its active mask,
-/// masked memory access and instruction recording.
+/// masked memory access and instruction recording. `log` is present when
+/// the launch observes lanes (sanitizer or dataflow capture on).
 pub struct WarpCtx<'a> {
     pub(crate) block_idx: u32,
     pub(crate) first_thread: u32,
@@ -165,28 +166,89 @@ pub struct WarpCtx<'a> {
     pub(crate) shared: &'a mut [u8],
     pub(crate) local: &'a mut [f64],
     pub(crate) rec: &'a mut LockstepRecorder,
-    pub(crate) san: Option<&'a mut WarpSanLog>,
-    pub(crate) reads: Option<&'a mut ReadLog>,
+    pub(crate) log: Option<&'a mut LaneLog>,
 }
 
-/// The external global reads of one warp (dataflow capture), kept per
-/// lane and replayed into the block's [`IntervalCollector`] lane after
-/// lane at the end of the warp, so each lane's reads reach the collector
-/// as one run of neighbours and it stays small.
+/// One observer event of one lane, as a warp instruction issues it.
+#[derive(Debug)]
+pub(crate) enum LaneEvent {
+    /// A global load of `width` bytes at `addr` of `buf`; bit `i` of
+    /// `external` is set when byte `i` was not stored by the lane's own
+    /// block (dataflow's external reads), and `uninit` when one of those
+    /// bytes was never defined (initcheck).
+    Load {
+        loc: &'static Location<'static>,
+        buf: Buffer,
+        addr: u64,
+        width: usize,
+        external: u64,
+        uninit: bool,
+    },
+    /// An out-of-bounds access the sanitizer absorbed.
+    Oob {
+        loc: &'static Location<'static>,
+        space: Space,
+        addr: u64,
+        width: usize,
+        message: String,
+    },
+    /// A barrier arrival.
+    Sync { loc: &'static Location<'static> },
+    /// A shared-memory load.
+    SharedRead {
+        loc: &'static Location<'static>,
+        off: usize,
+        width: usize,
+    },
+    /// A shared-memory store.
+    SharedWrite {
+        loc: &'static Location<'static>,
+        off: usize,
+        width: usize,
+    },
+}
+
+/// The observer events of one warp, kept per lane and replayed lane
+/// after lane at the end of the warp: the sanitizer sees each thread's
+/// events as one sequence, threads in order, and each lane's external
+/// reads reach the read collector as one run of neighbours.
 #[derive(Debug, Default)]
-pub(crate) struct ReadLog {
-    /// `(lane, address, byte mask)` in instruction order.
-    reads: Vec<(u32, u64, u64)>,
+pub(crate) struct LaneLog {
+    /// Each lane's events, in the order the lane issued them.
+    lanes: [Vec<LaneEvent>; WARP_LANES],
+    /// The sanitizer reads the log: out-of-bounds accesses are absorbed
+    /// instead of panicking, and they, shared accesses, barriers and
+    /// loads of undefined bytes are logged.
+    pub(crate) sanitize: bool,
+    /// Dataflow capture reads the log: every global load is logged.
+    pub(crate) dataflow: bool,
 }
 
-impl ReadLog {
-    /// Feeds the warp's reads to `collector`, lane by lane, and empties
-    /// the log.
-    pub(crate) fn replay(&mut self, collector: &mut IntervalCollector) {
-        // Stable: each lane keeps its own read order.
-        self.reads.sort_by_key(|&(lane, _, _)| lane);
-        for (_, addr, mask) in self.reads.drain(..) {
-            collector.record_mask(addr, mask);
+impl LaneLog {
+    /// Replays the warp's events and empties the log: lane `l` of
+    /// `0..lanes` is thread `first_thread + l` of `san`, and each lane's
+    /// events go to `san` and `reads` in the order the lane issued them.
+    pub(crate) fn replay(
+        &mut self,
+        mut san: Option<&mut BlockSan>,
+        mut reads: Option<&mut IntervalCollector>,
+        first_thread: u32,
+        lanes: u32,
+    ) {
+        for (lane, events) in (0..lanes).zip(&mut self.lanes) {
+            if let Some(san) = san.as_deref_mut() {
+                san.begin_thread(first_thread + lane);
+            }
+            for event in events.drain(..) {
+                if let (Some(reads), LaneEvent::Load { addr, external, .. }) =
+                    (reads.as_deref_mut(), &event)
+                {
+                    reads.record_mask(*addr, *external);
+                }
+                if let Some(san) = san.as_deref_mut() {
+                    san.observe(event);
+                }
+            }
         }
     }
 }
@@ -228,6 +290,12 @@ impl WarpCtx<'_> {
             f(self);
             self.active = outer;
         }
+    }
+
+    /// The lane log when the sanitizer reads it.
+    #[inline]
+    fn san_log(&mut self) -> Option<&mut LaneLog> {
+        self.log.as_deref_mut().filter(|log| log.sanitize)
     }
 
     // ---- arithmetic ----
@@ -287,9 +355,10 @@ impl WarpCtx<'_> {
     /// Warps of a block run one after another, each to completion, so a
     /// barrier orders a warp's accesses against the warps before it and
     /// against its own lanes' earlier instructions; it cannot make a warp
-    /// wait for the warps after it. It separates the sanitizer's sync
-    /// epochs and is what synccheck audits. Kernels with cross-lane data
-    /// flow through shared memory should be validated once under
+    /// wait for the warps after it. Each lane's logged arrival separates
+    /// its sanitizer sync epochs and is what synccheck audits. Kernels
+    /// with cross-lane data flow through shared memory should be validated
+    /// once under
     /// [`crate::kernel::LaunchOptions::sanitize`], which reports genuine
     /// races and the barrier-ordered flows from later warps that this
     /// order cannot reproduce (see [`crate::sancheck`]).
@@ -299,11 +368,11 @@ impl WarpCtx<'_> {
         if self.active == 0 {
             return;
         }
-        let loc = Location::caller();
-        self.rec.sync(loc, self.active);
-        if let Some(log) = self.san.as_deref_mut() {
-            for l in lanes_in(self.active) {
-                log.push(l as u32, LaneCheck::Sync { loc });
+        let (loc, active) = (Location::caller(), self.active);
+        self.rec.sync(loc, active);
+        if let Some(log) = self.san_log() {
+            for l in lanes_in(active) {
+                log.lanes[l].push(LaneEvent::Sync { loc });
             }
         }
     }
@@ -352,21 +421,18 @@ impl WarpCtx<'_> {
         store: bool,
     ) {
         let message = global_oob_detail(buf, idx, width, store);
-        match self.san.as_deref_mut() {
+        match self.san_log() {
             Some(log) => {
                 let addr = buf
                     .addr()
                     .saturating_add((idx as u64).saturating_mul(width as u64));
-                log.push(
-                    l as u32,
-                    LaneCheck::Oob {
-                        loc,
-                        space: Space::Global,
-                        addr,
-                        width,
-                        message,
-                    },
-                );
+                log.lanes[l].push(LaneEvent::Oob {
+                    loc,
+                    space: Space::Global,
+                    addr,
+                    width,
+                    message,
+                });
             }
             None => panic!("kernel {}:{}: {message}", loc.file(), loc.line()),
         }
@@ -396,17 +462,18 @@ impl WarpCtx<'_> {
         }
         self.rec
             .mem(loc, Space::Global, false, valid, &addrs, W as u8);
-        if self.san.is_some() || self.reads.is_some() {
-            self.observe_loads(loc, buf, valid, &addrs, W);
+        if self.log.is_some() {
+            self.log_loads(loc, buf, valid, &addrs, W);
         }
         self.writes
             .load_lanes(self.snapshot, valid, &addrs, &mut out);
         out
     }
 
-    /// initcheck and dataflow hooks of a load instruction, per lane.
+    /// Logs a load instruction for the observers: one event per lane
+    /// whose load either observer needs.
     #[cold]
-    fn observe_loads(
+    fn log_loads(
         &mut self,
         loc: &'static Location<'static>,
         buf: Buffer,
@@ -414,26 +481,24 @@ impl WarpCtx<'_> {
         addrs: &Lanes<u64>,
         width: usize,
     ) {
+        let Some(log) = self.log.as_deref_mut() else {
+            return;
+        };
         for l in lanes_in(valid) {
             let addr = addrs[l];
-            let written = self.writes.written_bits(addr, width);
-            if let Some(log) = self.san.as_deref_mut() {
-                if (0..width)
-                    .any(|i| written & (1 << i) == 0 && !self.init.is_init(addr as usize + i))
-                {
-                    log.push(
-                        l as u32,
-                        LaneCheck::UninitGlobal {
-                            loc,
-                            buf,
-                            addr,
-                            width,
-                        },
-                    );
-                }
-            }
-            if let Some(log) = self.reads.as_deref_mut() {
-                log.reads.push((l as u32, addr, !written & low_bits(width)));
+            let external = !self.writes.written_bits(addr, width) & low_bits(width);
+            let uninit = log.sanitize
+                && (0..width)
+                    .any(|i| external >> i & 1 != 0 && !self.init.is_init(addr as usize + i));
+            if uninit || log.dataflow {
+                log.lanes[l].push(LaneEvent::Load {
+                    loc,
+                    buf,
+                    addr,
+                    width,
+                    external,
+                    uninit,
+                });
             }
         }
     }
@@ -529,17 +594,14 @@ impl WarpCtx<'_> {
                  spill slots",
                 slot[l], self.local_slots
             );
-            match self.san.as_deref_mut() {
-                Some(log) => log.push(
-                    l as u32,
-                    LaneCheck::Oob {
-                        loc,
-                        space: Space::Local,
-                        addr: slot[l] as u64,
-                        width: 8,
-                        message,
-                    },
-                ),
+            match self.san_log() {
+                Some(log) => log.lanes[l].push(LaneEvent::Oob {
+                    loc,
+                    space: Space::Local,
+                    addr: slot[l] as u64,
+                    width: 8,
+                    message,
+                }),
                 None => panic!("kernel {}:{}: {message}", loc.file(), loc.line()),
             }
         }
@@ -613,17 +675,14 @@ impl WarpCtx<'_> {
                  allocation",
                 off[l]
             );
-            match self.san.as_deref_mut() {
-                Some(log) => log.push(
-                    l as u32,
-                    LaneCheck::Oob {
-                        loc,
-                        space: Space::Shared,
-                        addr: off[l] as u64,
-                        width,
-                        message,
-                    },
-                ),
+            match self.san_log() {
+                Some(log) => log.lanes[l].push(LaneEvent::Oob {
+                    loc,
+                    space: Space::Shared,
+                    addr: off[l] as u64,
+                    width,
+                    message,
+                }),
                 None => panic!("kernel {}:{}: {message}", loc.file(), loc.line()),
             }
         }
@@ -645,15 +704,12 @@ impl WarpCtx<'_> {
         self.rec
             .mem(loc, Space::Shared, false, valid, &addrs, W as u8);
         for l in lanes_in(valid) {
-            if let Some(log) = self.san.as_deref_mut() {
-                log.push(
-                    l as u32,
-                    LaneCheck::SharedRead {
-                        loc,
-                        off: off[l],
-                        width: W,
-                    },
-                );
+            if let Some(log) = self.san_log() {
+                log.lanes[l].push(LaneEvent::SharedRead {
+                    loc,
+                    off: off[l],
+                    width: W,
+                });
             }
             out[l].copy_from_slice(&self.shared[off[l]..off[l] + W]);
         }
@@ -675,15 +731,12 @@ impl WarpCtx<'_> {
         self.rec
             .mem(loc, Space::Shared, true, valid, &addrs, W as u8);
         for l in lanes_in(valid) {
-            if let Some(log) = self.san.as_deref_mut() {
-                log.push(
-                    l as u32,
-                    LaneCheck::SharedWrite {
-                        loc,
-                        off: off[l],
-                        width: W,
-                    },
-                );
+            if let Some(log) = self.san_log() {
+                log.lanes[l].push(LaneEvent::SharedWrite {
+                    loc,
+                    off: off[l],
+                    width: W,
+                });
             }
             self.shared[off[l]..off[l] + W].copy_from_slice(&vals[l]);
         }

@@ -43,7 +43,7 @@
 //! count, and blocks are merged in block order, so a sanitized launch's
 //! report is deterministic.
 
-use crate::memory::Buffer;
+use crate::lockstep::LaneEvent;
 use crate::trace::{register_site, site_source, Site, Space};
 use serde::Serialize;
 use std::panic::Location;
@@ -280,8 +280,9 @@ struct ShadowCell {
     last_read: Option<Access>,
 }
 
-/// Per-block sanitizer state, fed one thread at a time by
-/// [`WarpSanLog::replay`] at the end of each warp, then folded into a
+/// Per-block sanitizer state, fed one thread at a time by the warp's
+/// [`LaneLog`](crate::lockstep::LaneLog) at the end of each warp (the
+/// same replay that feeds dataflow's read collector), then folded into a
 /// [`SanReport`] by [`BlockSan::into_report`].
 #[derive(Debug)]
 pub(crate) struct BlockSan {
@@ -345,7 +346,7 @@ impl BlockSan {
     }
 
     /// memcheck: records an out-of-bounds access the context absorbed.
-    pub(crate) fn oob(
+    fn oob(
         &mut self,
         loc: &'static Location<'static>,
         space: Space,
@@ -358,45 +359,53 @@ impl BlockSan {
         });
     }
 
-    /// initcheck: a global load touched bytes never defined by the host
-    /// or a kernel store.
-    pub(crate) fn uninit_global(
-        &mut self,
-        loc: &'static Location<'static>,
-        buf: Buffer,
-        addr: u64,
-        width: usize,
-    ) {
-        self.emit(
-            CheckKind::Initcheck,
-            Some(Space::Global),
-            loc,
-            addr,
-            width,
-            || {
-                format!(
-                    "global load of {width} B at 0x{addr:x} (buffer @0x{:x}, +{} B) reads bytes \
-                     never written by the host or a kernel",
-                    buf.addr(),
-                    buf.len()
-                )
-            },
-        );
+    /// Applies one event of the current thread.
+    pub(crate) fn observe(&mut self, event: LaneEvent) {
+        match event {
+            LaneEvent::Load {
+                loc,
+                buf,
+                addr,
+                width,
+                uninit: true,
+                ..
+            } => self.emit(
+                CheckKind::Initcheck,
+                Some(Space::Global),
+                loc,
+                addr,
+                width,
+                || {
+                    format!(
+                        "global load of {width} B at 0x{addr:x} (buffer @0x{:x}, +{} B) reads \
+                         bytes never written by the host or a kernel",
+                        buf.addr(),
+                        buf.len()
+                    )
+                },
+            ),
+            LaneEvent::Load { .. } => {}
+            LaneEvent::Oob {
+                loc,
+                space,
+                addr,
+                width,
+                message,
+            } => self.oob(loc, space, addr, width, message),
+            LaneEvent::Sync { loc } => self.on_sync(loc),
+            LaneEvent::SharedRead { loc, off, width } => self.shared_read(loc, off, width),
+            LaneEvent::SharedWrite { loc, off, width } => self.shared_write(loc, off, width),
+        }
     }
 
     /// Records a barrier arrival and advances the thread's sync epoch.
-    pub(crate) fn on_sync(&mut self, loc: &'static Location<'static>) {
+    fn on_sync(&mut self, loc: &'static Location<'static>) {
         self.sync_seqs[self.thread as usize].push(loc);
         self.epoch += 1;
     }
 
     /// racecheck + shadow update for a shared-memory store.
-    pub(crate) fn shared_write(
-        &mut self,
-        loc: &'static Location<'static>,
-        off: usize,
-        width: usize,
-    ) {
+    fn shared_write(&mut self, loc: &'static Location<'static>, off: usize, width: usize) {
         let (t, e) = (self.thread, self.epoch);
         let mut conflict: Option<(Access, bool)> = None; // (prior access, prior was a read)
         for cell in &mut self.shared[off..off + width] {
@@ -453,12 +462,7 @@ impl BlockSan {
     }
 
     /// racecheck + initcheck + shadow update for a shared-memory load.
-    pub(crate) fn shared_read(
-        &mut self,
-        loc: &'static Location<'static>,
-        off: usize,
-        width: usize,
-    ) {
+    fn shared_read(&mut self, loc: &'static Location<'static>, off: usize, width: usize) {
         let (t, e) = (self.thread, self.epoch);
         let mut uninit = false;
         let mut conflict: Option<Access> = None;
@@ -579,88 +583,6 @@ impl BlockSan {
             });
         }
         self.report
-    }
-}
-
-/// One sanitizer hook call of one lane, as a warp instruction issues it.
-#[derive(Debug)]
-pub(crate) enum LaneCheck {
-    /// [`BlockSan::oob`].
-    Oob {
-        loc: &'static Location<'static>,
-        space: Space,
-        addr: u64,
-        width: usize,
-        message: String,
-    },
-    /// [`BlockSan::uninit_global`].
-    UninitGlobal {
-        loc: &'static Location<'static>,
-        buf: Buffer,
-        addr: u64,
-        width: usize,
-    },
-    /// [`BlockSan::on_sync`].
-    Sync { loc: &'static Location<'static> },
-    /// [`BlockSan::shared_read`].
-    SharedRead {
-        loc: &'static Location<'static>,
-        off: usize,
-        width: usize,
-    },
-    /// [`BlockSan::shared_write`].
-    SharedWrite {
-        loc: &'static Location<'static>,
-        off: usize,
-        width: usize,
-    },
-}
-
-/// The sanitizer hook calls of one warp, kept per lane and replayed into
-/// the block's [`BlockSan`] lane after lane at the end of the warp: the
-/// shadow state, sync epochs and first occurrences see each thread's
-/// calls as one sequence, threads in order.
-#[derive(Debug, Default)]
-pub(crate) struct WarpSanLog {
-    calls: Vec<(u32, LaneCheck)>,
-}
-
-impl WarpSanLog {
-    /// Buffers a call of lane `lane`.
-    pub(crate) fn push(&mut self, lane: u32, check: LaneCheck) {
-        self.calls.push((lane, check));
-    }
-
-    /// Replays the buffered calls into `san`: thread `first_thread + l`
-    /// for `l` in `0..lanes`, each lane's calls in the order it made
-    /// them.
-    pub(crate) fn replay(&mut self, san: &mut BlockSan, first_thread: u32, lanes: u32) {
-        // Stable: each lane keeps its own call order.
-        self.calls.sort_by_key(|&(lane, _)| lane);
-        let mut calls = self.calls.drain(..).peekable();
-        for lane in 0..lanes {
-            san.begin_thread(first_thread + lane);
-            while let Some((_, check)) = calls.next_if(|&(l, _)| l == lane) {
-                match check {
-                    LaneCheck::Oob {
-                        loc,
-                        space,
-                        addr,
-                        width,
-                        message,
-                    } => san.oob(loc, space, addr, width, message),
-                    LaneCheck::UninitGlobal {
-                        loc,
-                        buf,
-                        addr,
-                        width,
-                    } => san.uninit_global(loc, buf, addr, width),
-                    LaneCheck::Sync { loc } => san.on_sync(loc),
-                    LaneCheck::SharedRead { loc, off, width } => san.shared_read(loc, off, width),
-                    LaneCheck::SharedWrite { loc, off, width } => san.shared_write(loc, off, width),
-                }
-            }
-        }
     }
 }
 

@@ -23,7 +23,7 @@
 use mogpu::core::kernels::{gpu_morph_with, MorphOp};
 use mogpu::json::Value;
 use mogpu::prelude::*;
-use mogpu::sim::kernel::{launch_with, KernelResources, LaunchConfig};
+use mogpu::sim::kernel::{launch_with, KernelResources, LaunchConfig, LaunchReport};
 use mogpu::sim::profile::SiteProfile;
 use mogpu::sim::stats::KernelStats;
 use mogpu::sim::trace::OpClass;
@@ -157,8 +157,34 @@ struct Outcome {
     out: Vec<u8>,
 }
 
-/// One launch of `Mixed` on fresh memory.
+/// One launch of `Mixed` on fresh memory with profiling and dataflow
+/// capture on; the sanitizer and the out-of-bounds store go together.
 fn run(cfg: &GpuConfig, trips: &[u8], n: usize, tpb: u32, sanitize: bool) -> Outcome {
+    let opts = LaunchOptions {
+        profile_sites: true,
+        sanitize,
+        dataflow: true,
+    };
+    let (report, out) = launch_mixed(cfg, trips, n, tpb, sanitize, opts);
+    Outcome {
+        stats: report.stats,
+        sites: report.sites.unwrap(),
+        san: report.sanitizer.unwrap_or_default(),
+        access: report.access.unwrap(),
+        out,
+    }
+}
+
+/// One launch of `Mixed` on fresh memory under `opts`: the report and
+/// the output buffer.
+fn launch_mixed(
+    cfg: &GpuConfig,
+    trips: &[u8],
+    n: usize,
+    tpb: u32,
+    oob: bool,
+    opts: LaunchOptions,
+) -> (LaunchReport, Vec<u8>) {
     let threads = trips.len();
     let mut mem = DeviceMemory::new(1 << 22);
     let trips_buf = mem.alloc(threads).unwrap();
@@ -174,22 +200,11 @@ fn run(cfg: &GpuConfig, trips: &[u8], n: usize, tpb: u32, sanitize: bool) -> Out
         out,
         n,
         threads_per_block: tpb as usize,
-        oob: sanitize,
+        oob,
     });
-    let opts = LaunchOptions {
-        profile_sites: true,
-        sanitize,
-        dataflow: true,
-    };
     let lc = LaunchConfig::cover(threads, tpb);
     let report = launch_with(&mut mem, cfg, lc, &kernel, opts).unwrap();
-    Outcome {
-        stats: report.stats,
-        sites: report.sites.unwrap(),
-        san: report.sanitizer.unwrap_or_default(),
-        access: report.access.unwrap(),
-        out: mem.download(out),
-    }
+    (report, mem.download(out))
 }
 
 /// Control bytes that spread lanes over every trip count and parity.
@@ -553,4 +568,124 @@ fn golden_holds_exactly_the_tested_cases() {
     let mut morph: Vec<String> = morph_cases().into_iter().map(|c| c.0).collect();
     morph.sort();
     assert_eq!(names("morph"), morph);
+}
+
+// ---- observer independence ----
+
+/// Every subset of the three launch options.
+fn all_options() -> impl Iterator<Item = LaunchOptions> {
+    (0..8).map(|bits| LaunchOptions {
+        profile_sites: bits & 1 != 0,
+        sanitize: bits & 2 != 0,
+        dataflow: bits & 4 != 0,
+    })
+}
+
+/// Asserts that the observers of `runs` (launches of one kernel on one
+/// input under different options) leave each other alone: counters and
+/// output agree across all of them, and each observer's output is
+/// present exactly when its option is on and agrees wherever it is.
+fn assert_independent(case: &str, runs: &[(LaunchOptions, LaunchReport, Vec<u8>)]) {
+    let (_, first, first_out) = &runs[0];
+    let first_with = |on: fn(&LaunchOptions) -> bool| {
+        &runs
+            .iter()
+            .find(|r| on(&r.0))
+            .unwrap_or_else(|| panic!("{case}: no run with that option"))
+            .1
+    };
+    let sites = &first_with(|o| o.profile_sites).sites;
+    let sanitizer = &first_with(|o| o.sanitize).sanitizer;
+    let access = &first_with(|o| o.dataflow).access;
+    for (opts, report, out) in runs {
+        assert_eq!(report.stats, first.stats, "{case}: stats under {opts:?}");
+        assert_eq!(out, first_out, "{case}: output under {opts:?}");
+        assert_eq!(
+            report.sites.is_some(),
+            opts.profile_sites,
+            "{case}: {opts:?}"
+        );
+        assert_eq!(
+            report.sanitizer.is_some(),
+            opts.sanitize,
+            "{case}: {opts:?}"
+        );
+        assert_eq!(report.access.is_some(), opts.dataflow, "{case}: {opts:?}");
+        if opts.profile_sites {
+            assert_eq!(&report.sites, sites, "{case}: sites under {opts:?}");
+        }
+        if opts.sanitize {
+            assert_eq!(
+                &report.sanitizer, sanitizer,
+                "{case}: findings under {opts:?}"
+            );
+        }
+        if opts.dataflow {
+            assert_eq!(&report.access, access, "{case}: access under {opts:?}");
+        }
+    }
+}
+
+/// No observer perturbs another, or the counters and memory, through the
+/// lane log they share: `Mixed` (without its out-of-bounds store under
+/// every option set, with it under every sanitized one) and both
+/// morphology operations agree across option sets.
+#[test]
+fn observers_are_independent_of_each_other() {
+    let cfg = GpuConfig::tesla_c2075_with_l2();
+    let trips = spread(256);
+    for oob in [false, true] {
+        let runs: Vec<_> = all_options()
+            .filter(|o| o.sanitize || !oob)
+            .map(|o| {
+                let (report, out) = launch_mixed(&cfg, &trips, 250, 128, oob, o);
+                (o, report, out)
+            })
+            .collect();
+        assert_independent(&format!("mixed (oob {oob})"), &runs);
+    }
+    let res = Resolution::new(64, 48);
+    let mask = SceneBuilder::new(res)
+        .seed(31)
+        .walkers(3)
+        .build()
+        .render(5)
+        .1;
+    for op in [MorphOp::Erode, MorphOp::Dilate] {
+        let runs: Vec<_> = all_options()
+            .map(|o| {
+                let (out, report) = gpu_morph_with(&mask, op, &cfg, o).unwrap();
+                (o, report, out.as_slice().to_vec())
+            })
+            .collect();
+        assert_independent(&format!("{op:?}"), &runs);
+    }
+}
+
+/// Dataflow capture alone does not absorb an out-of-bounds store: the
+/// launch panics at the kernel's `file:line`, as a plain launch does.
+/// The second launch runs on the thread the first one panicked on, so it
+/// also checks that a panicked block's scratch is not reused.
+#[test]
+fn dataflow_alone_does_not_absorb_out_of_bounds_stores() {
+    let cfg = GpuConfig::tesla_c2075();
+    for profile_sites in [false, true] {
+        let opts = LaunchOptions {
+            profile_sites,
+            sanitize: false,
+            dataflow: true,
+        };
+        // One block, so the launching thread runs it and keeps the
+        // kernel's panic message.
+        let r = std::panic::catch_unwind(|| launch_mixed(&cfg, &spread(32), 32, 32, true, opts));
+        let payload = r.expect_err("an out-of-bounds store must panic");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert!(
+            message.starts_with("kernel ") && message.contains("warp_lockstep.rs:"),
+            "{message}"
+        );
+        assert!(message.contains("out of bounds"), "{message}");
+    }
 }
