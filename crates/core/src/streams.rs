@@ -14,9 +14,10 @@
 //! `process_streams`, which [`crate::FleetPipeline`] runs too: it checks
 //! every stream's frames before any stream runs, then runs the streams in
 //! parallel (they share no model state). *Timing* is serialized through
-//! the [`StreamScheduler`]: one compute engine and `cfg.copy_engines` copy engines are list-scheduled across
-//! every stream's upload/kernel/download stages with a bounded in-flight
-//! buffer count per stream, exactly as CUDA streams share a device.
+//! the [`StreamScheduler`]: one compute engine and `cfg.copy_engines`
+//! copy engines are list-scheduled across every stream's
+//! upload/kernel/download stages with a bounded in-flight buffer count
+//! per stream, exactly as CUDA streams share a device.
 //!
 //! The report carries per-stream device sojourn latency (bounded by the
 //! buffer cap — the point of fixing the infinite-buffer schedule) plus

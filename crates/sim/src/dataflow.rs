@@ -123,13 +123,19 @@ impl IntervalSet {
         IntervalSet { runs: out }
     }
 
-    /// In-place union with `other`.
+    /// In-place union with `other`. Only the runs of `self` that can
+    /// touch `other`'s span are normalized again, so folding sets in
+    /// address order (a launch's blocks) costs what each one adds.
     pub fn union_in_place(&mut self, other: &IntervalSet) {
-        if other.runs.is_empty() {
+        let (Some(&(lo, _)), Some(&(_, hi))) = (other.runs.first(), other.runs.last()) else {
             return;
-        }
-        self.runs.extend_from_slice(&other.runs);
-        normalize(&mut self.runs);
+        };
+        let start = self.runs.partition_point(|&(_, e)| e < lo);
+        let end = self.runs.partition_point(|&(s, _)| s <= hi);
+        let mut window = self.runs[start..end].to_vec();
+        window.extend_from_slice(&other.runs);
+        normalize(&mut window);
+        self.runs.splice(start..end, window);
     }
 }
 
@@ -832,6 +838,37 @@ mod tests {
             a.total_bytes(),
             a.intersect(&b).total_bytes() + a.subtract(&b).total_bytes()
         );
+    }
+
+    /// The windowed union agrees with normalizing both sets' runs
+    /// together, wherever the sets lie relative to each other.
+    #[test]
+    fn union_matches_normalizing_all_runs() {
+        let mut state = 0x5EED_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        for _ in 0..500 {
+            let mut set = |most: u64, span: u64| {
+                let n = next(most);
+                let runs = (0..n)
+                    .map(|_| {
+                        let s = next(span);
+                        (s, s + 1 + next(8))
+                    })
+                    .collect();
+                IntervalSet::from_runs(runs)
+            };
+            let (a, b) = (set(12, 200), set(6, 200));
+            let mut u = a.clone();
+            u.union_in_place(&b);
+            let mut all = a.runs().to_vec();
+            all.extend_from_slice(b.runs());
+            assert_eq!(u, IntervalSet::from_runs(all), "{a:?} ∪ {b:?}");
+        }
     }
 
     #[test]

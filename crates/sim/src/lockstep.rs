@@ -47,7 +47,7 @@ use crate::dataflow::IntervalCollector;
 use crate::kernel::{low_bits, KernelResources, WriteOverlay};
 use crate::memory::{Buffer, InitMask};
 use crate::profile::SiteProfile;
-use crate::sancheck::BlockSan;
+use crate::sancheck::{BlockSan, CheckKind};
 use crate::stats::KernelStats;
 use crate::trace::{OpClass, Site, SiteInterner, Space};
 use crate::warp::{MemSlot, SegmentGeometry, SlotFold};
@@ -172,26 +172,11 @@ pub struct WarpCtx<'a> {
 /// One observer event of one lane, as a warp instruction issues it.
 #[derive(Debug)]
 pub(crate) enum LaneEvent {
-    /// A global load of `width` bytes at `addr` of `buf`; bit `i` of
-    /// `external` is set when byte `i` was not stored by the lane's own
-    /// block (dataflow's external reads), and `uninit` when one of those
-    /// bytes was never defined (initcheck).
-    Load {
-        loc: &'static Location<'static>,
-        buf: Buffer,
-        addr: u64,
-        width: usize,
-        external: u64,
-        uninit: bool,
-    },
-    /// An out-of-bounds access the sanitizer absorbed.
-    Oob {
-        loc: &'static Location<'static>,
-        space: Space,
-        addr: u64,
-        width: usize,
-        message: String,
-    },
+    /// A global load for dataflow capture: bit `i` of `external` is set
+    /// when byte `i` at `addr` was not stored by the lane's own block.
+    Load { addr: u64, external: u64 },
+    /// A memcheck or initcheck occurrence.
+    Hit(Box<Hit>),
     /// A barrier arrival.
     Sync { loc: &'static Location<'static> },
     /// A shared-memory load.
@@ -208,6 +193,22 @@ pub(crate) enum LaneEvent {
     },
 }
 
+/// An access the sanitizer reports as it happens: one out of bounds,
+/// which it absorbs, or a global load of bytes never defined. Boxed:
+/// hits are rare, and the other events stay small.
+#[derive(Debug)]
+pub(crate) struct Hit {
+    pub(crate) kind: CheckKind,
+    pub(crate) space: Space,
+    pub(crate) loc: &'static Location<'static>,
+    pub(crate) addr: u64,
+    pub(crate) width: usize,
+    /// A load's external bytes, as in [`LaneEvent::Load`]; 0 for an
+    /// absorbed access.
+    pub(crate) external: u64,
+    pub(crate) message: String,
+}
+
 /// The observer events of one warp, kept per lane and replayed lane
 /// after lane at the end of the warp: the sanitizer sees each thread's
 /// events as one sequence, threads in order, and each lane's external
@@ -217,8 +218,8 @@ pub(crate) struct LaneLog {
     /// Each lane's events, in the order the lane issued them.
     lanes: [Vec<LaneEvent>; WARP_LANES],
     /// The sanitizer reads the log: out-of-bounds accesses are absorbed
-    /// instead of panicking, and they, shared accesses, barriers and
-    /// loads of undefined bytes are logged.
+    /// instead of panicking, and hits, shared accesses and barriers are
+    /// logged.
     pub(crate) sanitize: bool,
     /// Dataflow capture reads the log: every global load is logged.
     pub(crate) dataflow: bool,
@@ -240,10 +241,12 @@ impl LaneLog {
                 san.begin_thread(first_thread + lane);
             }
             for event in events.drain(..) {
-                if let (Some(reads), LaneEvent::Load { addr, external, .. }) =
-                    (reads.as_deref_mut(), &event)
-                {
-                    reads.record_mask(*addr, *external);
+                if let Some(reads) = reads.as_deref_mut() {
+                    match &event {
+                        LaneEvent::Load { addr, external } => reads.record_mask(*addr, *external),
+                        LaneEvent::Hit(hit) => reads.record_mask(hit.addr, hit.external),
+                        _ => {}
+                    }
                 }
                 if let Some(san) = san.as_deref_mut() {
                     san.observe(event);
@@ -420,20 +423,36 @@ impl WarpCtx<'_> {
         width: usize,
         store: bool,
     ) {
+        let addr = buf
+            .addr()
+            .saturating_add((idx as u64).saturating_mul(width as u64));
         let message = global_oob_detail(buf, idx, width, store);
+        self.out_of_bounds(loc, l, Space::Global, addr, width, message);
+    }
+
+    /// Lane `l`'s out-of-bounds access: a memcheck hit the access is
+    /// absorbed into under the sanitizer, a panic at the kernel call site
+    /// otherwise.
+    #[cold]
+    fn out_of_bounds(
+        &mut self,
+        loc: &'static Location<'static>,
+        l: usize,
+        space: Space,
+        addr: u64,
+        width: usize,
+        message: String,
+    ) {
         match self.san_log() {
-            Some(log) => {
-                let addr = buf
-                    .addr()
-                    .saturating_add((idx as u64).saturating_mul(width as u64));
-                log.lanes[l].push(LaneEvent::Oob {
-                    loc,
-                    space: Space::Global,
-                    addr,
-                    width,
-                    message,
-                });
-            }
+            Some(log) => log.lanes[l].push(LaneEvent::Hit(Box::new(Hit {
+                kind: CheckKind::Memcheck,
+                space,
+                loc,
+                addr,
+                width,
+                external: 0,
+                message,
+            }))),
             None => panic!("kernel {}:{}: {message}", loc.file(), loc.line()),
         }
     }
@@ -470,8 +489,8 @@ impl WarpCtx<'_> {
         out
     }
 
-    /// Logs a load instruction for the observers: one event per lane
-    /// whose load either observer needs.
+    /// Logs a load instruction for the observers: per lane, an
+    /// initcheck hit or, under dataflow capture, the load.
     #[cold]
     fn log_loads(
         &mut self,
@@ -490,15 +509,24 @@ impl WarpCtx<'_> {
             let uninit = log.sanitize
                 && (0..width)
                     .any(|i| external >> i & 1 != 0 && !self.init.is_init(addr as usize + i));
-            if uninit || log.dataflow {
-                log.lanes[l].push(LaneEvent::Load {
+            if uninit {
+                let message = format!(
+                    "global load of {width} B at 0x{addr:x} (buffer @0x{:x}, +{} B) reads bytes \
+                     never written by the host or a kernel",
+                    buf.addr(),
+                    buf.len()
+                );
+                log.lanes[l].push(LaneEvent::Hit(Box::new(Hit {
+                    kind: CheckKind::Initcheck,
+                    space: Space::Global,
                     loc,
-                    buf,
                     addr,
                     width,
                     external,
-                    uninit,
-                });
+                    message,
+                })));
+            } else if log.dataflow {
+                log.lanes[l].push(LaneEvent::Load { addr, external });
             }
         }
     }
@@ -594,16 +622,7 @@ impl WarpCtx<'_> {
                  spill slots",
                 slot[l], self.local_slots
             );
-            match self.san_log() {
-                Some(log) => log.lanes[l].push(LaneEvent::Oob {
-                    loc,
-                    space: Space::Local,
-                    addr: slot[l] as u64,
-                    width: 8,
-                    message,
-                }),
-                None => panic!("kernel {}:{}: {message}", loc.file(), loc.line()),
-            }
+            self.out_of_bounds(loc, l, Space::Local, slot[l] as u64, 8, message);
         }
         valid
     }
@@ -675,16 +694,7 @@ impl WarpCtx<'_> {
                  allocation",
                 off[l]
             );
-            match self.san_log() {
-                Some(log) => log.lanes[l].push(LaneEvent::Oob {
-                    loc,
-                    space: Space::Shared,
-                    addr: off[l] as u64,
-                    width,
-                    message,
-                }),
-                None => panic!("kernel {}:{}: {message}", loc.file(), loc.line()),
-            }
+            self.out_of_bounds(loc, l, Space::Shared, off[l] as u64, width, message);
         }
         valid
     }

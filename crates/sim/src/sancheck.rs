@@ -43,7 +43,7 @@
 //! count, and blocks are merged in block order, so a sanitized launch's
 //! report is deterministic.
 
-use crate::lockstep::LaneEvent;
+use crate::lockstep::{Hit, LaneEvent};
 use crate::trace::{register_site, site_source, Site, Space};
 use serde::Serialize;
 use std::panic::Location;
@@ -345,53 +345,22 @@ impl BlockSan {
         });
     }
 
-    /// memcheck: records an out-of-bounds access the context absorbed.
-    fn oob(
-        &mut self,
-        loc: &'static Location<'static>,
-        space: Space,
-        addr: u64,
-        width: usize,
-        message: String,
-    ) {
-        self.emit(CheckKind::Memcheck, Some(space), loc, addr, width, || {
-            message
-        });
-    }
-
     /// Applies one event of the current thread.
     pub(crate) fn observe(&mut self, event: LaneEvent) {
         match event {
-            LaneEvent::Load {
-                loc,
-                buf,
-                addr,
-                width,
-                uninit: true,
-                ..
-            } => self.emit(
-                CheckKind::Initcheck,
-                Some(Space::Global),
-                loc,
-                addr,
-                width,
-                || {
-                    format!(
-                        "global load of {width} B at 0x{addr:x} (buffer @0x{:x}, +{} B) reads \
-                         bytes never written by the host or a kernel",
-                        buf.addr(),
-                        buf.len()
-                    )
-                },
-            ),
             LaneEvent::Load { .. } => {}
-            LaneEvent::Oob {
-                loc,
-                space,
-                addr,
-                width,
-                message,
-            } => self.oob(loc, space, addr, width, message),
+            LaneEvent::Hit(hit) => {
+                let Hit {
+                    kind,
+                    space,
+                    loc,
+                    addr,
+                    width,
+                    message,
+                    ..
+                } = *hit;
+                self.emit(kind, Some(space), loc, addr, width, || message);
+            }
             LaneEvent::Sync { loc } => self.on_sync(loc),
             LaneEvent::SharedRead { loc, off, width } => self.shared_read(loc, off, width),
             LaneEvent::SharedWrite { loc, off, width } => self.shared_write(loc, off, width),
@@ -600,9 +569,23 @@ mod tests {
         let loc = here();
         let mut san = BlockSan::new(0, 2, 8);
         san.begin_thread(0);
-        san.oob(loc, Space::Global, 100, 8, "x".into());
+        san.emit(
+            CheckKind::Memcheck,
+            Some(Space::Global),
+            loc,
+            100,
+            8,
+            || "x".into(),
+        );
         san.begin_thread(1);
-        san.oob(loc, Space::Global, 108, 8, "y".into());
+        san.emit(
+            CheckKind::Memcheck,
+            Some(Space::Global),
+            loc,
+            108,
+            8,
+            || "y".into(),
+        );
         let r = san.into_report();
         assert_eq!(r.len(), 1);
         assert_eq!(r.findings()[0].occurrences, 2);
@@ -709,11 +692,15 @@ mod tests {
         let loc = here();
         let mut a = BlockSan::new(0, 1, 0);
         a.begin_thread(0);
-        a.oob(loc, Space::Global, 0, 4, "m".into());
+        a.emit(CheckKind::Memcheck, Some(Space::Global), loc, 0, 4, || {
+            "m".into()
+        });
         let mut report = a.into_report();
         let mut b = BlockSan::new(1, 1, 0);
         b.begin_thread(0);
-        b.oob(loc, Space::Global, 4, 4, "m".into());
+        b.emit(CheckKind::Memcheck, Some(Space::Global), loc, 4, 4, || {
+            "m".into()
+        });
         report.merge(&b.into_report());
         assert_eq!(report.len(), 1);
         assert_eq!(report.findings()[0].occurrences, 2);
