@@ -24,6 +24,7 @@ use crate::sancheck::{BlockSan, SanReport};
 use crate::stats::KernelStats;
 use crate::timing::{kernel_time, KernelTiming};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Static resource footprint of a kernel, as `nvcc --ptxas-options=-v`
 /// would report it.
@@ -230,6 +231,24 @@ impl OverlayPage {
         }
     }
 
+    /// [`OverlayPage::write`] for any `val` that fits the page: one copy,
+    /// then one shift-or per line it covers.
+    fn write_run(&mut self, off: usize, val: &[u8]) {
+        self.bytes[off..off + val.len()].copy_from_slice(val);
+        for (at, n) in line_pieces(off, val.len()) {
+            self.mask[at / LINE_BYTES] |= low_bits(n) << (at % LINE_BYTES);
+        }
+    }
+
+    /// [`OverlayPage::patch`] for any `out` that fits the page, line by
+    /// line.
+    fn patch_run(&self, off: usize, out: &mut [u8]) {
+        for (at, n) in line_pieces(off, out.len()) {
+            let from = at - off;
+            self.patch(at, &mut out[from..from + n]);
+        }
+    }
+
     /// Which of the `n <= 64` bytes at page offset `off` were stored
     /// (bit `i` = byte `off + i`).
     #[inline]
@@ -257,6 +276,20 @@ impl OverlayPage {
             }
         }
     }
+}
+
+/// The `len` bytes at page offset `off` cut at line boundaries:
+/// `(offset, bytes)` per line, in ascending order.
+fn line_pieces(off: usize, len: usize) -> impl Iterator<Item = (usize, usize)> {
+    let end = off + len;
+    let mut at = off;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let n = (LINE_BYTES - at % LINE_BYTES).min(end - at);
+            at += n;
+            (at - n, n)
+        })
+    })
 }
 
 impl Default for WriteOverlay {
@@ -346,27 +379,39 @@ impl WriteOverlay {
         (addr / PAGE_BYTES as u64, off, width.min(PAGE_BYTES - off))
     }
 
-    /// The cold half of [`WriteOverlay::store_lanes`]: the first `n`
-    /// bytes of `val` end page number `page`, the rest start the next
-    /// page.
-    #[cold]
-    fn store_straddling(&mut self, page: u64, val: &[u8], n: usize) {
-        let ix = self.find_or_insert(page);
-        self.pages[ix].write(PAGE_BYTES - n, &val[..n]);
-        let ix = self.find_or_insert(page + 1);
-        self.pages[ix].write(0, &val[n..]);
+    /// The `len` bytes at `addr` cut at page boundaries: `(page number,
+    /// offset in page, range of the bytes)` per page, in ascending order.
+    fn page_pieces(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, Range<usize>)> {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            (at < len).then(|| {
+                let (page, off, n) = Self::split(addr + at as u64, len - at);
+                at += n;
+                (page, off, at - n..at)
+            })
+        })
     }
 
-    /// The cold half of [`WriteOverlay::load_lanes`], split like
-    /// [`WriteOverlay::store_straddling`].
-    #[cold]
-    fn patch_straddling(&self, page: u64, out: &mut [u8], n: usize) {
-        let (head, tail) = out.split_at_mut(n);
-        if let Some(ix) = self.find(page) {
-            self.pages[ix].patch(PAGE_BYTES - n, head);
+    /// Stores `val` at `addr` page by page, in ascending order: a run, or
+    /// one lane's access across a page boundary. Kept out of line, so
+    /// the lane loops it is rare in stay small.
+    #[inline(never)]
+    fn store_bytes(&mut self, addr: u64, val: &[u8]) {
+        for (page, off, range) in Self::page_pieces(addr, val.len()) {
+            let ix = self.find_or_insert(page);
+            self.pages[ix].write_run(off, &val[range]);
         }
-        if let Some(ix) = self.find(page + 1) {
-            self.pages[ix].patch(0, tail);
+    }
+
+    /// Overwrites `out` (the bytes at `addr`) with the bytes this block
+    /// stored there, page by page; out of line like
+    /// [`WriteOverlay::store_bytes`].
+    #[inline(never)]
+    fn patch_bytes(&self, addr: u64, out: &mut [u8]) {
+        for (page, off, range) in Self::page_pieces(addr, out.len()) {
+            if let Some(ix) = self.find(page) {
+                self.pages[ix].patch_run(off, &mut out[range]);
+            }
         }
     }
 
@@ -401,7 +446,7 @@ impl WriteOverlay {
                     self.pages[ix].patch(off, &mut out[l]);
                 }
             } else {
-                self.patch_straddling(page, &mut out[l], n);
+                self.patch_bytes(addrs[l], &mut out[l]);
             }
         }
     }
@@ -425,9 +470,35 @@ impl WriteOverlay {
                 }
                 self.pages[cached.1].write(off, &vals[l]);
             } else {
-                self.store_straddling(page, &vals[l], n);
+                self.store_bytes(addrs[l], &vals[l]);
             }
         }
+    }
+
+    /// [`WriteOverlay::load_lanes`] for a run, lane `l` at
+    /// `base + l * W`: one copy of the snapshot, then each page the run
+    /// covers patched line by line.
+    #[inline]
+    pub(crate) fn load_run<const W: usize>(
+        &self,
+        snapshot: &[u8],
+        base: u64,
+        out: &mut Lanes<[u8; W]>,
+    ) {
+        let out = out.as_flattened_mut();
+        let a = base as usize;
+        out.copy_from_slice(&snapshot[a..a + out.len()]);
+        if !self.pages.is_empty() {
+            self.patch_bytes(base, out);
+        }
+    }
+
+    /// [`WriteOverlay::store_lanes`] for a run, lane `l` at
+    /// `base + l * W`: page after page, so pages are created in ascending
+    /// order, which is the lanes' order.
+    #[inline]
+    pub(crate) fn store_run<const W: usize>(&mut self, base: u64, vals: &Lanes<[u8; W]>) {
+        self.store_bytes(base, vals.as_flattened());
     }
 
     /// Which of the `width <= 64` bytes at `addr` this block has stored
@@ -1364,6 +1435,46 @@ mod tests {
         assert!(r.is_err(), "OOB global store must panic on the plain path");
     }
 
+    /// A 64-block launch whose last block stores one past the end panics
+    /// with the kernel's `file:line` however the blocks fall on workers:
+    /// a helper thread's panic reaches the caller with its own message.
+    /// The last warp's store is a run that leaves the buffer, so it goes
+    /// lane by lane and only its last lane is out of bounds.
+    #[test]
+    fn out_of_bounds_store_in_a_late_block_names_the_kernel_site() {
+        struct ShiftByOne {
+            buf: Buffer,
+        }
+        impl WarpKernel for ShiftByOne {
+            fn resources(&self) -> KernelResources {
+                small(8, 0, 0)
+            }
+            fn run_warp(&self, w: &mut WarpCtx<'_>) {
+                let i = w.global_thread_id();
+                w.st_f64(self.buf, &lanes(|l| i[l] + 1), &[1.0; WARP_LANES]);
+            }
+        }
+        let lc = LaunchConfig {
+            blocks: 64,
+            threads_per_block: 32,
+        };
+        let cfg = GpuConfig::default();
+        for _ in 0..8 {
+            let mut mem = DeviceMemory::new(1 << 20);
+            let buf = mem.alloc_array::<f64>(64 * 32).unwrap();
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                launch(&mut mem, &cfg, lc, &ShiftByOne { buf })
+            }));
+            let payload = r.expect_err("the last lane's store is out of bounds");
+            let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(
+                msg.starts_with(&format!("kernel {}:", file!())),
+                "panic does not name the kernel site: {msg}"
+            );
+            assert!(msg.contains("global store of 8 B at element 2048"), "{msg}");
+        }
+    }
+
     /// The same out-of-bounds access under `sanitize` is absorbed and
     /// reported as a memcheck finding with a resolved source site.
     #[test]
@@ -1809,6 +1920,142 @@ mod overlay_tests {
             // The overlay is empty again for the next block.
             prop_assert_eq!(overlay.written_bits(0, 8), 0);
             prop_assert_eq!(load_width(&overlay, &snap, 0, 8), u64::from_le_bytes(snap[..8].try_into().unwrap()));
+        }
+    }
+
+    // ---- runs against lanes ----
+
+    /// The overlay's pages as `(base, mask, bytes)`, in first-store order.
+    fn pages_of(overlay: &WriteOverlay) -> Vec<(u64, [u64; PAGE_LINES], Vec<u8>)> {
+        overlay
+            .pages
+            .iter()
+            .map(|p| (p.base, p.mask, p.bytes.to_vec()))
+            .collect()
+    }
+
+    /// An overlay holding the stores of `ops`, each on lane 0.
+    fn overlay_after(ops: &[Op]) -> WriteOverlay {
+        let mut overlay = WriteOverlay::default();
+        for op in ops {
+            if let Op::Store { addr, width, val } = *op {
+                store_width(&mut overlay, addr, width, val);
+            }
+        }
+        overlay
+    }
+
+    /// On two overlays holding `prior`'s stores, the run path and the
+    /// lane path agree for a warp of `W`-byte lanes at `base`: a load,
+    /// then a store (same bytes, masks and page order), then a load of
+    /// the run at `reload`, which sees the store.
+    fn run_matches_lanes<const W: usize>(
+        prior: &[Op],
+        base: u64,
+        reload: u64,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let snap = snapshot();
+        let (mut by_run, mut by_lanes) = (overlay_after(prior), overlay_after(prior));
+        let addrs = |b: u64| lanes(|l| b + (l * W) as u64);
+        let loads_agree = |run: &WriteOverlay, per_lane: &WriteOverlay, b: u64| {
+            let (mut got, mut want) = ([[0u8; W]; WARP_LANES], [[0u8; W]; WARP_LANES]);
+            run.load_run(&snap, b, &mut got);
+            per_lane.load_lanes(&snap, Mask::MAX, &addrs(b), &mut want);
+            prop_assert_eq!(got, want, "load of the run at {}", b);
+            Ok(())
+        };
+        loads_agree(&by_run, &by_lanes, base)?;
+        let vals: Lanes<[u8; W]> =
+            lanes(|l| std::array::from_fn(|i| (seed >> (8 * ((l + i) % 8))) as u8 ^ l as u8));
+        by_run.store_run(base, &vals);
+        by_lanes.store_lanes(Mask::MAX, &addrs(base), &vals);
+        prop_assert_eq!(
+            pages_of(&by_run),
+            pages_of(&by_lanes),
+            "store of the run at {}",
+            base
+        );
+        loads_agree(&by_run, &by_lanes, reload)
+    }
+
+    /// A run's first byte for lanes of `width` bytes: just before or at
+    /// a line or page boundary, or anywhere, with room for the run.
+    fn arb_base(width: usize) -> impl Strategy<Value = u64> {
+        let room = (WINDOW - WARP_LANES * width) as u64;
+        (0u8..3, any::<u64>()).prop_map(move |(placement, a)| {
+            let before = (a >> 32) % (width as u64 + 1);
+            let base = match placement {
+                0 => (1 + a % (WINDOW / LINE_BYTES - 1) as u64) * LINE_BYTES as u64 - before,
+                1 => (1 + a % (WINDOW / PAGE_BYTES - 1) as u64) * PAGE_BYTES as u64 - before,
+                _ => a % (room + 1),
+            };
+            base.min(room)
+        })
+    }
+
+    /// Prior lane-0 stores of every width leave lines fully, partly and
+    /// not written.
+    fn arb_prior() -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(arb_op(), 0..60)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn u8_runs_match_lanes(prior in arb_prior(), base in arb_base(1), reload in arb_base(1), seed in any::<u64>()) {
+            run_matches_lanes::<1>(&prior, base, reload, seed)?;
+        }
+
+        #[test]
+        fn f32_runs_match_lanes(prior in arb_prior(), base in arb_base(4), reload in arb_base(4), seed in any::<u64>()) {
+            run_matches_lanes::<4>(&prior, base, reload, seed)?;
+        }
+
+        #[test]
+        fn f64_runs_match_lanes(prior in arb_prior(), base in arb_base(8), reload in arb_base(8), seed in any::<u64>()) {
+            run_matches_lanes::<8>(&prior, base, reload, seed)?;
+        }
+    }
+
+    /// The named run shapes: within one line, across line boundaries
+    /// and across a page boundary, over a partly written line, a fully
+    /// written line and an empty overlay, each followed by a load of the
+    /// same run or of one shifted into unstored bytes.
+    #[test]
+    fn runs_over_lines_pages_and_partial_masks_match_lanes() {
+        let page = PAGE_BYTES as u64;
+        let mut prior = Vec::new();
+        // Every third byte of line 0 of page 1; all of line 2 of page 1.
+        for a in (page..page + 64).step_by(3) {
+            prior.push(Op::Store {
+                addr: a,
+                width: 1,
+                val: a,
+            });
+        }
+        for a in (page + 128..page + 192).step_by(8) {
+            prior.push(Op::Store {
+                addr: a,
+                width: 8,
+                val: !a,
+            });
+        }
+        let seed = 0x0123_4567_89AB_CDEF;
+        for base in [
+            page + 8,
+            page + 60,
+            page - 8,
+            page - 4,
+            page + 120,
+            2 * page - 1,
+        ] {
+            run_matches_lanes::<1>(&prior, base, base + 3, seed).unwrap();
+            run_matches_lanes::<4>(&prior, base, base + 64, seed).unwrap();
+            run_matches_lanes::<8>(&prior, base, base, seed).unwrap();
+            run_matches_lanes::<8>(&prior, base, base + 100, seed).unwrap();
+            run_matches_lanes::<8>(&[], base, base + 4, seed).unwrap();
         }
     }
 

@@ -26,7 +26,20 @@
 //!   and the f64 sums depend on this order.
 //! - **Key order.** A memory slot keeps each lane's address; at the fold
 //!   its segments (or shared bank words) are pushed in lane order,
-//!   dropping a key equal to the previous one.
+//!   dropping a key equal to the previous one. A slot whose lanes are one
+//!   run — consecutive lanes of one width, addresses a constant stride
+//!   `0 <= stride <= width + key bytes - 1` apart — touches exactly the
+//!   keys from its first lane's first to its last lane's last, first
+//!   reached in ascending order, and folds from those two keys without
+//!   building the list.
+//!
+//! A global load or store whose lanes are all active and address
+//! consecutive elements, all in bounds, is one run as well: it is
+//! bounds-checked once, addressed arithmetically, and loaded with one
+//! snapshot copy patched line by line from the overlay pages it covers,
+//! or stored page by page. Any other access, a run that leaves its buffer
+//! included, goes lane by lane, so panics and memcheck findings stay per
+//! lane.
 //!
 //! These rules are pinned against the frozen per-lane reference fold in
 //! `tests/support/warp_reference.rs` (`tests/soa_equivalence.rs`) and
@@ -34,7 +47,7 @@
 //! (`tests/data/lane_executor_golden.json`).
 //!
 //! The sanitizer's and dataflow's per-lane events go into one
-//! [`LaneLog`], replayed in lane order at the end of the warp, so
+//! `LaneLog`, replayed in lane order at the end of the warp, so
 //! racecheck, synccheck, the first-occurrence fields of findings and the
 //! read collector's runs see each thread's accesses as one sequence.
 //! Loads and stores act on memory instruction by instruction, so lanes of
@@ -50,7 +63,7 @@ use crate::profile::SiteProfile;
 use crate::sancheck::{BlockSan, CheckKind};
 use crate::stats::KernelStats;
 use crate::trace::{OpClass, Site, SiteInterner, Space};
-use crate::warp::{MemSlot, SegmentGeometry, SlotFold};
+use crate::warp::{MemSlot, SegmentGeometry, SlotFold, SlotKeys};
 use std::panic::Location;
 
 /// Lanes per warp the executor runs (the warp size of every shipped
@@ -457,6 +470,25 @@ impl WarpCtx<'_> {
         }
     }
 
+    /// The device address of element `idx[0]` of `buf` when the
+    /// instruction is one run: every lane active, lane `l` at element
+    /// `idx[0] + l`, and the whole run in bounds. A run is checked,
+    /// addressed and copied as a whole; any other access goes lane by
+    /// lane, so out-of-bounds lanes panic or draw findings one by one.
+    #[inline]
+    fn run_base(&self, buf: Buffer, idx: &Lanes<usize>, width: usize) -> Option<u64> {
+        if self.active != Mask::MAX {
+            return None;
+        }
+        let first = idx[0];
+        let mut run = true;
+        for (l, &i) in idx.iter().enumerate() {
+            run &= i == first.wrapping_add(l);
+        }
+        let end = first.checked_add(WARP_LANES)?.checked_mul(width)?;
+        (run && end <= buf.len()).then(|| buf.addr() + (first * width) as u64)
+    }
+
     /// One global load instruction of width `W`: every active lane in
     /// bounds loads `idx[l]` of `buf` (the pre-launch snapshot patched
     /// with this block's stores); other lanes read zeros.
@@ -468,6 +500,16 @@ impl WarpCtx<'_> {
         idx: &Lanes<usize>,
     ) -> Lanes<[u8; W]> {
         let mut out = [[0u8; W]; WARP_LANES];
+        if let Some(base) = self.run_base(buf, idx, W) {
+            let addrs = lanes(|l| base + (l * W) as u64);
+            self.rec
+                .mem(loc, Space::Global, false, Mask::MAX, &addrs, W as u8);
+            if self.log.is_some() {
+                self.log_loads(loc, buf, Mask::MAX, &addrs, W);
+            }
+            self.writes.load_run(self.snapshot, base, &mut out);
+            return out;
+        }
         let mut addrs = [0u64; WARP_LANES];
         let mut valid = 0;
         for l in lanes_in(self.active) {
@@ -540,6 +582,13 @@ impl WarpCtx<'_> {
         idx: &Lanes<usize>,
         vals: &Lanes<[u8; W]>,
     ) {
+        if let Some(base) = self.run_base(buf, idx, W) {
+            let addrs = lanes(|l| base + (l * W) as u64);
+            self.rec
+                .mem(loc, Space::Global, true, Mask::MAX, &addrs, W as u8);
+            self.writes.store_run(base, vals);
+            return;
+        }
         let mut addrs = [0u64; WARP_LANES];
         let mut valid = 0;
         for l in lanes_in(self.active) {
@@ -942,6 +991,44 @@ fn lane_keys(
     unsafe { keys.set_len(n) };
 }
 
+/// The first and last key of a memory slot whose lanes are one run:
+/// consecutive lanes of one width whose addresses step by a constant
+/// `0 <= stride <= width + key bytes - 1`. Each lane then starts at or
+/// after the one before it, and no gap between two lanes holds a whole
+/// key, so the slot touches exactly the keys `first..=last`, first
+/// reached in ascending order — what [`lane_keys`] and the fold's dedupe
+/// make of it, without building the list.
+#[inline]
+fn run_keys(
+    segment: SegmentGeometry,
+    space: Space,
+    acc: &LaneAccesses,
+    lanes: Mask,
+) -> Option<(u64, u64)> {
+    let lo = lanes.trailing_zeros() as usize;
+    let n = lanes.count_ones() as usize;
+    if lanes >> lo != Mask::MAX >> (WARP_LANES - n) {
+        return None;
+    }
+    let (addr, width) = (&acc.addr[lo..lo + n], &acc.width[lo..lo + n]);
+    let w = width[0];
+    let stride = addr.get(1).map_or(0, |&a| a.wrapping_sub(addr[0]));
+    if stride > w.max(1) as u64 + segment.key_bytes(space) - 1 {
+        return None;
+    }
+    let mut run = true;
+    let mut next = addr[0];
+    for (&a, &aw) in addr.iter().zip(width) {
+        run &= (a == next) & (aw == w);
+        next = next.wrapping_add(stride);
+    }
+    run.then(|| {
+        let (first, _) = segment.key_range(space, addr[0], w);
+        let (_, last) = segment.key_range(space, addr[n - 1], w);
+        (first, last)
+    })
+}
+
 /// [`lane_keys`] for accesses spanning any number of keys.
 #[cold]
 fn lane_keys_general(
@@ -1323,15 +1410,16 @@ impl LockstepRecorder {
                     lanes,
                     arena,
                 } => {
-                    lane_keys(
-                        segment,
-                        mem.space,
-                        &self.accesses[arena as usize],
-                        lanes,
-                        &mut self.keys,
-                    );
+                    let acc = &self.accesses[arena as usize];
+                    let keys = match run_keys(segment, mem.space, acc, lanes) {
+                        Some((first, last)) => SlotKeys::Range(first, last),
+                        None => {
+                            lane_keys(segment, mem.space, acc, lanes, &mut self.keys);
+                            SlotKeys::List(&mut self.keys)
+                        }
+                    };
                     self.fold
-                        .mem::<PROFILE>(cfg, stats, cache.as_deref_mut(), mem, &mut self.keys)
+                        .mem::<PROFILE>(cfg, stats, cache.as_deref_mut(), mem, keys)
                 }
                 WarpSlotKind::Branch { taken, not_taken } => {
                     SlotFold::branch::<PROFILE>(stats, taken, not_taken)

@@ -4,9 +4,14 @@
 //! The lockstep recorder ([`crate::lockstep`]) groups a warp's
 //! instructions into slots, one per `(site, per-lane occurrence)`, and
 //! hands them to [`SlotFold`] in per-lane first-touch order. A memory
-//! slot arrives as the segments (or shared bank words) its lanes touch,
-//! in lane order with consecutive repeats dropped, so the fold sees short,
-//! usually already sorted key lists.
+//! slot arrives as its [`SlotKeys`]: the segments (or shared bank words)
+//! its lanes touch, either as a list in lane order with consecutive
+//! repeats dropped, usually already sorted, or — when its lanes are one
+//! run — as the range `first..=last`. A range folds without a list: its
+//! length is the transaction count, it is the L2's `access_segment`
+//! sequence, and `n` consecutive bank words give a bank degree of
+//! `ceil(n / banks)`. A sorted list is distinct, so it too skips the L2
+//! path's dedupe.
 //!
 //! Statistics semantics are pinned bit-for-bit against the frozen
 //! reference fold in `tests/support/warp_reference.rs`; see
@@ -44,6 +49,15 @@ impl SegmentGeometry {
         }
     }
 
+    /// Bytes per key in `space`: a segment, or a shared bank word.
+    #[inline(always)]
+    pub(crate) fn key_bytes(self, space: Space) -> u64 {
+        match space {
+            Space::Shared => BANK_WORD_BYTES,
+            _ => self.bytes,
+        }
+    }
+
     /// The first and last key an access of `width` bytes at `addr` in
     /// `space` touches.
     #[inline(always)]
@@ -64,6 +78,16 @@ pub(crate) struct MemSlot {
     pub(crate) write: bool,
     pub(crate) bytes_requested: u64,
     pub(crate) accesses: u32,
+}
+
+/// The segments (or shared bank words) of one memory slot.
+#[derive(Debug)]
+pub(crate) enum SlotKeys<'a> {
+    /// Exactly the keys `first..=last`, first touched in ascending order:
+    /// a slot whose lanes are one run.
+    Range(u64, u64),
+    /// The lanes' keys in lane order, consecutive repeats dropped.
+    List(&'a mut Vec<u64>),
 }
 
 /// The warp-end fold of merged slots into [`KernelStats`] and the
@@ -192,15 +216,14 @@ impl SlotFold {
         delta
     }
 
-    /// Folds a memory slot whose `keys` are its lanes' segments (or
-    /// shared bank words) in lane order, consecutive repeats dropped.
+    /// Folds a memory slot whose keys are `keys`.
     pub(crate) fn mem<const PROFILE: bool>(
         &mut self,
         cfg: &GpuConfig,
         stats: &mut KernelStats,
         cache: Option<&mut crate::cache::CacheModel>,
         slot: MemSlot,
-        keys: &mut Vec<u64>,
+        keys: SlotKeys<'_>,
     ) -> SiteStats {
         let mut delta = SiteStats {
             warp_slots: 1,
@@ -216,22 +239,29 @@ impl SlotFold {
                 // 4-byte words* mapping to one bank. A word lives on
                 // exactly one bank, so global sort+dedup then per-bank
                 // counting gives the same per-bank distinct-word sets as
-                // the per-bank lists the reference kept.
-                sort_distinct(keys);
+                // the per-bank lists the reference kept; `n` consecutive
+                // words put `ceil(n / banks)` on the busiest bank.
                 let banks = cfg.shared_banks as u64;
-                let bank_mask = banks.is_power_of_two().then(|| banks - 1);
-                let bank = |w: u64| match bank_mask {
-                    Some(m) => (w & m) as usize,
-                    None => (w % banks) as usize,
+                let degree = match keys {
+                    SlotKeys::Range(first, last) => (last - first + 1).div_ceil(banks),
+                    SlotKeys::List(keys) => {
+                        sort_distinct(keys);
+                        let bank_mask = banks.is_power_of_two().then(|| banks - 1);
+                        let bank = |w: u64| match bank_mask {
+                            Some(m) => (w & m) as usize,
+                            None => (w % banks) as usize,
+                        };
+                        let mut degree = 1u64;
+                        let counts = &mut self.bank_counts[..banks as usize];
+                        for &w in keys.iter() {
+                            let c = &mut counts[bank(w)];
+                            *c += 1;
+                            degree = degree.max(*c as u64);
+                        }
+                        counts.fill(0);
+                        degree
+                    }
                 };
-                let mut degree = 1u64;
-                let counts = &mut self.bank_counts[..banks as usize];
-                for &w in keys.iter() {
-                    let c = &mut counts[bank(w)];
-                    *c += 1;
-                    degree = degree.max(*c as u64);
-                }
-                counts.fill(0);
                 stats.shared_accesses += slot.accesses as u64;
                 stats.shared_replays += degree - 1;
                 // Each replay is an extra issue of this slot.
@@ -242,31 +272,30 @@ impl SlotFold {
                 }
             }
             Space::Global | Space::Local => {
-                let tx = match cache {
-                    Some(c) => {
-                        // First-touch segment order is preserved: the L2
-                        // model is stateful, so the sequence of
-                        // `access_segment` calls is semantics.
+                let tx = match (cache, keys) {
+                    // First-touch segment order is preserved: the L2
+                    // model is stateful, so the sequence of
+                    // `access_segment` calls is semantics.
+                    (Some(c), SlotKeys::Range(first, last)) => {
+                        (first..=last).map(|s| l2_miss(c, stats, s)).sum()
+                    }
+                    // A sorted list has no repeats left.
+                    (Some(c), SlotKeys::List(keys)) if keys.is_sorted() => {
+                        keys.iter().map(|&s| l2_miss(c, stats, s)).sum()
+                    }
+                    (Some(c), SlotKeys::List(keys)) => {
                         self.segments.clear();
                         for &s in keys.iter() {
                             if !self.segments.contains(&s) {
                                 self.segments.push(s);
                             }
                         }
-                        let mut misses = 0u64;
-                        for &s in self.segments.iter() {
-                            if c.access_segment(s) {
-                                stats.l2_hits += 1;
-                            } else {
-                                stats.l2_misses += 1;
-                                misses += 1;
-                            }
-                        }
-                        misses
+                        self.segments.iter().map(|&s| l2_miss(c, stats, s)).sum()
                     }
                     // Without a cache only the *count* of distinct
                     // segments matters.
-                    None => {
+                    (None, SlotKeys::Range(first, last)) => last - first + 1,
+                    (None, SlotKeys::List(keys)) => {
                         sort_distinct(keys);
                         keys.len() as u64
                     }
@@ -364,6 +393,18 @@ impl SlotFold {
             let loc = unsafe { &*(site as *const Location<'static>) };
             crate::trace::register_site(site, loc);
         }
+    }
+}
+
+/// One L2 access of segment `s`, counted into `stats`; 1 on a miss.
+#[inline]
+fn l2_miss(cache: &mut crate::cache::CacheModel, stats: &mut KernelStats, s: u64) -> u64 {
+    if cache.access_segment(s) {
+        stats.l2_hits += 1;
+        0
+    } else {
+        stats.l2_misses += 1;
+        1
     }
 }
 

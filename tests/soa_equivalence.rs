@@ -16,7 +16,11 @@
 //! branchy programs, so lanes reach a site's occurrences in different
 //! instructions and slots split, and the addresses cluster on a few
 //! segments and bank-sharing shared words, so slots revisit keys
-//! non-adjacently.
+//! non-adjacently. Others are runs — lane `l` at `base + l * stride`
+//! under a full, contiguous or scattered mask, next to line, segment and
+//! page boundaries or at the end of the buffer — so the fold's range path
+//! and the loads' and stores' run path meet the oracle too, on both sides
+//! of the stride that still touches every key.
 
 use mogpu::bench::harness::{default_params, run_level, standard_frames, SIM_RESOLUTION};
 use mogpu::core::{AdaptiveGpuMog, GpuMog, OptLevel, RunReport};
@@ -192,6 +196,9 @@ const LOCAL_SLOTS: u64 = 4;
 /// Bytes of shared memory the test kernel declares.
 const SHARED_BYTES: usize = 512;
 
+/// Bytes of the global buffer the test kernel addresses.
+const GLOBAL_BYTES: usize = 1 << 16;
+
 /// What one warp instruction of a random program does.
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -222,12 +229,25 @@ struct Step {
 /// through one of four fixed divergent programs.
 #[derive(Debug, Clone, Copy)]
 enum Instr {
-    Step { mask: u32, op: Op, data: u64 },
-    Paths { mask: u32, data: u64 },
+    Step {
+        mask: u32,
+        op: Op,
+        data: u64,
+    },
+    Paths {
+        mask: u32,
+        data: u64,
+    },
+    /// One access through `ACCESSORS[access]` whose lanes form a run
+    /// ([`run_step`]).
+    Run {
+        access: usize,
+        data: u64,
+    },
 }
 
 fn arb_instr() -> impl Strategy<Value = Instr> {
-    (0u8..16, 0usize..4, any::<u64>(), any::<u64>(), 0usize..14).prop_map(
+    (0u8..19, 0usize..4, any::<u64>(), any::<u64>(), 0usize..14).prop_map(
         |(kind, site, data, m, access)| {
             // Mostly every lane, else a random subset.
             let mask = if m % 3 == 0 { u32::MAX } else { m as u32 };
@@ -236,7 +256,8 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
                 4..=8 => Op::Mem { access },
                 9 => Op::Branch,
                 10 => Op::Sync,
-                _ => return Instr::Paths { mask, data },
+                11..=15 => return Instr::Paths { mask, data },
+                _ => return Instr::Run { access, data },
             };
             Instr::Step { mask, op, data }
         },
@@ -279,6 +300,53 @@ fn operand(op: Op, w: u64) -> u64 {
     }
 }
 
+/// A run of `ACCESSORS[access]` drawn from `data`: its lane mask and
+/// operands. Lane `l`'s operand is `base + l * stride`; the stride is 0,
+/// 1, the access width, or the last or first stride (in bytes) at which
+/// consecutive lanes still leave no 128-byte or 96-byte segment, or
+/// 4-byte bank word, untouched between them. The base lies just before,
+/// at or after a line, segment or page boundary, or ends the run at the
+/// end of the buffer. Spill accesses are uniform slots. The mask is
+/// every lane, a contiguous range of lanes or a scattered set.
+fn run_step(access: usize, data: u64) -> (u32, [u64; 32]) {
+    let pick = |i: u64, n: u64| word(data, 0, 50 + i) % n;
+    let (space, width, _) = ACCESSORS[access];
+    let w = width as u64;
+    // Operand units (elements, bytes) per byte, the addressable bytes and
+    // the strides in operand units.
+    let (unit, len, strides) = match space {
+        Space::Global => (
+            w,
+            GLOBAL_BYTES as u64,
+            [0, 1, w, 96 / w, 96 / w + 1, 128 / w, 128 / w + 1],
+        ),
+        Space::Shared => (1, SHARED_BYTES as u64, [0, 1, w, w + 3, w + 4, 1, w]),
+        Space::Local => (1, 0, [0; 7]),
+    };
+    let mask = match pick(0, 4) {
+        0 | 1 => u32::MAX,
+        2 => {
+            let lo = pick(1, 32);
+            let n = 1 + pick(2, 32 - lo);
+            (u64::MAX >> (64 - n) << lo) as u32
+        }
+        _ => word(data, 0, 60) as u32,
+    };
+    if space == Space::Local {
+        return (mask, [pick(3, LOCAL_SLOTS); 32]);
+    }
+    let stride = strides[pick(4, 7) as usize];
+    let span = 31 * stride * unit + w;
+    let boundary = [64, 128, 512, 96][pick(5, 4) as usize] * (1 + pick(6, len / 512));
+    let first = if pick(7, 5) == 4 {
+        len - span
+    } else {
+        (boundary + w - w * pick(8, 3)).min(len - span)
+    };
+    let base = first / unit;
+    (mask, std::array::from_fn(|l| base + l as u64 * stride))
+}
+
 /// A step of `op` on the lanes of `mask`, operand `i` of `data`.
 fn step(mask: u32, op: Op, data: u64, i: u64) -> Step {
     Step {
@@ -304,6 +372,16 @@ fn expand(instrs: &[Instr], lanes: u32) -> Vec<Step> {
             Instr::Step { mask, op, data } => {
                 if mask & warp != 0 {
                     steps.push(step(mask & warp, op, data, 0));
+                }
+            }
+            Instr::Run { access, data } => {
+                let (mask, vals) = run_step(access, data);
+                if mask & warp != 0 {
+                    steps.push(Step {
+                        mask: mask & warp,
+                        op: Op::Mem { access },
+                        vals,
+                    });
                 }
             }
             Instr::Paths { mask, data } => {
@@ -496,7 +574,7 @@ proptest! {
             .map(|(w, p)| expand(p, if w + 1 == n { last_lanes } else { 32 }))
             .collect();
         let mut mem = DeviceMemory::new(1 << 17);
-        let buf = mem.alloc(1 << 16).unwrap();
+        let buf = mem.alloc(GLOBAL_BYTES).unwrap();
         prop_assert_eq!(buf.addr(), 0);
         let lc = LaunchConfig { blocks: 1, threads_per_block: threads };
         let kernel = Program { warps, buf };
