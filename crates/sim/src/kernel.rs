@@ -392,11 +392,13 @@ impl WriteOverlay {
         })
     }
 
-    /// Stores `val` at `addr` page by page, in ascending order: a run, or
-    /// one lane's access across a page boundary. Kept out of line, so
-    /// the lane loops it is rare in stay small.
+    /// Stores `val` at `addr` page by page, in ascending order: a run
+    /// (lane `l` at `addr + l * W`, so pages are created in lane order,
+    /// as [`WriteOverlay::store_lanes`] would create them), or one lane's
+    /// access across a page boundary. Kept out of line, so the lane loops
+    /// it is rare in stay small.
     #[inline(never)]
-    fn store_bytes(&mut self, addr: u64, val: &[u8]) {
+    pub(crate) fn store_bytes(&mut self, addr: u64, val: &[u8]) {
         for (page, off, range) in Self::page_pieces(addr, val.len()) {
             let ix = self.find_or_insert(page);
             self.pages[ix].write_run(off, &val[range]);
@@ -491,14 +493,6 @@ impl WriteOverlay {
         if !self.pages.is_empty() {
             self.patch_bytes(base, out);
         }
-    }
-
-    /// [`WriteOverlay::store_lanes`] for a run, lane `l` at
-    /// `base + l * W`: page after page, so pages are created in ascending
-    /// order, which is the lanes' order.
-    #[inline]
-    pub(crate) fn store_run<const W: usize>(&mut self, base: u64, vals: &Lanes<[u8; W]>) {
-        self.store_bytes(base, vals.as_flattened());
     }
 
     /// Which of the `width <= 64` bytes at `addr` this block has stored
@@ -1968,7 +1962,7 @@ mod overlay_tests {
         loads_agree(&by_run, &by_lanes, base)?;
         let vals: Lanes<[u8; W]> =
             lanes(|l| std::array::from_fn(|i| (seed >> (8 * ((l + i) % 8))) as u8 ^ l as u8));
-        by_run.store_run(base, &vals);
+        by_run.store_bytes(base, vals.as_flattened());
         by_lanes.store_lanes(Mask::MAX, &addrs(base), &vals);
         prop_assert_eq!(
             pages_of(&by_run),

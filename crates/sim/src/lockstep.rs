@@ -489,6 +489,33 @@ impl WarpCtx<'_> {
         (run && end <= buf.len()).then(|| buf.addr() + (first * width) as u64)
     }
 
+    /// The lanes of a global access of `width` bytes that are active and
+    /// in bounds, with their addresses, and the run's base address when
+    /// the access is one run ([`WarpCtx::run_base`]). Out-of-bounds lanes
+    /// panic or draw findings here, one by one.
+    #[inline]
+    fn global_lanes(
+        &mut self,
+        loc: &'static Location<'static>,
+        buf: Buffer,
+        idx: &Lanes<usize>,
+        width: usize,
+        store: bool,
+    ) -> (Option<u64>, Mask, Lanes<u64>) {
+        if let Some(base) = self.run_base(buf, idx, width) {
+            return (Some(base), Mask::MAX, lanes(|l| base + (l * width) as u64));
+        }
+        let mut addrs = [0u64; WARP_LANES];
+        let mut valid = 0;
+        for l in lanes_in(self.active) {
+            if let Some(a) = self.check_global(loc, l, buf, idx[l], width, store) {
+                addrs[l] = a;
+                valid |= 1 << l;
+            }
+        }
+        (None, valid, addrs)
+    }
+
     /// One global load instruction of width `W`: every active lane in
     /// bounds loads `idx[l]` of `buf` (the pre-launch snapshot patched
     /// with this block's stores); other lanes read zeros.
@@ -500,24 +527,7 @@ impl WarpCtx<'_> {
         idx: &Lanes<usize>,
     ) -> Lanes<[u8; W]> {
         let mut out = [[0u8; W]; WARP_LANES];
-        if let Some(base) = self.run_base(buf, idx, W) {
-            let addrs = lanes(|l| base + (l * W) as u64);
-            self.rec
-                .mem(loc, Space::Global, false, Mask::MAX, &addrs, W as u8);
-            if self.log.is_some() {
-                self.log_loads(loc, buf, Mask::MAX, &addrs, W);
-            }
-            self.writes.load_run(self.snapshot, base, &mut out);
-            return out;
-        }
-        let mut addrs = [0u64; WARP_LANES];
-        let mut valid = 0;
-        for l in lanes_in(self.active) {
-            if let Some(a) = self.check_global(loc, l, buf, idx[l], W, false) {
-                addrs[l] = a;
-                valid |= 1 << l;
-            }
-        }
+        let (run, valid, addrs) = self.global_lanes(loc, buf, idx, W, false);
         if valid == 0 {
             return out;
         }
@@ -526,8 +536,12 @@ impl WarpCtx<'_> {
         if self.log.is_some() {
             self.log_loads(loc, buf, valid, &addrs, W);
         }
-        self.writes
-            .load_lanes(self.snapshot, valid, &addrs, &mut out);
+        match run {
+            Some(base) => self.writes.load_run(self.snapshot, base, &mut out),
+            None => self
+                .writes
+                .load_lanes(self.snapshot, valid, &addrs, &mut out),
+        }
         out
     }
 
@@ -582,27 +596,16 @@ impl WarpCtx<'_> {
         idx: &Lanes<usize>,
         vals: &Lanes<[u8; W]>,
     ) {
-        if let Some(base) = self.run_base(buf, idx, W) {
-            let addrs = lanes(|l| base + (l * W) as u64);
-            self.rec
-                .mem(loc, Space::Global, true, Mask::MAX, &addrs, W as u8);
-            self.writes.store_run(base, vals);
-            return;
-        }
-        let mut addrs = [0u64; WARP_LANES];
-        let mut valid = 0;
-        for l in lanes_in(self.active) {
-            if let Some(a) = self.check_global(loc, l, buf, idx[l], W, true) {
-                addrs[l] = a;
-                valid |= 1 << l;
-            }
-        }
+        let (run, valid, addrs) = self.global_lanes(loc, buf, idx, W, true);
         if valid == 0 {
             return;
         }
         self.rec
             .mem(loc, Space::Global, true, valid, &addrs, W as u8);
-        self.writes.store_lanes(valid, &addrs, vals);
+        match run {
+            Some(base) => self.writes.store_bytes(base, vals.as_flattened()),
+            None => self.writes.store_lanes(valid, &addrs, vals),
+        }
     }
 
     /// Loads an `f64` per active lane from element `idx[l]` of `buf`.

@@ -10,8 +10,7 @@
 //! run — as the range `first..=last`. A range folds without a list: its
 //! length is the transaction count, it is the L2's `access_segment`
 //! sequence, and `n` consecutive bank words give a bank degree of
-//! `ceil(n / banks)`. A sorted list is distinct, so it too skips the L2
-//! path's dedupe.
+//! `ceil(n / banks)`.
 //!
 //! Statistics semantics are pinned bit-for-bit against the frozen
 //! reference fold in `tests/support/warp_reference.rs`; see
@@ -278,10 +277,6 @@ impl SlotFold {
                     // `access_segment` calls is semantics.
                     (Some(c), SlotKeys::Range(first, last)) => {
                         (first..=last).map(|s| l2_miss(c, stats, s)).sum()
-                    }
-                    // A sorted list has no repeats left.
-                    (Some(c), SlotKeys::List(keys)) if keys.is_sorted() => {
-                        keys.iter().map(|&s| l2_miss(c, stats, s)).sum()
                     }
                     (Some(c), SlotKeys::List(keys)) => {
                         self.segments.clear();
