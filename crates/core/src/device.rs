@@ -16,24 +16,24 @@ use mogpu_sim::{Buffer, Lanes, WarpCtx};
 pub trait DeviceReal: Real {
     /// Loads element `idx[l]` of `buf` on each active lane.
     #[track_caller]
-    fn ld_warp(w: &mut WarpCtx<'_>, buf: Buffer, idx: &Lanes<usize>) -> Lanes<Self>;
+    fn ld(w: &mut WarpCtx<'_>, buf: Buffer, idx: &Lanes<usize>) -> Lanes<Self>;
 
     /// Stores `v[l]` to element `idx[l]` of `buf` on each active lane.
     #[track_caller]
-    fn st_warp(w: &mut WarpCtx<'_>, buf: Buffer, idx: &Lanes<usize>, v: &Lanes<Self>);
+    fn st(w: &mut WarpCtx<'_>, buf: Buffer, idx: &Lanes<usize>, v: &Lanes<Self>);
 
     /// Loads from shared byte offset `off[l]` on each active lane.
     #[track_caller]
-    fn sh_ld_warp(w: &mut WarpCtx<'_>, off: &Lanes<usize>) -> Lanes<Self>;
+    fn sh_ld(w: &mut WarpCtx<'_>, off: &Lanes<usize>) -> Lanes<Self>;
 
     /// Stores `v[l]` at shared byte offset `off[l]` on each active lane.
     #[track_caller]
-    fn sh_st_warp(w: &mut WarpCtx<'_>, off: &Lanes<usize>, v: &Lanes<Self>);
+    fn sh_st(w: &mut WarpCtx<'_>, off: &Lanes<usize>, v: &Lanes<Self>);
 
     /// Charges `n` floating-point operations at this type's precision on
     /// every active lane.
     #[track_caller]
-    fn flop_warp(w: &mut WarpCtx<'_>, n: u32);
+    fn flop(w: &mut WarpCtx<'_>, n: u32);
 }
 
 /// Implements [`DeviceReal`] through the [`WarpCtx`] accessors of one
@@ -42,31 +42,31 @@ macro_rules! warp_forms {
     ($ld:ident, $st:ident, $sh_ld:ident, $sh_st:ident, $flop:ident) => {
         #[track_caller]
         #[inline]
-        fn ld_warp(w: &mut WarpCtx<'_>, buf: Buffer, idx: &Lanes<usize>) -> Lanes<Self> {
+        fn ld(w: &mut WarpCtx<'_>, buf: Buffer, idx: &Lanes<usize>) -> Lanes<Self> {
             w.$ld(buf, idx)
         }
 
         #[track_caller]
         #[inline]
-        fn st_warp(w: &mut WarpCtx<'_>, buf: Buffer, idx: &Lanes<usize>, v: &Lanes<Self>) {
+        fn st(w: &mut WarpCtx<'_>, buf: Buffer, idx: &Lanes<usize>, v: &Lanes<Self>) {
             w.$st(buf, idx, v)
         }
 
         #[track_caller]
         #[inline]
-        fn sh_ld_warp(w: &mut WarpCtx<'_>, off: &Lanes<usize>) -> Lanes<Self> {
+        fn sh_ld(w: &mut WarpCtx<'_>, off: &Lanes<usize>) -> Lanes<Self> {
             w.$sh_ld(off)
         }
 
         #[track_caller]
         #[inline]
-        fn sh_st_warp(w: &mut WarpCtx<'_>, off: &Lanes<usize>, v: &Lanes<Self>) {
+        fn sh_st(w: &mut WarpCtx<'_>, off: &Lanes<usize>, v: &Lanes<Self>) {
             w.$sh_st(off, v)
         }
 
         #[track_caller]
         #[inline]
-        fn flop_warp(w: &mut WarpCtx<'_>, n: u32) {
+        fn flop(w: &mut WarpCtx<'_>, n: u32) {
             w.$flop(n)
         }
     };

@@ -48,36 +48,36 @@ impl<T: DeviceReal> WarpKernel for AdaptiveKernel<T> {
             let kis = [ki; WARP_LANES];
             w.int_op(1);
             w.branch(live); // divergent loop branch across lanes
-            c.w[ki] = pass.model.ld_w_warp(w, &i, &kis);
-            c.m[ki] = pass.model.ld_m_warp(w, &i, &kis);
-            c.sd[ki] = pass.model.ld_sd_warp(w, &i, &kis);
+            c.w[ki] = pass.model.ld_w(w, &i, &kis);
+            c.m[ki] = pass.model.ld_m(w, &i, &kis);
+            c.sd[ki] = pass.model.ld_sd(w, &i, &kis);
             let d: Lanes<T> = lanes(|l| (c.m[ki][l] - p[l]).abs());
-            T::flop_warp(w, 2);
+            T::flop(w, 2);
             c.diff[ki] = d;
-            T::flop_warp(w, 1);
+            T::flop(w, 1);
             let hit = w.branch(mask_of(|l| d[l] < prm.match_threshold));
             w.when(hit, |w| {
                 update(hit, &mut c.w[ki], |_, x| {
                     prm.alpha * x + prm.one_minus_alpha
                 });
-                T::flop_warp(w, 2);
+                T::flop(w, 2);
                 let tmp: Lanes<T> = lanes(|l| prm.one_minus_alpha / c.w[ki][l]);
-                T::flop_warp(w, 4);
+                T::flop(w, 4);
                 update(hit, &mut c.m[ki], |l, m| m + tmp[l] * (p[l] - m));
-                T::flop_warp(w, 3);
+                T::flop(w, 3);
                 let dm: Lanes<T> = lanes(|l| p[l] - c.m[ki][l]);
-                T::flop_warp(w, 1);
+                T::flop(w, 1);
                 let sd = c.sd[ki];
                 let var: Lanes<T> =
                     lanes(|l| sd[l] * sd[l] + tmp[l] * (dm[l] * dm[l] - sd[l] * sd[l]));
-                T::flop_warp(w, 5);
+                T::flop(w, 5);
                 update(hit, &mut c.sd[ki], |l, _| var[l].max(prm.min_var).sqrt());
-                T::flop_warp(w, 5);
+                T::flop(w, 5);
                 c.matched |= hit;
             });
             w.when(live & !hit, |w| {
                 update(live & !hit, &mut c.w[ki], |_, x| prm.alpha * x);
-                T::flop_warp(w, 1);
+                T::flop(w, 1);
             });
         });
 
@@ -96,7 +96,7 @@ impl<T: DeviceReal> WarpKernel for AdaptiveKernel<T> {
                 // Replace the weakest.
                 let mut weakest = [0usize; WARP_LANES];
                 per_lane_loop(w, &lanes(|l| active[l].saturating_sub(1)), |w, j, _| {
-                    T::flop_warp(w, 1);
+                    T::flop(w, 1);
                     w.int_op(1);
                     let ki = j + 1;
                     for l in lanes_in(w.active()) {
@@ -118,7 +118,7 @@ impl<T: DeviceReal> WarpKernel for AdaptiveKernel<T> {
             // Each lane walks its components from the last down.
             let ki = lanes(|l| trips[l].saturating_sub(j + 1));
             w.int_op(1);
-            T::flop_warp(w, 1);
+            T::flop(w, 1);
             let drop = w.branch(mask_of(|l| active[l] > 1 && c.w[ki[l]][l] < prune));
             w.when(drop, |w| {
                 for l in lanes_in(drop) {
@@ -136,9 +136,9 @@ impl<T: DeviceReal> WarpKernel for AdaptiveKernel<T> {
             let kis = [ki; WARP_LANES];
             w.int_op(1);
             w.branch(live); // divergent loop branch
-            pass.model.st_w_warp(w, &i, &kis, &c.w[ki]);
-            pass.model.st_m_warp(w, &i, &kis, &c.m[ki]);
-            pass.model.st_sd_warp(w, &i, &kis, &c.sd[ki]);
+            pass.model.st_w(w, &i, &kis, &c.w[ki]);
+            pass.model.st_m(w, &i, &kis, &c.m[ki]);
+            pass.model.st_sd(w, &i, &kis, &c.sd[ki]);
         });
         w.st_u8(self.active, &i, &lanes(|l| active[l] as u8));
 
@@ -149,7 +149,7 @@ impl<T: DeviceReal> WarpKernel for AdaptiveKernel<T> {
             w.branch(live); // divergent loop branch
             let (wk, dk, sdk) = (&c.w[ki], &c.diff[ki], &c.sd[ki]);
             let bg = mask_of(|l| wk[l] >= prm.bg_weight && dk[l] / sdk[l] < prm.bg_sigma_ratio);
-            T::flop_warp(w, 6);
+            T::flop(w, 6);
             fg &= !(bg & live);
         });
         let out = lanes(|l| if fg >> l & 1 != 0 { 255 } else { 0 });

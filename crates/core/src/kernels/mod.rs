@@ -64,42 +64,42 @@ pub(crate) fn update_branchy<T: DeviceReal>(
         let kis = [ki; WARP_LANES];
         w.int_op(1); // loop counter
         w.branch(uniform(ki < k)); // uniform loop branch
-        c.w[ki] = model.ld_w_warp(w, i, &kis);
-        c.m[ki] = model.ld_m_warp(w, i, &kis);
-        c.sd[ki] = model.ld_sd_warp(w, i, &kis);
+        c.w[ki] = model.ld_w(w, i, &kis);
+        c.m[ki] = model.ld_m(w, i, &kis);
+        c.sd[ki] = model.ld_sd(w, i, &kis);
         let d: Lanes<T> = lanes(|l| (c.m[ki][l] - p[l]).abs());
-        T::flop_warp(w, 2);
+        T::flop(w, 2);
         c.diff[ki] = d;
-        T::flop_warp(w, 1); // compare
+        T::flop(w, 1); // compare
         let hit = w.branch(mask_of(|l| d[l] < prm.match_threshold));
         let miss = w.active() & !hit;
         w.when(hit, |w| {
             let wk = lanes(|l| prm.alpha * c.w[ki][l] + prm.one_minus_alpha);
-            T::flop_warp(w, 2);
+            T::flop(w, 2);
             let tmp: Lanes<T> = lanes(|l| prm.one_minus_alpha / wk[l]);
-            T::flop_warp(w, 4);
+            T::flop(w, 4);
             let mk = lanes(|l| c.m[ki][l] + tmp[l] * (p[l] - c.m[ki][l]));
-            T::flop_warp(w, 3);
+            T::flop(w, 3);
             let dm: Lanes<T> = lanes(|l| p[l] - mk[l]);
-            T::flop_warp(w, 1);
+            T::flop(w, 1);
             let sd = &c.sd[ki];
             let var: Lanes<T> = lanes(|l| sd[l] * sd[l] + tmp[l] * (dm[l] * dm[l] - sd[l] * sd[l]));
-            T::flop_warp(w, 5);
+            T::flop(w, 5);
             let sdk = lanes(|l| var[l].max(prm.min_var).sqrt());
-            T::flop_warp(w, 5);
+            T::flop(w, 5);
             blend(hit, &mut c.w[ki], &wk);
             blend(hit, &mut c.m[ki], &mk);
             blend(hit, &mut c.sd[ki], &sdk);
             c.matched |= hit;
-            model.st_w_warp(w, i, &kis, &c.w[ki]);
-            model.st_m_warp(w, i, &kis, &c.m[ki]);
-            model.st_sd_warp(w, i, &kis, &c.sd[ki]);
+            model.st_w(w, i, &kis, &c.w[ki]);
+            model.st_m(w, i, &kis, &c.m[ki]);
+            model.st_sd(w, i, &kis, &c.sd[ki]);
         });
         w.when(miss, |w| {
             let wk = lanes(|l| prm.alpha * c.w[ki][l]);
-            T::flop_warp(w, 1);
+            T::flop(w, 1);
             blend(miss, &mut c.w[ki], &wk);
-            model.st_w_warp(w, i, &kis, &c.w[ki]);
+            model.st_w(w, i, &kis, &c.w[ki]);
         });
     }
     let replace = w.branch(!c.matched);
@@ -124,14 +124,14 @@ pub(crate) fn update_predicated<T: DeviceReal>(
         let kis = [ki; WARP_LANES];
         w.int_op(1);
         w.branch(uniform(ki < k)); // uniform loop branch
-        c.w[ki] = model.ld_w_warp(w, i, &kis);
-        c.m[ki] = model.ld_m_warp(w, i, &kis);
-        c.sd[ki] = model.ld_sd_warp(w, i, &kis);
+        c.w[ki] = model.ld_w(w, i, &kis);
+        c.m[ki] = model.ld_m(w, i, &kis);
+        c.sd[ki] = model.ld_sd(w, i, &kis);
         let d: Lanes<T> = lanes(|l| (c.m[ki][l] - p[l]).abs());
-        T::flop_warp(w, 2);
+        T::flop(w, 2);
         c.diff[ki] = d;
         let is_match = mask_of(|l| d[l] < prm.match_threshold);
-        T::flop_warp(w, 1); // setp, no branch
+        T::flop(w, 1); // setp, no branch
         c.matched |= is_match;
         w.int_op(1);
         let mk: Lanes<T> = lanes(|l| {
@@ -141,27 +141,27 @@ pub(crate) fn update_predicated<T: DeviceReal>(
                 T::zero()
             }
         });
-        T::flop_warp(w, 1); // select
+        T::flop(w, 1); // select
         c.w[ki] = lanes(|l| prm.alpha * c.w[ki][l] + mk[l] * prm.one_minus_alpha);
-        T::flop_warp(w, 3);
+        T::flop(w, 3);
         let tmp: Lanes<T> = lanes(|l| prm.one_minus_alpha / c.w[ki][l].max(T::from_f64(1e-30)));
-        T::flop_warp(w, 5);
+        T::flop(w, 5);
         let m_new: Lanes<T> = lanes(|l| c.m[ki][l] + tmp[l] * (p[l] - c.m[ki][l]));
-        T::flop_warp(w, 3);
+        T::flop(w, 3);
         c.m[ki] = lanes(|l| (T::one() - mk[l]) * c.m[ki][l] + mk[l] * m_new[l]);
-        T::flop_warp(w, 4);
+        T::flop(w, 4);
         let dm: Lanes<T> = lanes(|l| p[l] - c.m[ki][l]);
-        T::flop_warp(w, 1);
+        T::flop(w, 1);
         let sd = &c.sd[ki];
         let var: Lanes<T> = lanes(|l| sd[l] * sd[l] + tmp[l] * (dm[l] * dm[l] - sd[l] * sd[l]));
-        T::flop_warp(w, 5);
+        T::flop(w, 5);
         let sd_new = lanes(|l| var[l].max(prm.min_var).sqrt());
-        T::flop_warp(w, 5);
+        T::flop(w, 5);
         c.sd[ki] = lanes(|l| (T::one() - mk[l]) * c.sd[ki][l] + mk[l] * sd_new[l]);
-        T::flop_warp(w, 4);
-        model.st_w_warp(w, i, &kis, &c.w[ki]);
-        model.st_m_warp(w, i, &kis, &c.m[ki]);
-        model.st_sd_warp(w, i, &kis, &c.sd[ki]);
+        T::flop(w, 4);
+        model.st_w(w, i, &kis, &c.w[ki]);
+        model.st_m(w, i, &kis, &c.m[ki]);
+        model.st_sd(w, i, &kis, &c.sd[ki]);
     }
     let replace = w.branch(!c.matched);
     w.when(replace, |w| virtual_replace(w, model, i, p, &mut c, prm));
@@ -182,7 +182,7 @@ pub(crate) fn virtual_replace_shared<T: DeviceReal>(
     let k = prm.k;
     let mut weakest = [0usize; WARP_LANES];
     for ki in 1..k {
-        T::flop_warp(w, 1);
+        T::flop(w, 1);
         w.int_op(1);
         weakest = lanes(|l| {
             if wr[ki][l] < wr[weakest[l]][l] {
@@ -193,9 +193,9 @@ pub(crate) fn virtual_replace_shared<T: DeviceReal>(
         });
     }
     let off = |param| lanes(|l| kernel.sh_off(t[l], weakest[l], param));
-    T::sh_st_warp(w, &off(0), &[prm.initial_weight; WARP_LANES]);
-    T::sh_st_warp(w, &off(1), p);
-    T::sh_st_warp(w, &off(2), &[prm.initial_sd; WARP_LANES]);
+    T::sh_st(w, &off(0), &[prm.initial_weight; WARP_LANES]);
+    T::sh_st(w, &off(1), p);
+    T::sh_st(w, &off(2), &[prm.initial_sd; WARP_LANES]);
 }
 
 /// Algorithm 1 lines 12–15: replace the smallest-weight component with a
@@ -213,7 +213,7 @@ pub(crate) fn virtual_replace<T: DeviceReal>(
     let k = prm.k;
     let mut weakest = [0usize; WARP_LANES];
     for ki in 1..k {
-        T::flop_warp(w, 1); // compare
+        T::flop(w, 1); // compare
         w.int_op(1); // select index
         weakest = lanes(|l| {
             if c.w[ki][l] < c.w[weakest[l]][l] {
@@ -224,15 +224,11 @@ pub(crate) fn virtual_replace<T: DeviceReal>(
         });
     }
     for l in lanes_in(w.active()) {
-        let wk = weakest[l];
-        c.w[wk][l] = prm.initial_weight;
-        c.m[wk][l] = p[l];
-        c.sd[wk][l] = prm.initial_sd;
-        c.diff[wk][l] = T::zero();
+        c.set(weakest[l], l, prm.initial_weight, p[l], prm.initial_sd);
     }
-    model.st_w_warp(w, i, &weakest, &lanes(|l| c.w[weakest[l]][l]));
-    model.st_m_warp(w, i, &weakest, &lanes(|l| c.m[weakest[l]][l]));
-    model.st_sd_warp(w, i, &weakest, &lanes(|l| c.sd[weakest[l]][l]));
+    model.st_w(w, i, &weakest, &lanes(|l| c.w[weakest[l]][l]));
+    model.st_m(w, i, &weakest, &lanes(|l| c.m[weakest[l]][l]));
+    model.st_sd(w, i, &weakest, &lanes(|l| c.sd[weakest[l]][l]));
 }
 
 /// The lanes' register copies of their K components after an update:

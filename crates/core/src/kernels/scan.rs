@@ -63,7 +63,7 @@ impl<T: DeviceReal> WarpKernel for ScanKernel<T> {
                 let d = if self.recompute_diff {
                     // Level F: |m - p| recomputed against the updated mean.
                     let d = lanes(|l| (c.m[ki][l] - p[l]).abs());
-                    T::flop_warp(w, 2);
+                    T::flop(w, 2);
                     d
                 } else {
                     c.diff[ki]
@@ -71,7 +71,7 @@ impl<T: DeviceReal> WarpKernel for ScanKernel<T> {
                 let bg = mask_of(|l| {
                     c.w[ki][l] >= prm.bg_weight && d[l] / c.sd[ki][l] < prm.bg_sigma_ratio
                 });
-                T::flop_warp(w, 6);
+                T::flop(w, 6);
                 let hit = w.branch(bg);
                 blend(hit, &mut fgv, &[0; WARP_LANES]);
                 live &= !hit;

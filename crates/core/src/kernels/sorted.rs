@@ -45,7 +45,7 @@ impl<T: DeviceReal> WarpKernel for SortedKernel<T> {
             w.int_op(1);
             w.branch(uniform(ki < k)); // uniform loop branch
             let rank: Lanes<T> = lanes(|l| c.w[ki][l] / c.sd[ki][l]);
-            T::flop_warp(w, 4);
+            T::flop(w, 4);
             w.st_local(&[k + ki; WARP_LANES], &lanes(|l| rank[l].to_f64()));
         }
 
@@ -61,7 +61,7 @@ impl<T: DeviceReal> WarpKernel for SortedKernel<T> {
                     let at = |d: usize| lanes(|l| k + order[l][j[l].saturating_sub(d)]);
                     let a = w.ld_local(&at(1));
                     let b = w.ld_local(&at(0));
-                    T::flop_warp(w, 1); // compare
+                    T::flop(w, 1); // compare
                     cont = mask_of(|l| a[l] < b[l]);
                 });
                 w.when(live, |w| live = w.branch(cont));
@@ -87,7 +87,7 @@ impl<T: DeviceReal> WarpKernel for SortedKernel<T> {
                 let bg = mask_of(|l| {
                     c.w[ci[l]][l] >= prm.bg_weight && d[l] / c.sd[ci[l]][l] < prm.bg_sigma_ratio
                 });
-                T::flop_warp(w, 6); // cmp + div + cmp + and
+                T::flop(w, 6); // cmp + div + cmp + and
                 let hit = w.branch(bg);
                 blend(hit, &mut fgv, &[0; WARP_LANES]);
                 live &= !hit;

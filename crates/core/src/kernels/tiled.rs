@@ -70,12 +70,12 @@ impl<T: DeviceReal> WarpKernel for TiledKernel<T> {
             let kis = [ki; WARP_LANES];
             w.int_op(1);
             w.branch(uniform(ki < k)); // uniform loop branch
-            let wv = pass.model.ld_w_warp(w, &i, &kis);
-            let m = pass.model.ld_m_warp(w, &i, &kis);
-            let sd = pass.model.ld_sd_warp(w, &i, &kis);
-            T::sh_st_warp(w, &off(ki, 0), &wv);
-            T::sh_st_warp(w, &off(ki, 1), &m);
-            T::sh_st_warp(w, &off(ki, 2), &sd);
+            let wv = pass.model.ld_w(w, &i, &kis);
+            let m = pass.model.ld_m(w, &i, &kis);
+            let sd = pass.model.ld_sd(w, &i, &kis);
+            T::sh_st(w, &off(ki, 0), &wv);
+            T::sh_st(w, &off(ki, 1), &m);
+            T::sh_st(w, &off(ki, 2), &sd);
         }
         w.sync();
 
@@ -93,13 +93,13 @@ impl<T: DeviceReal> WarpKernel for TiledKernel<T> {
             for ki in 0..k {
                 w.int_op(1);
                 w.branch(uniform(ki < k)); // uniform loop branch
-                let mut wv = T::sh_ld_warp(w, &off(ki, 0));
-                let mut m = T::sh_ld_warp(w, &off(ki, 1));
-                let mut sd = T::sh_ld_warp(w, &off(ki, 2));
+                let mut wv = T::sh_ld(w, &off(ki, 0));
+                let mut m = T::sh_ld(w, &off(ki, 1));
+                let mut sd = T::sh_ld(w, &off(ki, 2));
                 let d: Lanes<T> = lanes(|l| (m[l] - p[l]).abs());
-                T::flop_warp(w, 2);
+                T::flop(w, 2);
                 let is_match = mask_of(|l| d[l] < prm.match_threshold);
-                T::flop_warp(w, 1);
+                T::flop(w, 1);
                 matched |= is_match;
                 w.int_op(1);
                 let mk: Lanes<T> = lanes(|l| {
@@ -109,27 +109,27 @@ impl<T: DeviceReal> WarpKernel for TiledKernel<T> {
                         T::zero()
                     }
                 });
-                T::flop_warp(w, 1);
+                T::flop(w, 1);
                 wv = lanes(|l| prm.alpha * wv[l] + mk[l] * prm.one_minus_alpha);
-                T::flop_warp(w, 3);
+                T::flop(w, 3);
                 let tmp: Lanes<T> = lanes(|l| prm.one_minus_alpha / wv[l].max(T::from_f64(1e-30)));
-                T::flop_warp(w, 5);
+                T::flop(w, 5);
                 let m_new: Lanes<T> = lanes(|l| m[l] + tmp[l] * (p[l] - m[l]));
-                T::flop_warp(w, 3);
+                T::flop(w, 3);
                 m = lanes(|l| (T::one() - mk[l]) * m[l] + mk[l] * m_new[l]);
-                T::flop_warp(w, 4);
+                T::flop(w, 4);
                 let dm: Lanes<T> = lanes(|l| p[l] - m[l]);
-                T::flop_warp(w, 1);
+                T::flop(w, 1);
                 let var: Lanes<T> =
                     lanes(|l| sd[l] * sd[l] + tmp[l] * (dm[l] * dm[l] - sd[l] * sd[l]));
-                T::flop_warp(w, 5);
+                T::flop(w, 5);
                 let sd_new = lanes(|l| var[l].max(prm.min_var).sqrt());
-                T::flop_warp(w, 5);
+                T::flop(w, 5);
                 sd = lanes(|l| (T::one() - mk[l]) * sd[l] + mk[l] * sd_new[l]);
-                T::flop_warp(w, 4);
-                T::sh_st_warp(w, &off(ki, 0), &wv);
-                T::sh_st_warp(w, &off(ki, 1), &m);
-                T::sh_st_warp(w, &off(ki, 2), &sd);
+                T::flop(w, 4);
+                T::sh_st(w, &off(ki, 0), &wv);
+                T::sh_st(w, &off(ki, 1), &m);
+                T::sh_st(w, &off(ki, 2), &sd);
                 w_reg[ki] = wv;
             }
             let replace = w.branch(!matched);
@@ -142,14 +142,14 @@ impl<T: DeviceReal> WarpKernel for TiledKernel<T> {
                 w.when(live, |w| {
                     w.int_op(1);
                     w.branch(uniform(ki < k)); // uniform loop branch
-                    let wv = T::sh_ld_warp(w, &off(ki, 0));
-                    let m = T::sh_ld_warp(w, &off(ki, 1));
-                    let sd = T::sh_ld_warp(w, &off(ki, 2));
+                    let wv = T::sh_ld(w, &off(ki, 0));
+                    let m = T::sh_ld(w, &off(ki, 1));
+                    let sd = T::sh_ld(w, &off(ki, 2));
                     let d: Lanes<T> = lanes(|l| (m[l] - p[l]).abs());
-                    T::flop_warp(w, 2);
+                    T::flop(w, 2);
                     let bg =
                         mask_of(|l| wv[l] >= prm.bg_weight && d[l] / sd[l] < prm.bg_sigma_ratio);
-                    T::flop_warp(w, 6);
+                    T::flop(w, 6);
                     let hit = w.branch(bg);
                     blend(hit, &mut fgv, &[0; WARP_LANES]);
                     live &= !hit;
@@ -167,12 +167,12 @@ impl<T: DeviceReal> WarpKernel for TiledKernel<T> {
             let kis = [ki; WARP_LANES];
             w.int_op(1);
             w.branch(uniform(ki < k)); // uniform loop branch
-            let wv = T::sh_ld_warp(w, &off(ki, 0));
-            let m = T::sh_ld_warp(w, &off(ki, 1));
-            let sd = T::sh_ld_warp(w, &off(ki, 2));
-            pass.model.st_w_warp(w, &i, &kis, &wv);
-            pass.model.st_m_warp(w, &i, &kis, &m);
-            pass.model.st_sd_warp(w, &i, &kis, &sd);
+            let wv = T::sh_ld(w, &off(ki, 0));
+            let m = T::sh_ld(w, &off(ki, 1));
+            let sd = T::sh_ld(w, &off(ki, 2));
+            pass.model.st_w(w, &i, &kis, &wv);
+            pass.model.st_m(w, &i, &kis, &m);
+            pass.model.st_sd(w, &i, &kis, &sd);
         }
     }
 }

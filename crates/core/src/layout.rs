@@ -166,74 +166,47 @@ impl<T: DeviceReal> DeviceModel<T> {
     /// Loads each active lane's component weight.
     #[track_caller]
     #[inline]
-    pub fn ld_w_warp(
-        &self,
-        w: &mut WarpCtx<'_>,
-        pixel: &Lanes<usize>,
-        ki: &Lanes<usize>,
-    ) -> Lanes<T> {
+    pub fn ld_w(&self, w: &mut WarpCtx<'_>, pixel: &Lanes<usize>, ki: &Lanes<usize>) -> Lanes<T> {
         let (b, i) = self.index_lanes(w.active(), pixel, ki, 0);
-        T::ld_warp(w, b, &i)
+        T::ld(w, b, &i)
     }
 
     /// Loads each active lane's component mean.
     #[track_caller]
     #[inline]
-    pub fn ld_m_warp(
-        &self,
-        w: &mut WarpCtx<'_>,
-        pixel: &Lanes<usize>,
-        ki: &Lanes<usize>,
-    ) -> Lanes<T> {
+    pub fn ld_m(&self, w: &mut WarpCtx<'_>, pixel: &Lanes<usize>, ki: &Lanes<usize>) -> Lanes<T> {
         let (b, i) = self.index_lanes(w.active(), pixel, ki, 1);
-        T::ld_warp(w, b, &i)
+        T::ld(w, b, &i)
     }
 
     /// Loads each active lane's component standard deviation.
     #[track_caller]
     #[inline]
-    pub fn ld_sd_warp(
-        &self,
-        w: &mut WarpCtx<'_>,
-        pixel: &Lanes<usize>,
-        ki: &Lanes<usize>,
-    ) -> Lanes<T> {
+    pub fn ld_sd(&self, w: &mut WarpCtx<'_>, pixel: &Lanes<usize>, ki: &Lanes<usize>) -> Lanes<T> {
         let (b, i) = self.index_lanes(w.active(), pixel, ki, 2);
-        T::ld_warp(w, b, &i)
+        T::ld(w, b, &i)
     }
 
     /// Stores each active lane's component weight.
     #[track_caller]
     #[inline]
-    pub fn st_w_warp(
-        &self,
-        w: &mut WarpCtx<'_>,
-        pixel: &Lanes<usize>,
-        ki: &Lanes<usize>,
-        v: &Lanes<T>,
-    ) {
+    pub fn st_w(&self, w: &mut WarpCtx<'_>, pixel: &Lanes<usize>, ki: &Lanes<usize>, v: &Lanes<T>) {
         let (b, i) = self.index_lanes(w.active(), pixel, ki, 0);
-        T::st_warp(w, b, &i, v);
+        T::st(w, b, &i, v);
     }
 
     /// Stores each active lane's component mean.
     #[track_caller]
     #[inline]
-    pub fn st_m_warp(
-        &self,
-        w: &mut WarpCtx<'_>,
-        pixel: &Lanes<usize>,
-        ki: &Lanes<usize>,
-        v: &Lanes<T>,
-    ) {
+    pub fn st_m(&self, w: &mut WarpCtx<'_>, pixel: &Lanes<usize>, ki: &Lanes<usize>, v: &Lanes<T>) {
         let (b, i) = self.index_lanes(w.active(), pixel, ki, 1);
-        T::st_warp(w, b, &i, v);
+        T::st(w, b, &i, v);
     }
 
     /// Stores each active lane's component standard deviation.
     #[track_caller]
     #[inline]
-    pub fn st_sd_warp(
+    pub fn st_sd(
         &self,
         w: &mut WarpCtx<'_>,
         pixel: &Lanes<usize>,
@@ -241,7 +214,7 @@ impl<T: DeviceReal> DeviceModel<T> {
         v: &Lanes<T>,
     ) {
         let (b, i) = self.index_lanes(w.active(), pixel, ki, 2);
-        T::st_warp(w, b, &i, v);
+        T::st(w, b, &i, v);
     }
 
     // ---- host-side transfer (untimed; model parameters live on the

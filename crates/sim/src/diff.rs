@@ -1035,14 +1035,12 @@ struct DataflowAgg {
 }
 
 fn parse_dataflow(v: &Value, what: &str) -> Result<DataflowAgg, String> {
-    let nodes = v
-        .get("nodes")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{what}: missing `nodes`"))?;
-    let edges = v
-        .get("edges")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("{what}: missing `edges`"))?;
+    let array = |key: &str| match v.get(key) {
+        Some(Value::Array(items)) => Ok(items),
+        Some(f) if !f.is_null() => Err(format!("{what}: `{key}` is not an array")),
+        _ => Err(format!("{what}: missing `{key}`")),
+    };
+    let (nodes, edges) = (array("nodes")?, array("edges")?);
     let mut names: Vec<String> = Vec::with_capacity(nodes.len());
     let mut agg = DataflowAgg {
         nodes: BTreeMap::new(),
@@ -1087,9 +1085,15 @@ fn parse_dataflow(v: &Value, what: &str) -> Result<DataflowAgg, String> {
 
 /// Diffs two dataflow graph documents (as produced by
 /// `mogpu dataflow --json`), matching nodes and edges by kernel name.
-pub fn dataflow_diff(a: &Value, b: &Value) -> Result<DataflowDiff, String> {
-    let ga = parse_dataflow(a, "side A")?;
-    let gb = parse_dataflow(b, "side B")?;
+/// Errors name the side by its label.
+pub fn dataflow_diff(
+    a: &Value,
+    b: &Value,
+    a_label: &str,
+    b_label: &str,
+) -> Result<DataflowDiff, String> {
+    let ga = parse_dataflow(a, a_label)?;
+    let gb = parse_dataflow(b, b_label)?;
     let node_names: std::collections::BTreeSet<&String> =
         ga.nodes.keys().chain(gb.nodes.keys()).collect();
     let nodes = node_names
@@ -1338,7 +1342,7 @@ pub fn diff_values(
             report.metrics = bench_metrics(a, b);
         }
         "dataflow" => {
-            report.dataflow = Some(dataflow_diff(a, b)?);
+            report.dataflow = Some(dataflow_diff(a, b, a_label, b_label)?);
         }
         _ => {
             return Err(
@@ -1825,7 +1829,7 @@ mod tests {
             "edges": [edge(0, 1, 10)],
             "reread_from_host_bytes": 5u64,
         });
-        let d = dataflow_diff(&a, &b).unwrap();
+        let d = dataflow_diff(&a, &b, "a", "b").unwrap();
         assert_eq!(d.edges.len(), 1);
         assert_eq!(d.edges[0].delta, -30);
         assert_eq!(d.reread_from_host_delta, 5);

@@ -140,6 +140,19 @@ fn mismatched_document_families_are_rejected() {
 }
 
 #[test]
+fn a_malformed_dataflow_graph_is_named_by_its_label_and_fault() {
+    let graph = |edges: &str| -> Value {
+        mogpu::json::from_str(&format!(r#"{{"nodes": [], "edges": {edges}}}"#)).unwrap()
+    };
+    let (good, bad) = (graph("[]"), graph("{}"));
+    assert!(diff_values(&good, &good, "a.json", "b.json", &cfg()).is_ok());
+    let err = diff_values(&good, &bad, "a.json", "b.json", &cfg()).unwrap_err();
+    assert_eq!(err, "b.json: `edges` is not an array");
+    let err = diff_values(&bad, &good, "a.json", "b.json", &cfg()).unwrap_err();
+    assert_eq!(err, "a.json: `edges` is not an array");
+}
+
+#[test]
 fn bench_gate_failure_names_the_moved_counter() {
     let dir = std::env::temp_dir().join("mogpu_diff_bench_attr");
     std::fs::create_dir_all(&dir).unwrap();

@@ -13,17 +13,18 @@
 //! Telemetry, serving, fleet and dataflow must match byte for byte. The
 //! diff entries were written with `Display` floats (`0`, not `0.0`), so
 //! they are compared parsed: the same families, label sets and bit-equal
-//! values. Kernel source sites in the golden are read through
-//! `support/site_moves.rs`, which maps the lines the warp-form port of
-//! the ladder kernels moved.
+//! values. Both sides name kernel sites by rank over the whole document
+//! and put tied diff sites in rank order (`support/site_rank.rs`,
+//! [`comparable`]), so kernel edits that keep each file's sites in order
+//! pass.
 //!
 //! The round-trip test puts `"`, `\` and a newline into one label of
 //! each emitter and requires the parsed label to equal the original.
 
 #[path = "support/exposition.rs"]
 mod exposition;
-#[path = "support/site_moves.rs"]
-mod site_moves;
+#[path = "support/site_rank.rs"]
+mod site_rank;
 
 use exposition::{assert_same_exposition, parse_exposition};
 use mogpu::json::Value;
@@ -31,6 +32,7 @@ use mogpu::prelude::*;
 use mogpu::sim::fleet::{fleet_report, prometheus_fleet, FleetOptions, FleetSpec, FleetStream};
 use mogpu::sim::streams::{StageTimes, StreamInput};
 use mogpu::sim::{diff_values, prometheus_serving, KernelGauges, PipelineTelemetry, SmSeries};
+use site_rank::{free_cut, order_ties, KERNELS};
 
 const GOLDEN: &str = include_str!("data/exposition_golden.json");
 
@@ -194,8 +196,7 @@ fn expositions() -> Vec<(String, String)> {
 }
 
 fn golden() -> Vec<(String, String)> {
-    // Kernel sites named before the warp-form port read as today's lines.
-    let doc: Value = mogpu::json::from_str(&site_moves::apply(GOLDEN)).expect("golden file parses");
+    let doc: Value = mogpu::json::from_str(GOLDEN).expect("golden file parses");
     doc.as_object()
         .expect("golden is an object")
         .iter()
@@ -203,10 +204,42 @@ fn golden() -> Vec<(String, String)> {
         .collect()
 }
 
+/// The entries as both sides are compared: kernel sites named by rank
+/// over all entries; in the diff's site rows (by |delta|, top 8) sites
+/// tied at the cut unnamed and other tied sites in rank order.
+fn comparable(mut entries: Vec<(String, String)>) -> Vec<(String, String)> {
+    let site_rows = |text: &mut String, f: &dyn Fn(&mut [String])| {
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let is_site = |l: &String| l.starts_with("mogpu_diff_site_delta_seconds{");
+        let Some(start) = lines.iter().position(is_site) else {
+            return;
+        };
+        let n = lines[start..].iter().take_while(|l| is_site(l)).count();
+        f(&mut lines[start..start + n]);
+        *text = lines.join("\n") + "\n";
+    };
+    let delta = |l: &String| l.rsplit(' ').next().unwrap().parse::<f64>().unwrap().abs();
+    let source = |l: &String| l.split('"').nth(3).unwrap_or_default().to_string();
+    for (_, text) in &mut entries {
+        site_rows(text, &|rows| {
+            free_cut(rows, 8, delta, |l| *l = l.replace(&source(l), "tied"))
+        });
+    }
+    let lines = entries
+        .iter()
+        .flat_map(|(_, t)| site_rank::lines_named(t, KERNELS))
+        .collect();
+    for (_, text) in &mut entries {
+        *text = site_rank::rank_among(text, KERNELS, &lines);
+        site_rows(text, &|rows| order_ties(rows, delta, source));
+    }
+    entries
+}
+
 #[test]
 fn expositions_match_the_golden() {
-    let want = golden();
-    let got = expositions();
+    let want = comparable(golden());
+    let got = comparable(expositions());
     let mut names: Vec<&String> = got.iter().map(|(k, _)| k).collect();
     names.sort();
     assert_eq!(

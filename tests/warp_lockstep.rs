@@ -20,6 +20,9 @@
 //! of a neighbour's shared slot, reads of never-written global and
 //! shared bytes and, optionally, out-of-bounds stores.
 
+#[path = "support/site_rank.rs"]
+mod site_rank;
+
 use mogpu::core::kernels::{gpu_morph_with, MorphOp};
 use mogpu::json::Value;
 use mogpu::prelude::*;
@@ -232,6 +235,9 @@ fn mixed_kernel_covers_the_interesting_cases() {
 // ---- the golden ----
 
 const GOLDEN: &str = include_str!("data/lane_executor_golden.json");
+/// The source files of the two golden kernels, whose sites are ranked.
+const MIXED_FILE: &str = "tests/warp_lockstep.rs";
+const MORPH_FILE: &str = "crates/core/src/kernels/morph.rs";
 
 /// FNV-1a 64-bit over `bytes`.
 fn digest(bytes: &[u8]) -> String {
@@ -243,50 +249,29 @@ fn digest(bytes: &[u8]) -> String {
     format!("{h:016x}")
 }
 
-/// The lines of `file` named as `file:<line>` in `text`.
-fn lines_named(text: &str, file: &str) -> Vec<u32> {
-    let pat = format!("{file}:");
-    text.match_indices(&pat)
-        .filter_map(|(at, _)| {
-            let tail = &text[at + pat.len()..];
-            let digits = tail.len() - tail.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-            tail[..digits].parse().ok()
-        })
-        .collect()
-}
-
-/// Everything a launch reported, with each of `file`'s sites named by
-/// its rank among the lines the outcome mentions.
+/// Everything a launch reported, with each site of the kernel at `file`
+/// named by its rank among the lines the outcome mentions.
 fn outcome_value(o: &Outcome, file: &str) -> Value {
     let san = mogpu::json::to_string_canonical(&o.san).unwrap();
+    let (dir, stem) = file.strip_suffix(".rs").unwrap().rsplit_once('/').unwrap();
+    let dir = format!("{dir}/");
     let site_line = |site| {
         let src = site_source(site).expect("resolved site");
         assert!(src.file.ends_with(file), "site outside {file}: {src}");
         src.line
     };
-    let mut order: Vec<u32> = o.sites.iter().map(|(s, _)| site_line(s)).collect();
-    order.extend(lines_named(&san, file));
-    order.sort_unstable();
-    order.dedup();
-    let rank = |line: u32| order.binary_search(&line).unwrap();
+    let mut lines = site_rank::lines_named(&san, &dir);
+    for (s, _) in o.sites.iter() {
+        lines.insert((stem.to_string(), site_line(s)));
+    }
+    let rank = |s| site_rank::rank(&lines, stem, site_line(s));
     let mut sites: Vec<(usize, Value)> = o
         .sites
         .iter()
-        .map(|(s, st)| (rank(site_line(s)), mogpu::json::to_value(st).unwrap()))
+        .map(|(s, st)| (rank(s), mogpu::json::to_value(st).unwrap()))
         .collect();
     sites.sort_by_key(|s| s.0);
-    // Longest line numbers first, so `:12` is not rewritten inside `:123`.
-    let mut named = san;
-    let mut by_len = order.clone();
-    by_len.sort_by_key(|l| std::cmp::Reverse(l.to_string().len()));
-    for line in by_len {
-        for end in ["\"", " ", ";", ","] {
-            named = named.replace(
-                &format!("{file}:{line}{end}"),
-                &format!("{file}:#{}{end}", rank(line)),
-            );
-        }
-    }
+    let named = site_rank::rank_among(&san, &dir, &lines);
     let runs = |set: &mogpu::sim::IntervalSet| {
         Value::Array(
             set.runs()
@@ -514,7 +499,7 @@ fn assert_mixed(pick: impl Fn(&str) -> bool) {
     assert!(!cases.is_empty());
     for c in cases {
         let o = run(&c.cfg(), &c.trips, c.n, c.tpb, c.sanitize);
-        assert_golden(&golden, "mixed", &c.name, c.input(), &o, "warp_lockstep.rs");
+        assert_golden(&golden, "mixed", &c.name, c.input(), &o, MIXED_FILE);
     }
 }
 
@@ -544,7 +529,7 @@ fn morphology_matches_the_lane_executor() {
     let golden: Value = mogpu::json::from_str(GOLDEN).unwrap();
     for (name, w, h, op, l2) in morph_cases() {
         let (input, o) = morph_outcome(w, h, op, l2);
-        assert_golden(&golden, "morph", &name, input, &o, "morph.rs");
+        assert_golden(&golden, "morph", &name, input, &o, MORPH_FILE);
     }
 }
 
